@@ -1,0 +1,12 @@
+"""Put the benchmark package and the program's source on the import path.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
