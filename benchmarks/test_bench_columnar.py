@@ -1,19 +1,15 @@
 """Benchmarks and gates for the columnar (structure-of-arrays) engine.
 
-Two quantitative claims back the columnar path, and both are asserted:
-
-* **Speed** — at 100k subjects, stepping a ``ColumnarPopulation``
-  through ``fast_columnar_step`` into a ``StreamingLedger`` must be
-  >= 3x faster than the object fast path on the identical workload,
-  while the streamed utility series stays bit-identical to the eager
-  ledger's.  Measured headroom is ~35x; the gate is deliberately
-  conservative for CI runners.
+* **Equivalence** — at 100k subjects, a ``synthetic_columnar``
+  population streamed into a ``StreamingLedger`` and the matching
+  object ``synthetic_population`` (packed by the simulation) into an
+  eager ledger produce bit-identical utility series.  Both times are
+  recorded; there is no speed ratio to gate, because every simulation
+  steps the same kernel.
 * **Memory** — a 1M-subject, multi-round run (a 10x scale model of the
   10M-subject target) must stay under a hard RSS ceiling, checked in a
-  subprocess via ``getrusage``.  The object path allocates per-subject
-  agents, subproblems, and outcome dataclasses and blows through the
-  same ceiling well before 1M subjects; the columnar path holds eight
-  float64 columns plus running aggregates.
+  subprocess via ``getrusage``: the columnar store holds a few dozen
+  bytes per subject per column plus running aggregates.
 
 The gate test writes a ``BENCH_columnar.json`` artifact (path
 overridable via ``REPRO_BENCH_OUT``) so CI runs leave a
@@ -40,7 +36,6 @@ from repro.simulation import (
 from repro.workers import synthetic_population
 from repro.workers.columnar import synthetic_columnar
 
-_GATE_SPEEDUP = 3.0
 _N_SUBJECTS = 100_000
 _N_ARCHETYPES = 16
 _N_ROUNDS = 3
@@ -60,9 +55,8 @@ def _columnar_simulation(n_subjects: int, ledger: StreamingLedger):
     return MarketplaceSimulation(
         population,
         RequesterObjective(),
-        DynamicContractPolicy(mu=1.0, delta=True),
+        DynamicContractPolicy(mu=1.0),
         seed=_SEED,
-        fast_rounds=True,
         ledger=ledger,
     )
 
@@ -77,9 +71,8 @@ def _object_simulation(n_subjects: int):
     return MarketplaceSimulation(
         population,
         RequesterObjective(),
-        DynamicContractPolicy(mu=1.0, delta=True),
+        DynamicContractPolicy(mu=1.0),
         seed=_SEED,
-        fast_rounds=True,
     )
 
 
@@ -96,11 +89,11 @@ def test_bench_columnar_rounds(benchmark):
 
 
 def test_columnar_speedup_gate(bench_history):
-    """The ISSUE acceptance gate: >= 3x at 100k subjects, bit-identical.
+    """Bit-identical streamed and eager runs at 100k subjects, and the
+    1M-subject RSS ceiling.
 
-    Construction stays outside the timed region on both sides — the
-    claim under test is round stepping, and building 100k worker
-    objects would otherwise dominate the object side's clock.
+    Construction stays outside the timed region on both sides; the
+    object side's includes packing, which happens at construction.
     """
     streaming = StreamingLedger()
     columnar_sim = _columnar_simulation(_N_SUBJECTS, streaming)
@@ -113,19 +106,11 @@ def test_columnar_speedup_gate(bench_history):
     eager = object_sim.run(_N_ROUNDS)
     object_seconds = time.perf_counter() - started
 
-    # Equivalence first: a speedup can never be bought with a wrong
-    # answer.  The streamed reductions are bit-identical to the eager
-    # ledger's (same seed, same pinned draw order, same cumsum bits).
+    # The streamed reductions are bit-identical to the eager ledger's
+    # (same seed, same pinned draw order, same cumsum bits).
     assert np.array_equal(streaming.utility_series(), eager.utility_series())
     assert streaming.total_utility() == eager.total_utility()
     assert streaming.n_rounds == eager.n_rounds == _N_ROUNDS
-
-    speedup = object_seconds / columnar_seconds
-    assert speedup >= _GATE_SPEEDUP, (
-        f"columnar engine only {speedup:.1f}x faster than the object "
-        f"fast path at {_N_SUBJECTS} subjects x {_N_ROUNDS} rounds; "
-        f"gate is {_GATE_SPEEDUP}x"
-    )
 
     rss_mb = _million_subject_rss_mb()
     assert rss_mb <= _RSS_CEILING_MB, (
@@ -139,23 +124,16 @@ def test_columnar_speedup_gate(bench_history):
         "n_rounds": _N_ROUNDS,
         "columnar_seconds": columnar_seconds,
         "object_seconds": object_seconds,
-        "speedup": speedup,
         "million_subject_rss_mb": rss_mb,
-        "gates": {
-            "columnar_speedup": _GATE_SPEEDUP,
-            "rss_ceiling_mb": _RSS_CEILING_MB,
-        },
+        "gates": {"rss_ceiling_mb": _RSS_CEILING_MB},
     }
     out_path = os.environ.get("REPRO_BENCH_OUT", "BENCH_columnar.json")
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
     bench_history(
         "columnar",
-        {"speedup": speedup, "million_subject_rss_mb": rss_mb},
-        directions={
-            "speedup": "higher",
-            "million_subject_rss_mb": "lower",
-        },
+        {"million_subject_rss_mb": rss_mb},
+        directions={"million_subject_rss_mb": "lower"},
     )
 
 
@@ -175,9 +153,8 @@ ledger = StreamingLedger()
 MarketplaceSimulation(
     population,
     RequesterObjective(),
-    DynamicContractPolicy(mu=1.0, delta=True),
+    DynamicContractPolicy(mu=1.0),
     seed={seed},
-    fast_rounds=True,
     ledger=ledger,
 ).run(2)
 assert ledger.n_rounds == 2

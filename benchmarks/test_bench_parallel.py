@@ -74,7 +74,7 @@ def test_bench_parallel_round(benchmark):
         seed=_SEED,
         feedback_noise=_FEEDBACK_NOISE,
     )
-    assignment = DynamicContractPolicy(mu=1.0, delta=False).contracts_columnar(
+    assignment = DynamicContractPolicy(mu=1.0).contracts_columnar(
         columnar
     )
     import numpy as np
@@ -173,7 +173,7 @@ columnar = synthetic_columnar(
     n_subjects, n_archetypes={n_archetypes}, seed={seed},
     feedback_noise={feedback_noise},
 )
-assignment = DynamicContractPolicy(mu=1.0, delta=False).contracts_columnar(
+assignment = DynamicContractPolicy(mu=1.0).contracts_columnar(
     columnar
 )
 excluded = np.zeros(n_subjects, dtype=bool)

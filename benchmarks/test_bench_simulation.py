@@ -1,10 +1,12 @@
-"""Benchmarks and speedup gate for the vectorized round engine.
+"""Benchmarks and speedup gate for the round engine against its oracle.
 
-The fast round kernel's pitch is quantitative, so the threshold is
+The columnar kernel's pitch is quantitative, so the threshold is
 asserted, not just reported: a 1,000-subject, 200-round, re-design-
-every-round simulation must run >= 5x faster through ``fast_step`` +
-delta-aware redesign than through the legacy per-subject loop with full
-re-solves — *and* the two ledgers must be bit-identical
+every-round simulation must run >= 5x faster through
+``MarketplaceSimulation`` (``fast_columnar_step`` + delta-aware
+redesign) than through the ``legacy_step`` oracle — the per-subject
+loop over the packed population's lazy views, with a full re-design
+every round — *and* the two ledgers must be bit-identical
 (``require_ledgers_agree`` uses exact equality; a speedup can never be
 bought with a wrong answer).  Measured headroom is well over an order
 of magnitude; the gate is deliberately conservative for CI runners.
@@ -19,14 +21,21 @@ from __future__ import annotations
 import json
 import os
 import time
+from typing import Dict
+
+import numpy as np
 
 from repro.core.utility import RequesterObjective
 from repro.simulation import (
     DynamicContractPolicy,
     MarketplaceSimulation,
+    RoundRecord,
+    SimulationLedger,
+    legacy_step,
     require_ledgers_agree,
 )
 from repro.workers import synthetic_population
+from repro.workers.columnar import ColumnarPopulation
 
 _GATE_SPEEDUP = 5.0
 _N_SUBJECTS = 1000
@@ -36,29 +45,61 @@ _SEED = 0
 _FEEDBACK_NOISE = 0.3
 
 
-def _build(fast: bool, n_subjects: int = _N_SUBJECTS,
-           lagged: bool = False) -> MarketplaceSimulation:
-    population = synthetic_population(
-        n_subjects,
-        n_archetypes=_N_ARCHETYPES,
-        seed=_SEED,
-        feedback_noise=_FEEDBACK_NOISE,
+def _population(n_subjects: int) -> ColumnarPopulation:
+    return ColumnarPopulation.from_population(
+        synthetic_population(
+            n_subjects,
+            n_archetypes=_N_ARCHETYPES,
+            seed=_SEED,
+            feedback_noise=_FEEDBACK_NOISE,
+        )
     )
+
+
+def _build(n_subjects: int = _N_SUBJECTS, lagged: bool = False) -> MarketplaceSimulation:
     return MarketplaceSimulation(
-        population,
+        _population(n_subjects),
         RequesterObjective(),
-        DynamicContractPolicy(mu=1.0, delta=fast),
+        DynamicContractPolicy(mu=1.0),
         seed=_SEED,
         redesign_every=1,
         lagged_payment=lagged,
-        fast_rounds=fast,
     )
 
 
+def _oracle_run(
+    n_rounds: int, n_subjects: int = _N_SUBJECTS, lagged: bool = False
+) -> SimulationLedger:
+    """The reference: ``legacy_step`` every round, fresh design each round."""
+    population = _population(n_subjects)
+    objective = RequesterObjective()
+    rng = np.random.default_rng(_SEED)
+    previous: Dict[str, float] = {}
+    ledger = SimulationLedger()
+    for round_index in range(n_rounds):
+        policy = DynamicContractPolicy(mu=1.0)
+        contracts = policy.contracts_columnar(population).to_mapping(population)
+        step = legacy_step(
+            population, contracts, set(), policy, None, previous, lagged, rng
+        )
+        ledger.append(
+            RoundRecord(
+                round_index=round_index,
+                outcomes=step.outcomes,
+                benefit=step.benefit,
+                total_compensation=step.total_compensation,
+                utility=objective.params.utility(
+                    step.benefit, step.total_compensation
+                ),
+            )
+        )
+    return ledger
+
+
 def test_bench_fast_rounds(benchmark):
-    """Time the fast engine on a mid-sized slice of the gate workload."""
+    """Time the engine on a mid-sized slice of the gate workload."""
     def run():
-        return _build(True, n_subjects=300).run(30)
+        return _build(n_subjects=300).run(30)
 
     ledger = benchmark(run)
     assert ledger.n_rounds == 30
@@ -66,25 +107,25 @@ def test_bench_fast_rounds(benchmark):
 
 
 def test_bench_legacy_rounds(benchmark):
-    """Time the legacy engine on the same slice, for the ratio record."""
+    """Time the oracle on the same slice, for the ratio record."""
     def run():
-        return _build(False, n_subjects=300).run(30)
+        return _oracle_run(30, n_subjects=300)
 
     ledger = benchmark(run)
     assert ledger.n_rounds == 30
 
 
 def test_simulation_speedup_gate(bench_history):
-    """The ISSUE acceptance gate, asserted on one measured run each."""
+    """The acceptance gate, asserted on one measured run each."""
     started = time.perf_counter()
-    fast_ledger = _build(True).run(_N_ROUNDS)
+    fast_ledger = _build().run(_N_ROUNDS)
     fast_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    legacy_ledger = _build(False).run(_N_ROUNDS)
+    legacy_ledger = _oracle_run(_N_ROUNDS)
     legacy_seconds = time.perf_counter() - started
 
-    # Equivalence first: bit-identical ledgers, fast vs legacy.
+    # Equivalence first: bit-identical ledgers, engine vs oracle.
     require_ledgers_agree(fast_ledger, legacy_ledger)
     # Delta redesign over the static population: zero re-solves after
     # round 0, full reuse every redesign round.
@@ -95,8 +136,8 @@ def test_simulation_speedup_gate(bench_history):
 
     speedup = legacy_seconds / fast_seconds
     assert speedup >= _GATE_SPEEDUP, (
-        f"fast round engine only {speedup:.1f}x faster than legacy at "
-        f"{_N_SUBJECTS} subjects x {_N_ROUNDS} rounds; gate is "
+        f"round engine only {speedup:.1f}x faster than the legacy_step "
+        f"oracle at {_N_SUBJECTS} subjects x {_N_ROUNDS} rounds; gate is "
         f"{_GATE_SPEEDUP}x"
     )
 
@@ -126,14 +167,14 @@ def test_simulation_speedup_gate(bench_history):
 
 def test_lagged_payment_ledgers_bit_identical():
     """Eq. (1) timing included: seeded lagged runs agree bit for bit."""
-    fast = _build(True, n_subjects=300, lagged=True).run(40)
-    legacy = _build(False, n_subjects=300, lagged=True).run(40)
+    fast = _build(n_subjects=300, lagged=True).run(40)
+    legacy = _oracle_run(40, n_subjects=300, lagged=True)
     require_ledgers_agree(fast, legacy)
 
 
 def test_fast_engine_in_check_mode(monkeypatch):
-    """Every fast round self-verifies under REPRO_CHECK_INVARIANTS=1."""
+    """Every round self-verifies under REPRO_CHECK_INVARIANTS=1."""
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    ledger = _build(True, n_subjects=200, lagged=True).run(10)
+    ledger = _build(n_subjects=200, lagged=True).run(10)
     assert ledger.n_rounds == 10
     assert all(record.n_dirty == 0 for record in ledger.records[1:])

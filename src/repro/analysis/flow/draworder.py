@@ -1,11 +1,11 @@
 """REPRO011: RNG draw order in kernels must match the checked-in manifest.
 
-The fast/legacy equivalence proof (docs/PERFORMANCE.md, "The RNG
+The kernel/oracle equivalence proof (docs/PERFORMANCE.md, "The RNG
 draw-order guarantee") rests on both kernels consuming generator draws
 in exactly the same order: per round, subjects in ``population.
 subproblems`` order, feedback draw before rating draw, zero-noise and
-excluded subjects consuming nothing.  ``fast_step`` compresses all of
-that into one ``standard_normal`` block, so *any* new, removed or
+excluded subjects consuming nothing.  ``fast_columnar_step`` compresses
+all of that into one ``standard_normal`` block, so *any* new, removed or
 reordered generator call in either kernel silently changes every
 downstream realization while each path remains internally consistent —
 the worst kind of drift, invisible to most tests.
@@ -81,9 +81,9 @@ class DrawOrderPass(FlowPass):
         "Fast and legacy kernels are bit-equal only because they consume\n"
         "generator draws in an identical pinned order (subjects in\n"
         "population.subproblems order, feedback before rating, non-drawing\n"
-        "subjects consuming nothing; fast_step collapses the round into one\n"
-        "standard_normal block).  A new, removed or reordered rng.* call\n"
-        "shifts every later draw and silently changes all downstream\n"
+        "subjects consuming nothing; fast_columnar_step collapses the round\n"
+        "into one standard_normal block).  A new, removed or reordered rng.*\n"
+        "call shifts every later draw and silently changes all downstream\n"
         "realizations.  Every rng-taking fast_*/vectorized_*/parallel_*/\n"
         "legacy_* kernel\n"
         "therefore has its draw sequence pinned in analysis/draw_order.toml;\n"

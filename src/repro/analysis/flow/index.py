@@ -14,7 +14,8 @@ Kernel discovery follows the repository's conventions:
 * fast kernels are module-level functions named ``fast_*`` or
   ``vectorized_*``;
 * each fast kernel's reference twin is the ``legacy_*`` function with
-  the same stem in the same module;
+  the same stem in the same module (a ``fast_columnar_*`` kernel's stem
+  drops ``columnar_``: its reference is the object loop);
 * batch helpers are ``*_batch`` functions (or static methods) inside
   ``workers/`` modules;
 * sharded parallel kernels are module-level ``parallel_*`` functions —
@@ -51,6 +52,9 @@ FAST_KERNEL_PREFIXES: Tuple[str, ...] = ("fast_", "vectorized_")
 
 #: The reference twin of a fast kernel carries this prefix.
 LEGACY_KERNEL_PREFIX: str = "legacy_"
+
+#: Dropped from a columnar kernel's stem to name its object-loop twin.
+COLUMNAR_INFIX: str = "columnar_"
 
 #: Module-level functions with these prefixes are sharded parallel
 #: kernels (multi-process front ends over a fast kernel).
@@ -218,10 +222,15 @@ class ProjectIndex:
 
 
 def legacy_twin_name(fast_name: str) -> str:
-    """The expected ``legacy_*`` twin of a fast kernel name."""
+    """The expected ``legacy_*`` twin of a fast kernel name.
+
+    A columnar kernel's reference is the object loop over its lazy
+    views: ``fast_columnar_step`` pairs with ``legacy_step``.
+    """
     for prefix in FAST_KERNEL_PREFIXES:
         if fast_name.startswith(prefix):
-            return LEGACY_KERNEL_PREFIX + fast_name[len(prefix):]
+            stem = fast_name[len(prefix):].removeprefix(COLUMNAR_INFIX)
+            return LEGACY_KERNEL_PREFIX + stem
     return LEGACY_KERNEL_PREFIX + fast_name
 
 

@@ -1,7 +1,7 @@
 """REPRO010: fast kernels must stay on the batch path.
 
-PR 4's ``fast_step`` and PR 5's ``vectorized_sweep`` earn their speedups
-by replacing the per-subject object path (one ``respond``/
+The columnar round kernel and the ``vectorized_sweep`` earn their
+speedups by replacing the per-subject object path (one ``respond``/
 ``realize_feedback``/``rating_deviation`` call and one generator draw
 per subject) with stacked numpy operations.  The equivalence contracts
 guarantee *correctness* of that split but not *performance*: nothing
@@ -19,8 +19,8 @@ This pass flags, inside registered fast kernels and batch helpers:
 * construction of designer-layer objects (``Contract``,
   ``PiecewiseLinear``, ...) inside loops over populations.
 
-Columnar kernels (PR 12's ``fast_columnar_step`` family — any
-registered kernel with ``columnar`` in its name) are held to a stricter
+Columnar kernels (the ``fast_columnar_step`` family — any registered
+kernel with ``columnar`` in its name) are held to a stricter
 standard still: indexing the lazy ``.agents``/``.subproblems`` views
 (``population.agents[...]``) materializes one Python object per subject,
 and reading ``.effort_function``/``.params`` inside a loop re-routes the
@@ -137,7 +137,7 @@ class PurityPass(FlowPass):
         "construction) or detach (.close()/.unlink()) segments inside a\n"
         "loop — the engine attaches once per worker process.  Such work\n"
         "belongs in the legacy kernel or a batched helper.  Deliberate\n"
-        "scalar fallbacks (e.g. the memoized solve inside respond_batch)\n"
+        "scalar fallbacks (e.g. one memoized solve per archetype)\n"
         "carry `# noqa: REPRO010` with a justifying comment."
     )
 

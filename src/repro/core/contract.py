@@ -97,10 +97,28 @@ class Contract:
         return cached  # type: ignore[no-any-return]
 
     def as_feedback_function(self) -> PiecewiseLinear:
-        """The posted contract ``f_i``: feedback -> compensation (Eq. 6)."""
-        return PiecewiseLinear(
-            knots=self.feedback_breakpoints, values=self.compensations
-        )
+        """The posted contract ``f_i``: feedback -> compensation (Eq. 6).
+
+        Built once per contract and stored on it (the contract is
+        frozen, so the function can never go stale): best responses
+        evaluate it once per candidate effort and every round pays
+        through it.
+        """
+        cached = self.__dict__.get("_feedback_function")
+        if cached is None:
+            cached = PiecewiseLinear(
+                knots=self.feedback_breakpoints, values=self.compensations
+            )
+            object.__setattr__(self, "_feedback_function", cached)
+        return cached  # type: ignore[no-any-return]
+
+    def __getstate__(self) -> dict:
+        # The stored pay function is rebuilt on demand; leaving it out
+        # keeps pickled contracts (pool replies, shard messages) the
+        # size of their fields.
+        state = dict(self.__dict__)
+        state.pop("_feedback_function", None)
+        return state
 
     def effort_knot_values(self) -> PiecewiseLinear:
         """Linear interpolation of the pay at the effort-grid knots.

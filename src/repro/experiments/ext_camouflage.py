@@ -77,7 +77,7 @@ def run(context: Optional[ExperimentContext] = None) -> ExperimentResult:
 
     results = {}
     for name, freeze in (("one-shot", 1), ("online", None)):
-        # Fresh population per policy: agents carry mutable phase state.
+        # Fresh population per policy: planting replaces agents in it.
         population = context.population(honest_sample=_HONEST_SAMPLE)
         attacker_ids = _plant_attackers(population)
         policy = AdaptiveDynamicPolicy(

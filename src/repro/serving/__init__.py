@@ -50,7 +50,6 @@ from .loadgen import (
 )
 from .fingerprint import design_fingerprint, subproblem_fingerprint
 from .pool import (
-    DeltaSolveState,
     RedesignStats,
     SolveDiagnostics,
     SolverPool,
@@ -68,7 +67,6 @@ __all__ = [
     "ClusterStats",
     "ContractCache",
     "ContractServer",
-    "DeltaSolveState",
     "HTTPServerThread",
     "HashRing",
     "LRUCache",

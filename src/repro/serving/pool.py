@@ -58,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
 __all__ = [
     "ColumnarDeltaState",
     "ContractAssignment",
-    "DeltaSolveState",
     "RedesignStats",
     "SolveDiagnostics",
     "SolverPool",
@@ -66,7 +65,7 @@ __all__ = [
     "solve_subproblems_parallel",
 ]
 
-#: Signature of the fresh-solve callback a :class:`DeltaSolveState`
+#: Signature of the fresh-solve callback a :class:`ColumnarDeltaState`
 #: falls back on for its dirty set: subproblems in, per-subject
 #: solutions plus (possibly empty) serving diagnostics out.
 SolveFn = Callable[
@@ -165,149 +164,6 @@ def require_redesigns_agree(
             )
 
 
-class DeltaSolveState:
-    """Previous design epoch for dirty-set (delta-aware) redesign.
-
-    A redesign round rarely changes every subject's design inputs: a
-    static population never does, and an adaptive policy only moves the
-    Eq. (5) weights of subjects whose estimates shifted.  This state
-    object remembers, per subject, the subproblem that was last solved
-    and its solution, and on the next epoch splits the request into a
-    *clean* set (reuse the stored solution) and a *dirty* set (hand to a
-    fresh solve).
-
-    Cleanliness is decided in two tiers, cheapest first:
-
-    1. **identity** — the same :class:`Subproblem` object as last epoch
-       is clean with zero hashing (the static-population fast path);
-    2. **fingerprint** — a different object with an equal serving
-       fingerprint (:func:`repro.serving.fingerprint.subproblem_fingerprint`)
-       is clean; fingerprints are computed lazily and only for subjects
-       that fail the identity check.
-
-    Under ``REPRO_CHECK_INVARIANTS=1`` every epoch with reuse is
-    cross-verified: the clean set is re-solved fresh and compared via
-    :func:`require_redesigns_agree`.
-    """
-
-    def __init__(self) -> None:
-        self._subproblems: Dict[str, Subproblem] = {}
-        self._fingerprints: Dict[str, Optional[str]] = {}
-        self._solutions: Dict[str, SubproblemSolution] = {}
-        self._diagnostics: Dict[str, SolveDiagnostics] = {}
-        self._epoch = 0
-        self.last_stats: Optional[RedesignStats] = None
-
-    @property
-    def epoch(self) -> int:
-        """How many redesign epochs this state has absorbed."""
-        return self._epoch
-
-    def _fingerprint_of_previous(
-        self, subject_id: str, fingerprint_of: Callable[[Subproblem], str]
-    ) -> str:
-        cached = self._fingerprints.get(subject_id)
-        if cached is None:
-            cached = fingerprint_of(self._subproblems[subject_id])
-            self._fingerprints[subject_id] = cached
-        return cached
-
-    def resolve(
-        self,
-        subproblems: Sequence[Subproblem],
-        fingerprint_of: Callable[[Subproblem], str],
-        solve: SolveFn,
-    ) -> Tuple[
-        Dict[str, SubproblemSolution],
-        Dict[str, SolveDiagnostics],
-        RedesignStats,
-    ]:
-        """Solve one redesign epoch, reusing every clean subject.
-
-        Args:
-            subproblems: this epoch's full design request.
-            fingerprint_of: maps a subproblem to its serving fingerprint
-                under the caller's ``(mu, config)``.
-            solve: fresh-solve callback for the dirty set; returns
-                per-subject solutions and (possibly empty) diagnostics.
-
-        Returns:
-            ``(solutions, diagnostics, stats)`` — solutions keyed by
-            subject id in input order; reused subjects report their
-            stored fingerprint with ``cache_hit=True`` (or no
-            diagnostics at all when none were ever recorded).
-        """
-        dirty: List[Subproblem] = []
-        clean_ids: List[str] = []
-        new_fingerprints: Dict[str, str] = {}
-        for subproblem in subproblems:
-            subject_id = subproblem.subject_id
-            previous = self._subproblems.get(subject_id)
-            if previous is None:
-                dirty.append(subproblem)
-                continue
-            if previous is subproblem:
-                clean_ids.append(subject_id)
-                continue
-            fingerprint = fingerprint_of(subproblem)
-            new_fingerprints[subject_id] = fingerprint
-            if fingerprint == self._fingerprint_of_previous(
-                subject_id, fingerprint_of
-            ):
-                clean_ids.append(subject_id)
-            else:
-                dirty.append(subproblem)
-
-        if dirty:
-            fresh_solutions, fresh_diagnostics = solve(dirty)
-        else:
-            fresh_solutions, fresh_diagnostics = {}, {}
-
-        if clean_ids and invariants_enabled():
-            reference, _ = solve(
-                [s for s in subproblems if s.subject_id in set(clean_ids)]
-            )
-            require_redesigns_agree(
-                {sid: self._solutions[sid] for sid in clean_ids}, reference
-            )
-
-        solutions: Dict[str, SubproblemSolution] = {}
-        diagnostics: Dict[str, SolveDiagnostics] = {}
-        for subproblem in subproblems:
-            subject_id = subproblem.subject_id
-            if subject_id in fresh_solutions:
-                solutions[subject_id] = fresh_solutions[subject_id]
-                diag = fresh_diagnostics.get(subject_id)
-                if diag is not None:
-                    diagnostics[subject_id] = diag
-                    self._diagnostics[subject_id] = diag
-                    self._fingerprints[subject_id] = diag.fingerprint
-                else:
-                    self._diagnostics.pop(subject_id, None)
-                    self._fingerprints[subject_id] = new_fingerprints.get(
-                        subject_id
-                    )
-            else:
-                solutions[subject_id] = self._solutions[subject_id]
-                fingerprint = self._fingerprints.get(subject_id)
-                if fingerprint is None:
-                    prior = self._diagnostics.get(subject_id)
-                    fingerprint = prior.fingerprint if prior is not None else None
-                if fingerprint is not None:
-                    diag = SolveDiagnostics(
-                        fingerprint=fingerprint, cache_hit=True
-                    )
-                    diagnostics[subject_id] = diag
-                    self._diagnostics[subject_id] = diag
-            self._subproblems[subject_id] = subproblem
-            self._solutions[subject_id] = solutions[subject_id]
-
-        stats = RedesignStats(n_subjects=len(subproblems), n_dirty=len(dirty))
-        self.last_stats = stats
-        self._epoch += 1
-        return solutions, diagnostics, stats
-
-
 @dataclass(frozen=True)
 class ContractAssignment:
     """Posted contracts in columnar form: a table plus per-subject codes.
@@ -357,56 +213,37 @@ class ContractAssignment:
             if code >= 0
         }
 
-    @classmethod
-    def from_mapping(
-        cls,
-        contracts: Mapping[str, Contract],
-        population: "ColumnarPopulation",
-    ) -> "ContractAssignment":
-        """Pack a legacy per-subject contract dict into an assignment.
-
-        Contract objects are deduplicated by identity (archetype-shared
-        contracts collapse to one table entry).  This is the O(n)
-        compatibility path for policies without a columnar override.
-        """
-        table: List[Contract] = []
-        slots: Dict[int, int] = {}
-        codes = np.full(population.n_subjects, -1, dtype=np.int64)
-        for index in range(population.n_subjects):
-            contract = contracts.get(population.subject_id(index))
-            if contract is None:
-                continue
-            slot = slots.get(id(contract))
-            if slot is None:
-                slot = len(table)
-                table.append(contract)
-                slots[id(contract)] = slot
-            codes[index] = slot
-        return cls(contracts=tuple(table), codes=codes)
-
 
 class ColumnarDeltaState:
     """Delta-aware redesign over a columnar population.
 
-    The object-path :class:`DeltaSolveState` diffs per-subject
-    ``Subproblem`` objects (identity, then fingerprint).  On a columnar
-    store there are no per-subject objects to compare, so this state
-    diffs the packed **design matrix** instead: a subject is clean iff
-    its design row is bit-equal to the previous epoch's row.  Solutions
-    are stored per *row value* (``row.tobytes()``), so a subject that
-    moves onto a previously-seen archetype reuses that archetype's
-    stored design without a fresh solve.
+    Diffs the packed **design matrix** across epochs: a subject is clean
+    iff its design row is bit-equal to its previous-epoch row.
+    Solutions are stored per *row value* (``row.tobytes()``) for the
+    previous epoch's archetypes only, so a subject that moves onto an
+    archetype the previous epoch held reuses that design without a
+    fresh solve, and the state stays the size of one epoch however long
+    the run.
 
     Under ``REPRO_CHECK_INVARIANTS=1`` every epoch with reuse re-solves
     the reused archetype representatives fresh and cross-verifies via
     :func:`require_redesigns_agree`.
+
+    Attributes:
+        last_stats: dirty-set accounting of the latest epoch.
+        last_diagnostics: serving provenance per archetype of the latest
+            epoch, aligned with the assignment's contract table
+            (``None`` where the solve callback reported none); reused
+            archetypes report their stored fingerprint as a cache hit.
     """
 
     def __init__(self) -> None:
         self._matrix: Optional[np.ndarray] = None
         self._solutions: Dict[bytes, SubproblemSolution] = {}
+        self._fingerprints: Dict[bytes, str] = {}
         self._epoch = 0
         self.last_stats: Optional[RedesignStats] = None
+        self.last_diagnostics: Tuple[Optional[SolveDiagnostics], ...] = ()
 
     @property
     def epoch(self) -> int:
@@ -448,55 +285,71 @@ class ColumnarDeltaState:
         keys = [
             matrix[int(row)].tobytes() for row in representatives.tolist()
         ]
-        missing = [
-            (slot, rep)
-            for slot, (key, rep) in enumerate(zip(keys, reps))
-            if key not in self._solutions
-        ]
-        if missing:
-            fresh, _ = solve([rep for _, rep in missing])
-            for slot, rep in missing:
-                solution = fresh.get(rep.subject_id)
+        # This epoch's designs and fingerprints; they replace the
+        # previous epoch's wholesale, which bounds the state.
+        solutions: Dict[bytes, SubproblemSolution] = {}
+        fingerprints: Dict[bytes, str] = {}
+        diagnostics: List[Optional[SolveDiagnostics]] = [None] * len(keys)
+        solved_slots: List[int] = []
+        reused_slots: List[int] = []
+        for slot, key in enumerate(keys):
+            stored = self._solutions.get(key)
+            if stored is None:
+                solved_slots.append(slot)
+                continue
+            reused_slots.append(slot)
+            solutions[key] = stored
+            fingerprint = self._fingerprints.get(key)
+            if fingerprint is not None:
+                fingerprints[key] = fingerprint
+                diagnostics[slot] = SolveDiagnostics(
+                    fingerprint=fingerprint, cache_hit=True
+                )
+        if solved_slots:
+            fresh, fresh_diagnostics = solve([reps[slot] for slot in solved_slots])
+            for slot in solved_slots:
+                subject_id = reps[slot].subject_id
+                solution = fresh.get(subject_id)
                 if solution is None:
                     raise ServingError(
                         f"fresh solve returned no solution for archetype "
-                        f"representative {rep.subject_id!r}"
+                        f"representative {subject_id!r}"
                     )
-                self._solutions[keys[slot]] = solution
-        solved_slots = {slot for slot, _ in missing}
+                solutions[keys[slot]] = solution
+                diagnostic = fresh_diagnostics.get(subject_id)
+                if diagnostic is not None:
+                    fingerprints[keys[slot]] = diagnostic.fingerprint
+                    diagnostics[slot] = diagnostic
 
-        reused_slots = [
-            slot for slot in range(len(reps)) if slot not in solved_slots
-        ]
         if reused_slots and invariants_enabled():
             reference, _ = solve([reps[slot] for slot in reused_slots])
             require_redesigns_agree(
                 {
-                    reps[slot].subject_id: self._solutions[keys[slot]]
+                    reps[slot].subject_id: solutions[keys[slot]]
                     for slot in reused_slots
                 },
                 reference,
             )
 
         assignment = ContractAssignment(
-            contracts=tuple(
-                self._solutions[key].result.contract for key in keys
-            ),
+            contracts=tuple(solutions[key].result.contract for key in keys),
             codes=codes,
         )
         # A subject is dirty iff its row changed *and* that change
-        # required a fresh archetype solve (moving onto an already-
-        # stored archetype is a reuse, exactly like the fingerprint
-        # tier of the object path).
+        # required a fresh archetype solve (moving onto an archetype the
+        # previous epoch held is a reuse).
         if solved_slots:
             freshly_solved = np.zeros(len(reps), dtype=bool)
-            freshly_solved[sorted(solved_slots)] = True
+            freshly_solved[solved_slots] = True
             n_dirty = int(np.count_nonzero(dirty_rows & freshly_solved[codes]))
         else:
             n_dirty = 0
         stats = RedesignStats(n_subjects=n_subjects, n_dirty=n_dirty)
         self.last_stats = stats
+        self.last_diagnostics = tuple(diagnostics)
         self._matrix = matrix
+        self._solutions = solutions
+        self._fingerprints = fingerprints
         self._epoch += 1
         return assignment, stats
 
@@ -628,34 +481,6 @@ class SolverPool:
                 fingerprint=fingerprint, cache_hit=hit
             )
         return solutions, diagnostics
-
-    def solve_delta(
-        self, subproblems: Sequence[Subproblem], state: DeltaSolveState
-    ) -> Tuple[
-        Dict[str, SubproblemSolution],
-        Dict[str, SolveDiagnostics],
-        RedesignStats,
-    ]:
-        """Dirty-set batch solve against a previous design epoch.
-
-        Subjects whose subproblem is unchanged since ``state``'s last
-        epoch (same object, or equal serving fingerprint) reuse their
-        stored solution; only the dirty set goes through
-        :meth:`solve_with_diagnostics`.  Reused subjects report their
-        stored fingerprint with ``cache_hit=True``.
-
-        Returns:
-            ``(solutions, diagnostics, stats)`` keyed by subject id in
-            input order.
-        """
-        return state.resolve(
-            subproblems,
-            fingerprint_of=self._fingerprint_of,
-            solve=self.solve_with_diagnostics,
-        )
-
-    def _fingerprint_of(self, subproblem: Subproblem) -> str:
-        return subproblem_fingerprint(subproblem, mu=self.mu, config=self.config)
 
     def fingerprints(self, subproblems: Sequence[Subproblem]) -> List[str]:
         """Design fingerprints of the subproblems under this pool's config."""

@@ -6,8 +6,6 @@ from .engine import (
     MarketplaceSimulation,
     StepOutcomes,
     fast_columnar_step,
-    fast_step,
-    legacy_columnar_step,
     legacy_step,
     require_ledgers_agree,
     require_steps_agree,
@@ -54,8 +52,6 @@ __all__ = [
     "FixedPaymentPolicy",
     "PaymentPolicy",
     "fast_columnar_step",
-    "fast_step",
-    "legacy_columnar_step",
     "legacy_step",
     "parallel_columnar_step",
     "require_ledger_views_agree",

@@ -18,27 +18,39 @@ withdraws incentive pay within a few rounds of a behaviour flip — the
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.decomposition import Subproblem, SubproblemSolution, solve_subproblems
-from ..core.contract import Contract
 from ..core.designer import DesignerConfig
-from ..core.sweep import fastpath_enabled
 from ..errors import SimulationError
 from ..estimation.malice import deviation_to_malice
-from ..serving.fingerprint import subproblem_fingerprint
-from ..serving.pool import DeltaSolveState, RedesignStats, SolveDiagnostics
+from ..serving.pool import (
+    ColumnarDeltaState,
+    ContractAssignment,
+    RedesignStats,
+    SolveDiagnostics,
+)
 from ..types import FeedbackWeightParameters
+from ..workers.columnar import ColumnarPopulation
 from ..workers.population import PopulationModel
-from .ledger import RoundRecord
 from .policies import PaymentPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> policies)
+    from .engine import ColumnarStepResult
 
 __all__ = ["EwmaDeviationTracker", "AdaptiveDynamicPolicy"]
 
 
 class EwmaDeviationTracker:
-    """Per-subject exponentially-weighted rating-deviation estimate.
+    """Per-subject exponentially-weighted rating-deviation estimates.
+
+    Estimates and observation counts are held as columns, one slot per
+    tracked subject: a policy resolves its population's rows to slots
+    once (:meth:`slots`) and folds whole rounds in with
+    :meth:`observe_slots`.  The update is elementwise IEEE arithmetic,
+    so it is bit-identical to the scalar :meth:`observe`.
 
     Args:
         smoothing: weight of the newest observation in ``(0, 1]``; 1.0
@@ -57,25 +69,60 @@ class EwmaDeviationTracker:
             )
         self.smoothing = smoothing
         self.prior_deviation = prior_deviation
-        self._estimates: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
+        self._slots: Dict[str, int] = {}
+        self._estimates = np.zeros(0)
+        self._counts = np.zeros(0, dtype=np.int64)
+
+    def slots(self, subject_ids: Sequence[str]) -> np.ndarray:
+        """Each subject's slot, opening a prior-valued slot for new ones."""
+        for subject_id in subject_ids:
+            self._slots.setdefault(subject_id, len(self._slots))
+        grown = len(self._slots) - self._estimates.shape[0]
+        if grown:
+            self._estimates = np.concatenate(
+                [self._estimates, np.full(grown, self.prior_deviation)]
+            )
+            self._counts = np.concatenate(
+                [self._counts, np.zeros(grown, dtype=np.int64)]
+            )
+        return np.array(
+            [self._slots[subject_id] for subject_id in subject_ids], dtype=np.int64
+        )
+
+    def observe_slots(self, slots: np.ndarray, deviations: np.ndarray) -> None:
+        """Fold one observed deviation into each of the (distinct) slots."""
+        deviations = np.asarray(deviations, dtype=np.float64)
+        if np.any(deviations < 0.0):
+            raise SimulationError(
+                f"deviations must be >= 0, got min {float(deviations.min())!r}"
+            )
+        self._estimates[slots] = (
+            self.smoothing * deviations
+            + (1.0 - self.smoothing) * self._estimates[slots]
+        )
+        self._counts[slots] += 1
 
     def observe(self, subject_id: str, deviation: float) -> None:
         """Fold one observed deviation into the subject's estimate."""
         if deviation < 0.0:
             raise SimulationError(f"deviation must be >= 0, got {deviation!r}")
-        previous = self._estimates.get(subject_id, self.prior_deviation)
-        updated = self.smoothing * deviation + (1.0 - self.smoothing) * previous
-        self._estimates[subject_id] = updated
-        self._counts[subject_id] = self._counts.get(subject_id, 0) + 1
+        self.observe_slots(self.slots([subject_id]), np.array([deviation]))
+
+    def estimates(self, slots: np.ndarray) -> np.ndarray:
+        """The current estimates at ``slots`` (a copy)."""
+        return self._estimates[slots]
 
     def estimate(self, subject_id: str) -> float:
         """The current deviation estimate (the prior if never observed)."""
-        return self._estimates.get(subject_id, self.prior_deviation)
+        slot = self._slots.get(subject_id)
+        if slot is None:
+            return self.prior_deviation
+        return float(self._estimates[slot])
 
     def n_observations(self, subject_id: str) -> int:
         """How many rounds have informed this subject's estimate."""
-        return self._counts.get(subject_id, 0)
+        slot = self._slots.get(subject_id)
+        return 0 if slot is None else int(self._counts[slot])
 
 
 class AdaptiveDynamicPolicy(PaymentPolicy):
@@ -83,7 +130,11 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
 
     Each round the policy maps every subject's EWMA rating deviation to
     an Eq. (5) weight (accuracy term, malice-ramp penalty, partner
-    penalty) and solves the decomposed design on those weights.
+    penalty), substitutes those weights for the population's design
+    weights and designs one contract per resulting archetype.  A
+    :class:`~repro.serving.pool.ColumnarDeltaState` re-solves only the
+    archetypes whose weight moved; reuse is cross-verified under
+    ``REPRO_CHECK_INVARIANTS=1``.
 
     Args:
         mu: requester compensation weight.
@@ -99,12 +150,6 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
             once (the paper's offline estimation) and never re-checks —
             the baseline the camouflage experiment exposes.  ``None``
             (default) keeps learning forever.
-        delta: dirty-set redesign — re-solve only subjects whose
-            Eq. (5) weight (or base subproblem) actually moved since the
-            last re-design and reuse the stored designs for the rest.
-            ``None`` (the default) follows the ``REPRO_FASTPATH``
-            convention; reuse is cross-verified under
-            ``REPRO_CHECK_INVARIANTS=1``.
     """
 
     def __init__(
@@ -118,7 +163,6 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
         malicious_deviation: float = 1.5,
         steepness: float = 4.0,
         freeze_after: Optional[int] = None,
-        delta: Optional[bool] = None,
     ) -> None:
         if mu <= 0.0:
             raise SimulationError(f"mu must be positive, got {mu!r}")
@@ -138,22 +182,19 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
         self.malicious_deviation = malicious_deviation
         self.steepness = steepness
         self.freeze_after = freeze_after
-        self.delta = delta
         self._observed_rounds = 0
-        self._weights: Dict[str, float] = {}
-        self._solutions: Optional[Dict[str, SubproblemSolution]] = None
-        self._delta_state: Optional[DeltaSolveState] = None
+        self._delta = ColumnarDeltaState()
         self._stats: Optional[RedesignStats] = None
-        # Per-subject weight-substituted subproblems from the previous
-        # re-design, plus the population subproblem each derived from.
-        # Reusing the *same object* when neither moved is what lets the
-        # DeltaSolveState identity check (and the engine's identity-keyed
-        # response caches) hit without hashing anything.
-        self._updated: Dict[str, Subproblem] = {}
-        self._bases: Dict[str, Subproblem] = {}
+        # Tracker slot of each population row, resolved once per
+        # population (keyed by the identity of its id list).
+        self._slot_ids: Optional[List[str]] = None
+        self._slots = np.zeros(0, dtype=np.int64)
+        # The per-row weights of the latest design.
+        self._weights: Optional[np.ndarray] = None
 
-    def _weight_of(self, subject_id: str, n_partners: int) -> float:
-        deviation = self.tracker.estimate(subject_id)
+    def _weight_from(self, deviation: float, n_partners: int) -> float:
+        # Scalar on purpose: deviation_to_malice uses math.exp, which
+        # NumPy's exp is not guaranteed to match bit for bit.
         malice = deviation_to_malice(
             deviation,
             honest_deviation=self.honest_deviation,
@@ -164,29 +205,12 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
             deviation, malice_probability=malice, n_partners=n_partners
         )
 
-    def _delta_enabled(self) -> bool:
-        return self.delta if self.delta is not None else fastpath_enabled()
-
-    def _updated_subproblem(
-        self, subproblem: Subproblem, weight: float
-    ) -> Subproblem:
-        """The weight-substituted subproblem, object-reused when clean."""
-        subject_id = subproblem.subject_id
-        previous = self._updated.get(subject_id)
-        if (
-            previous is not None
-            and self._bases.get(subject_id) is subproblem
-            # Exact comparison on purpose (a cache-key question, not a
-            # numeric one): the EWMA arithmetic is deterministic, so an
-            # unchanged estimate reproduces the identical float, and any
-            # real movement must dirty the design.
-            and previous.feedback_weight == weight  # noqa: REPRO001
-        ):
-            return previous
-        fresh = replace(subproblem, feedback_weight=weight)
-        self._updated[subject_id] = fresh
-        self._bases[subject_id] = subproblem
-        return fresh
+    def _row_slots(self, population: ColumnarPopulation) -> np.ndarray:
+        subject_ids = population.subject_ids()
+        if self._slot_ids is not subject_ids:
+            self._slots = self.tracker.slots(subject_ids)
+            self._slot_ids = subject_ids
+        return self._slots
 
     def _solve_fresh(
         self, subproblems: Sequence[Subproblem]
@@ -196,69 +220,55 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
             {},
         )
 
-    def _fingerprint_of(self, subproblem: Subproblem) -> str:
-        return subproblem_fingerprint(subproblem, mu=self.mu, config=self.config)
-
-    def contracts(self, population: PopulationModel) -> Dict[str, Contract]:
-        delta = self._delta_enabled()
-        updated: List[Subproblem] = []
-        self._weights = {}
-        for subproblem in population.subproblems:
-            weight = self._weight_of(
-                subproblem.subject_id, subproblem.size - 1
-            )
-            self._weights[subproblem.subject_id] = weight
-            if delta:
-                updated.append(self._updated_subproblem(subproblem, weight))
-            else:
-                updated.append(replace(subproblem, feedback_weight=weight))
-        if delta:
-            if self._delta_state is None:
-                self._delta_state = DeltaSolveState()
-            solutions, _, stats = self._delta_state.resolve(
-                updated,
-                fingerprint_of=self._fingerprint_of,
-                solve=self._solve_fresh,
-            )
-        else:
-            solutions, _ = self._solve_fresh(updated)
-            stats = RedesignStats(n_subjects=len(updated), n_dirty=len(updated))
-        self._stats = stats
-        self._solutions = solutions
-        return {
-            subject_id: solution.result.contract
-            for subject_id, solution in solutions.items()
-        }
+    def contracts_columnar(
+        self, population: ColumnarPopulation
+    ) -> ContractAssignment:
+        """Design on the online weights, substituted as the design-weight
+        column; codes index the substituted population's archetypes."""
+        estimates = self.tracker.estimates(self._row_slots(population))
+        partners = population.n_members - 1
+        self._weights = np.array(
+            [
+                self._weight_from(deviation, n_partners)
+                for deviation, n_partners in zip(
+                    estimates.tolist(), partners.tolist()
+                )
+            ]
+        )
+        design = population.with_design_weight(self._weights)
+        assignment, self._stats = self._delta.resolve(
+            design, solve=self._solve_fresh
+        )
+        return assignment
 
     def redesign_stats(self) -> Optional[RedesignStats]:
         return self._stats
 
-    def current_weights(self, population: PopulationModel) -> Dict[str, float]:
+    def current_weights(
+        self, population: Union[PopulationModel, ColumnarPopulation]
+    ) -> Dict[str, float]:
         """The online Eq. (5) weights used for the latest contracts."""
-        if not self._weights:
+        if self._weights is None or self._slot_ids is None:
             # First round, not yet designed: compute from priors.
             return {
-                subproblem.subject_id: self._weight_of(
-                    subproblem.subject_id, subproblem.size - 1
+                subproblem.subject_id: self._weight_from(
+                    self.tracker.estimate(subproblem.subject_id),
+                    subproblem.size - 1,
                 )
                 for subproblem in population.subproblems
             }
-        return dict(self._weights)
+        return dict(zip(self._slot_ids, self._weights.tolist()))
 
-    def observe(self, record: RoundRecord) -> None:
-        """Fold each non-excluded subject's observed deviation in.
+    def observe(self, result: "ColumnarStepResult") -> None:
+        """Fold each active subject's observed deviation in.
 
         Observation stops once ``freeze_after`` rounds have been
         absorbed (the one-shot-estimation baseline).
         """
         if self.freeze_after is not None and self._observed_rounds >= self.freeze_after:
             return
-        for subject_id, outcome in record.outcomes.items():
-            if not outcome.excluded:
-                self.tracker.observe(subject_id, outcome.rating_deviation)
+        active = result.active
+        self.tracker.observe_slots(
+            self._slots[active], result.rating_deviation[active]
+        )
         self._observed_rounds += 1
-
-    @property
-    def last_solutions(self) -> Optional[Dict[str, SubproblemSolution]]:
-        """Per-subject design results of the most recent re-design."""
-        return self._solutions

@@ -16,62 +16,45 @@ completion of one task"):
 Excluded subjects (the Fig. 8c baseline) neither get paid nor have
 their feedback counted — they are outside the system.
 
-Two interchangeable round kernels drive step 2-5: :func:`legacy_step`,
-the reference per-subject Python loop, and :func:`fast_step`, a batched
-kernel that dedups best responses across archetypes, caches each
-contract's Eq. (6) pay function, realizes the whole population's noise
-from one structured generator draw, and reduces with NumPy — while
-emitting per-subject outcomes *bit-identical* to the loop.
-:func:`require_steps_agree` is the executable equivalence contract
-(mirroring ``repro.core.sweep.require_sweeps_agree``); under
-``REPRO_CHECK_INVARIANTS=1`` every fast round is cross-verified against
-a legacy replay from the same generator state.
+One population representation, one kernel, one oracle.
+:class:`MarketplaceSimulation` packs any population into a
+:class:`~repro.workers.columnar.ColumnarPopulation` once, at
+construction, and every round runs :func:`fast_columnar_step` (or its
+sharded front end, :func:`~repro.simulation.parallel.parallel_columnar_step`):
+one Eq. (30) solve per distinct (posted contract, behaviour archetype)
+pair, the whole round's noise from one structured generator draw,
+payments through each contract's stored pay function, and NumPy
+reductions — per-subject results bit-identical to the reference loop.
+:func:`legacy_step`, the per-subject Python loop over the packed
+population's lazy object views, is that reference:
+:func:`require_steps_agree` is the executable equivalence contract, and
+under ``REPRO_CHECK_INVARIANTS=1`` every round is replayed through the
+loop from the same generator state and compared bit for bit.
 
 The RNG draw order is pinned (and regression-tested): subjects in
-``population.subproblems`` order; per subject, the feedback-noise draw
-comes first, then the rating-deviation draw; zero-noise agents and
-excluded subjects consume nothing.  See docs/PERFORMANCE.md.
-
-A third routing exists for :class:`~repro.workers.columnar.ColumnarPopulation`
-state: :func:`fast_columnar_step` runs the same four stages straight on
-the population's contiguous columns — archetype dedup via ``np.unique``
-over packed integer keys, zero per-subject Python objects on the hot
-path — and :func:`legacy_columnar_step` is its escape hatch, forwarding
-the lazy object views through :func:`legacy_step`.  Both consume the
-identical pinned draw stream, so the equivalence contracts above apply
-unchanged; pair the columnar engine with a
-:class:`~repro.simulation.streaming.StreamingLedger` and a 10M-subject
-round runs in bounded memory.
+population row order; per subject, the feedback-noise draw comes first,
+then the rating-deviation draw; zero-noise agents and excluded subjects
+consume nothing.  See docs/PERFORMANCE.md.  Pair the kernel with a
+:class:`~repro.simulation.streaming.StreamingLedger` and a
+10M-subject round runs in bounded memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-    cast,
-)
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple, Union, cast
 
 import numpy as np
 
 from ..analysis.invariants import InvariantViolation, invariants_enabled
 from ..core.contract import Contract
-from ..core.piecewise import PiecewiseLinear
 from ..core.sweep import fastpath_enabled
 from ..core.utility import RequesterObjective
 from ..errors import SimulationError
 from ..numerics import ABS_TOL
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..serving.cache import LRUCache
 from ..serving.pool import ContractAssignment
-from ..workers.base import ResponseCache, WorkerAgent, respond_batch
+from ..workers.base import WorkerAgent
 from ..workers.columnar import (
     WORKER_TYPE_ORDER,
     ColumnarPopulation,
@@ -88,50 +71,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel -> engine)
 __all__ = [
     "ColumnarStepResult",
     "MarketplaceSimulation",
-    "PaymentCache",
     "StepOutcomes",
     "fast_columnar_step",
-    "fast_step",
-    "legacy_columnar_step",
     "legacy_step",
     "require_ledgers_agree",
     "require_steps_agree",
 ]
 
-#: Default bound on cached pay functions per simulation.  Keys are one
-#: per contract *group* (fast path) or posted-contract code (columnar
-#: path), so even adaptive runs sit far below this; the bound exists so
-#: a long run cycling through many distinct contracts cannot grow the
-#: cache without limit.
-PAYMENT_CACHE_CAPACITY = 4096
-
-
-class PaymentCache(LRUCache):
-    """Bounded cache of each posted contract's Eq. (6) feedback->pay
-    function, keyed per subject/contract group.
-
-    ``Contract.pay_for_feedback`` rebuilds the interpolant on every
-    call; entries here are validated by contract identity first and by
-    ``Contract.content_key()`` second, so a re-designed subject can
-    never pay off a stale schedule while a delta-reused schedule rebuilt
-    as a new (value-equal) object still hits.  Backed by the generic
-    serving LRU so long adaptive runs stay bounded; evictions are
-    counted under ``simulation.payment_cache.evictions``.
-    """
-
-    def __init__(self, capacity: int = PAYMENT_CACHE_CAPACITY) -> None:
-        super().__init__(
-            capacity=capacity,
-            eviction_counter=get_registry().counter(
-                "simulation.payment_cache.evictions",
-                help="pay functions evicted from round-engine payment caches",
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class StepOutcomes:
-    """What one round's population pass produced (either kernel).
+    """What one round's population pass produced, as outcome objects.
 
     Attributes:
         outcomes: per-subject outcomes in ``population.subproblems``
@@ -158,9 +108,10 @@ def legacy_step(
     """The reference per-subject round loop (Section III, Eq. 1).
 
     One scalar pass per subject: best response, feedback realization,
-    payment, utility booking.  This is the oracle the fast kernel is
-    verified against; it consumes generator draws in the pinned order
-    documented at module level.
+    payment, utility booking.  This is the oracle the columnar kernel is
+    verified against (over a packed population's lazy views); it
+    consumes generator draws in the pinned order documented at module
+    level.
     """
     outcomes: Dict[str, SubjectRoundOutcome] = {}
     benefit = 0.0
@@ -236,218 +187,6 @@ def legacy_step(
     )
 
 
-def _payment_function(
-    contract: Contract, subject_id: str, cache: Optional[PaymentCache]
-) -> PiecewiseLinear:
-    """The contract's posted Eq. (6) pay function, cached per subject.
-
-    Entries are validated by object identity first (free) and by
-    :meth:`Contract.content_key` second: delta-redesign reuse rebuilds
-    value-equal contract objects for unchanged subjects, and keying on
-    ``is`` alone would silently rebuild every pay interpolant each
-    round.  A content hit refreshes the stored object so later rounds
-    hit on identity again.
-    """
-    if cache is not None:
-        entry = cache.get(subject_id)
-        if entry is not None:
-            cached_contract, function = entry
-            if cached_contract is contract:
-                return function
-            if cached_contract.content_key() == contract.content_key():
-                cache.put(subject_id, (contract, function))
-                return function
-    function = contract.as_feedback_function()
-    if cache is not None:
-        cache.put(subject_id, (contract, function))
-    return function
-
-
-def fast_step(
-    population: PopulationModel,
-    contracts: Dict[str, Contract],
-    excluded_ids: Set[str],
-    policy: PaymentPolicy,
-    policy_weights: Optional[Dict[str, float]],
-    previous_feedback: Dict[str, float],
-    lagged_payment: bool,
-    rng: np.random.Generator,
-    response_cache: Optional[ResponseCache] = None,
-    payment_cache: Optional[PaymentCache] = None,
-) -> StepOutcomes:
-    """The batched population round kernel (bit-identical to the loop).
-
-    Four vectorized stages over the stacked active subjects:
-
-    1. best responses via :func:`repro.workers.base.respond_batch` —
-       one Eq. (30) solve per distinct (class, contract, psi, params)
-       archetype, optionally carried across rounds in
-       ``response_cache``;
-    2. population-wide noise from structured generator draws in the
-       pinned per-subject order (feedback draw, then rating draw),
-       realized through the workers' batch entry points;
-    3. payments via each contract's cached pay function and
-       ``PiecewiseLinear.batch`` (one ``batch_locate`` per distinct
-       contract), honoring the Eq. (1) lag when requested;
-    4. benefit/compensation reduced with a NumPy cumulative sum, whose
-       left-to-right accumulation reproduces the legacy ``+=`` bits.
-    """
-    excluded_outcomes: Dict[str, SubjectRoundOutcome] = {}
-    active_ids: List[str] = []
-    agents: List[WorkerAgent] = []
-    evaluation_weights: List[float] = []
-    for subproblem in population.subproblems:
-        subject_id = subproblem.subject_id
-        agent = population.agents[subject_id]
-        evaluation_weight = population.weights[subject_id]
-        if subject_id in excluded_ids or subject_id not in contracts:
-            excluded_outcomes[subject_id] = SubjectRoundOutcome(
-                subject_id=subject_id,
-                worker_type=subproblem.params.worker_type,
-                effort=0.0,
-                feedback=0.0,
-                compensation=0.0,
-                feedback_weight=evaluation_weight,
-                excluded=True,
-                n_members=agent.n_members,
-                policy_weight=(
-                    policy_weights.get(subject_id)
-                    if policy_weights is not None
-                    else None
-                ),
-            )
-            continue
-        active_ids.append(subject_id)
-        agents.append(agent)
-        evaluation_weights.append(evaluation_weight)
-
-    n_active = len(active_ids)
-    posted = [contracts[subject_id] for subject_id in active_ids]
-    responses = respond_batch(agents, posted, cache=response_cache)
-    efforts = np.array([response.effort for response in responses])
-    # Recompute the expectation through each agent's true psi exactly as
-    # the scalar realize_feedback does (the response's own feedback field
-    # is numerically equal, but bit-identity is the contract here).
-    expected = np.array(
-        [
-            float(agent.effort_function(response.effort))
-            for agent, response in zip(agents, responses)
-        ]
-    )
-
-    # Structured noise: one standard-normal block in the pinned draw
-    # order, scattered back to per-subject feedback/rating slots.  A
-    # scalar Generator.normal(0, s) is exactly s * standard_normal(), so
-    # this consumes and applies the identical stream.
-    feedback_scales = np.zeros(n_active)
-    feedback_draws = np.zeros(n_active)
-    rating_scales = np.zeros(n_active)
-    rating_draws = np.zeros(n_active)
-    scales: List[float] = []
-    feedback_slots: List[Tuple[int, int]] = []
-    rating_slots: List[Tuple[int, int]] = []
-    for index, agent in enumerate(agents):
-        if agent.needs_feedback_draw:
-            feedback_slots.append((index, len(scales)))
-            scales.append(agent.feedback_noise)
-        if agent.needs_rating_draw:
-            rating_slots.append((index, len(scales)))
-            scales.append(agent.rating_noise)
-    if scales:
-        draws = rng.standard_normal(len(scales))
-        for index, slot in feedback_slots:
-            feedback_scales[index] = scales[slot]
-            feedback_draws[index] = draws[slot]
-        for index, slot in rating_slots:
-            rating_scales[index] = scales[slot]
-            rating_draws[index] = draws[slot]
-
-    realized = WorkerAgent.realize_feedback_batch(
-        expected, feedback_scales, feedback_draws
-    )
-    biases = np.array([agent.rating_bias_now for agent in agents])
-    rating_deviations = WorkerAgent.rating_deviation_batch(
-        biases, rating_scales, rating_draws
-    )
-
-    # Payments: group by posted contract object (archetype sharing makes
-    # these few) and evaluate each group's pay schedule in one batch.
-    if lagged_payment:
-        basis = np.array(
-            [previous_feedback.get(subject_id, 0.0) for subject_id in active_ids]
-        )
-    else:
-        basis = realized
-    pay = np.zeros(n_active)
-    contract_groups: Dict[int, List[int]] = {}
-    for index, contract in enumerate(posted):
-        contract_groups.setdefault(id(contract), []).append(index)
-    for indices in contract_groups.values():
-        representative = indices[0]
-        pay_function = _payment_function(
-            posted[representative], active_ids[representative], payment_cache
-        )
-        selector = np.asarray(indices, dtype=np.intp)
-        pay[selector] = pay_function.batch(basis[selector])
-    if lagged_payment:
-        for subject_id, value in zip(active_ids, realized):
-            previous_feedback[subject_id] = float(value)
-
-    omegas = np.array([agent.params.omega for agent in agents])
-    betas = np.array([agent.params.beta for agent in agents])
-    worker_utilities = pay + omegas * realized - betas * efforts
-
-    if n_active:
-        # cumsum accumulates strictly left to right, matching the bits
-        # of the legacy loop's sequential `+=` (np.sum pairwise-splits).
-        benefit = float(
-            np.cumsum(np.asarray(evaluation_weights) * realized)[-1]
-        )
-        total_compensation = float(np.cumsum(pay)[-1])
-    else:
-        benefit = 0.0
-        total_compensation = 0.0
-
-    index_of = {subject_id: i for i, subject_id in enumerate(active_ids)}
-    outcomes: Dict[str, SubjectRoundOutcome] = {}
-    for subproblem in population.subproblems:
-        subject_id = subproblem.subject_id
-        excluded_outcome = excluded_outcomes.get(subject_id)
-        if excluded_outcome is not None:
-            outcomes[subject_id] = excluded_outcome
-            continue
-        index = index_of[subject_id]
-        diagnostics = policy.solve_diagnostics(subject_id)
-        outcomes[subject_id] = SubjectRoundOutcome(
-            subject_id=subject_id,
-            worker_type=subproblem.params.worker_type,
-            effort=float(efforts[index]),
-            feedback=float(realized[index]),
-            compensation=float(pay[index]),
-            feedback_weight=evaluation_weights[index],
-            excluded=False,
-            n_members=agents[index].n_members,
-            rating_deviation=float(rating_deviations[index]),
-            policy_weight=(
-                policy_weights.get(subject_id)
-                if policy_weights is not None
-                else None
-            ),
-            worker_utility=float(worker_utilities[index]),
-            fingerprint=(
-                diagnostics.fingerprint if diagnostics is not None else None
-            ),
-            cache_hit=(
-                diagnostics.cache_hit if diagnostics is not None else None
-            ),
-        )
-    return StepOutcomes(
-        outcomes=outcomes,
-        benefit=benefit,
-        total_compensation=total_compensation,
-    )
-
-
 @dataclass(frozen=True)
 class ColumnarStepResult:
     """One columnar round's realized columns (population row order).
@@ -455,7 +194,7 @@ class ColumnarStepResult:
     The columnar twin of :class:`StepOutcomes`: per-subject results stay
     as contiguous arrays instead of outcome objects, so a 10M-subject
     round costs eight arrays, not ten million dataclasses.  Excluded
-    rows hold zeros (matching the object path's excluded outcomes).
+    rows hold zeros (matching :func:`legacy_step`'s excluded outcomes).
 
     Attributes:
         active: per-subject participation mask; ``False`` rows were
@@ -487,25 +226,30 @@ def fast_columnar_step(
     lagged_payment: bool,
     rng: np.random.Generator,
     response_cache: Optional[ColumnarResponseCache] = None,
-    payment_cache: Optional[PaymentCache] = None,
 ) -> ColumnarStepResult:
     """The structure-of-arrays round kernel (bit-identical to the loop).
 
-    The same four stages as :func:`fast_step`, but sourced from the
-    population's columns with zero per-subject Python objects:
+    Four stages over the population's columns, with zero per-subject
+    Python objects:
 
     1. best responses via
        :meth:`~repro.workers.columnar.ColumnarPopulation.respond_unique`
-       — one Eq. (30) solve per distinct (contract, behaviour archetype)
-       pair, found with ``np.unique`` over a packed integer key;
+       — one Eq. (30) solve per distinct (posted contract, behaviour
+       archetype) pair, found with ``np.unique`` over a packed integer
+       key;
     2. population noise from one structured generator draw in the
        pinned per-subject order (feedback slot, then rating slot;
        zero-noise rows consume nothing), realized through the workers'
        batch entry points;
-    3. payments grouped by contract *code* (the archetype table index),
-       one ``PiecewiseLinear.batch`` per distinct posted contract;
+    3. payments grouped by posted contract, one
+       ``PiecewiseLinear.batch`` per distinct contract;
     4. benefit/compensation reduced with a NumPy cumulative sum whose
        left-to-right accumulation reproduces the legacy ``+=`` bits.
+
+    Archetypes posted the *same* contract object share one code in
+    stages 1 and 3: a designer returns shared contract objects across
+    archetypes (236 design archetypes may post only 20 contracts), so
+    the solves and payment groups follow the contracts, not the codes.
 
     Args:
         population: the columnar population store.
@@ -513,14 +257,11 @@ def fast_columnar_step(
             (code ``-1`` means "no contract": the subject is excluded).
         excluded_mask: per-subject exclusion mask (policy + departures).
         previous_feedback: per-subject previous-round feedback column;
-            mutated in place when ``lagged_payment`` is set, exactly as
-            the object path mutates its feedback dict.
+            mutated in place when ``lagged_payment`` is set.
         lagged_payment: pay this round on last round's feedback (Eq. 1).
         rng: the round's noise generator (pinned draw order).
         response_cache: optional cross-round best-response cache keyed
             by (contract code, response archetype), identity-validated.
-        payment_cache: optional cross-round pay-function cache keyed by
-            contract code, content-validated.
     """
     codes = assignment.codes
     n_subjects = population.n_subjects
@@ -543,9 +284,18 @@ def fast_columnar_step(
             total_compensation=0.0,
         )
 
-    active_codes = codes[rows]
+    contracts = assignment.contracts
+    first_code: Dict[int, int] = {}
+    canonical = np.array(
+        [
+            first_code.setdefault(id(contract), code)
+            for code, contract in enumerate(contracts)
+        ],
+        dtype=np.int64,
+    )
+    active_codes = canonical[codes[rows]]
     best_efforts, expected = population.respond_unique(
-        assignment.contracts, active_codes, rows, cache=response_cache
+        contracts, active_codes, rows, cache=response_cache
     )
 
     # Structured noise: the scalar path asks each agent whether it
@@ -576,27 +326,26 @@ def fast_columnar_step(
         population.rating_bias[rows], rating_scales, rating_draws
     )
 
-    # Payments: one batch evaluation per distinct contract code.  The
-    # pay function is elementwise per subject, so the grouping scheme
-    # cannot perturb bits relative to the object path's id() groups.
+    # Payments: one batch evaluation per distinct posted contract.  The
+    # pay function is elementwise per subject, so the grouping cannot
+    # perturb bits relative to the per-subject loop.
     if lagged_payment:
         basis = previous_feedback[rows]
     else:
         basis = realized
     pay = np.zeros(rows.size)
     for code in np.unique(active_codes).tolist():
-        contract = assignment.contracts[int(code)]
-        pay_function = _payment_function(
-            contract, f"@contract:{int(code)}", payment_cache
-        )
         selector = active_codes == code
+        # One stored pay function per distinct posted contract, not per
+        # subject: the loop runs over contracts.
+        pay_function = contracts[code].as_feedback_function()  # noqa: REPRO010
         pay[selector] = pay_function.batch(basis[selector])
     if lagged_payment:
         previous_feedback[rows] = realized
 
     utilities = (
         pay
-        + population.omega[rows] * realized
+        + population.act_omega[rows] * realized
         - population.beta[rows] * best_efforts
     )
     # cumsum accumulates strictly left to right, matching the bits of
@@ -621,41 +370,7 @@ def fast_columnar_step(
     )
 
 
-def legacy_columnar_step(
-    population: ColumnarPopulation,
-    assignment: ContractAssignment,
-    excluded_mask: np.ndarray,
-    policy: PaymentPolicy,
-    policy_weights: Optional[Dict[str, float]],
-    previous_feedback: Dict[str, float],
-    lagged_payment: bool,
-    rng: np.random.Generator,
-) -> StepOutcomes:
-    """The columnar escape hatch: the reference loop over lazy views.
-
-    Materializes the assignment back to a per-subject contract mapping
-    and runs :func:`legacy_step` over the population's object views —
-    the generator is consumed by the callee, in the same pinned order.
-    This is the oracle :func:`fast_columnar_step` is verified against.
-    """
-    contracts = assignment.to_mapping(population)
-    excluded_ids = {
-        population.subject_id(int(row))
-        for row in np.flatnonzero(np.asarray(excluded_mask, dtype=bool))
-    }
-    return legacy_step(
-        cast(PopulationModel, population),
-        contracts,
-        excluded_ids,
-        policy,
-        policy_weights,
-        previous_feedback,
-        lagged_payment,
-        rng,
-    )
-
-
-def _materialize_columnar(
+def _materialize_outcomes(
     population: ColumnarPopulation,
     result: ColumnarStepResult,
     policy: PaymentPolicy,
@@ -718,7 +433,7 @@ def _materialize_columnar(
 
 
 def require_steps_agree(fast: StepOutcomes, legacy: StepOutcomes) -> None:
-    """Assert the fast kernel reproduced the legacy loop bit for bit.
+    """Assert the columnar kernel reproduced the legacy loop bit for bit.
 
     Unlike the sweep contract (stated at :mod:`repro.numerics`
     tolerance), the round kernels share every arithmetic expression and
@@ -798,7 +513,10 @@ class MarketplaceSimulation:
     """Drives a population through repeated task rounds.
 
     Args:
-        population: the assembled worker population.
+        population: the assembled worker population.  An object
+            :class:`PopulationModel` is packed into a
+            :class:`~repro.workers.columnar.ColumnarPopulation` once,
+            here; later edits to the object model are not seen.
         objective: the requester's parameters (``mu``, Eq. 5 weights).
         policy: the payment policy under test.
         seed: seed for the feedback-noise generator.
@@ -810,28 +528,22 @@ class MarketplaceSimulation:
             (Eq. 1).  Round 0 pays the contract's zero-feedback value.
             The default (False) settles each round on its own feedback,
             which has the same steady state and simpler accounting.
-        fast_rounds: route rounds through the batched
-            :func:`fast_step` kernel instead of the per-subject
-            :func:`legacy_step` loop.  ``None`` (the default) follows
-            the ``REPRO_FASTPATH`` convention; pass ``True``/``False``
-            to force.  Under ``REPRO_CHECK_INVARIANTS=1`` every fast
-            round is cross-verified against a legacy replay.  Columnar
-            populations route through :func:`fast_columnar_step` /
-            :func:`legacy_columnar_step` under the same switch.
         ledger: the round sink; default a fresh eager
             :class:`SimulationLedger`.  Pass a
             :class:`~repro.simulation.streaming.StreamingLedger` to run
-            huge populations in bounded memory — with a columnar
-            population and fast rounds, per-subject outcomes are staged
-            straight from the kernel's columns and never materialized.
-        round_workers: shard fast columnar rounds across this many
-            persistent worker processes over shared memory
+            huge populations in bounded memory — per-subject outcomes
+            are then staged straight from the kernel's columns and never
+            materialized.
+        round_workers: shard rounds across this many persistent worker
+            processes over shared memory
             (:class:`~repro.simulation.parallel.ParallelRoundEngine`).
             Bit-identical to the sequential kernel — noise is drawn by
             the coordinator in the pinned order and sliced per shard.
-            Requires a columnar population; call :meth:`close` (or use
-            the simulation as a context manager) to release the shared
-            segment promptly.  ``None`` (default) stays single-process.
+            The shards hold the behaviour columns fixed, so populations
+            with strategic (phase) rows run sequentially.  Call
+            :meth:`close` (or use the simulation as a context manager)
+            to release the shared segment promptly.  ``None`` (default)
+            stays single-process.
     """
 
     def __init__(
@@ -842,7 +554,6 @@ class MarketplaceSimulation:
         seed: int = 0,
         redesign_every: int = 1,
         lagged_payment: bool = False,
-        fast_rounds: Optional[bool] = None,
         ledger: Optional[Union[SimulationLedger, StreamingLedger]] = None,
         round_workers: Optional[int] = None,
     ) -> None:
@@ -850,64 +561,42 @@ class MarketplaceSimulation:
             raise SimulationError(
                 f"redesign_every must be >= 1, got {redesign_every!r}"
             )
+        if not isinstance(population, ColumnarPopulation):
+            population = ColumnarPopulation.from_population(population)
         if round_workers is not None:
             if round_workers < 1:
                 raise SimulationError(
                     f"round_workers must be >= 1, got {round_workers!r}"
                 )
-            if not isinstance(population, ColumnarPopulation):
+            if population.phases is not None:
                 raise SimulationError(
-                    "round_workers requires a ColumnarPopulation: the "
-                    "parallel engine shards contiguous columns over "
-                    "shared memory"
+                    "round_workers needs a population without strategic "
+                    "(phase) rows: shards hold the behaviour columns fixed"
                 )
         self.population = population
         self.objective = objective
         self.policy = policy
         self.redesign_every = redesign_every
         self.lagged_payment = lagged_payment
-        self.fast_rounds = fast_rounds
-        self._previous_feedback: Dict[str, float] = {}
         self._rng = np.random.default_rng(seed)
         self.ledger: Union[SimulationLedger, StreamingLedger] = (
             ledger if ledger is not None else SimulationLedger()
         )
-        if isinstance(self.ledger, StreamingLedger) and (
-            type(policy).observe is not PaymentPolicy.observe
-        ):
-            raise SimulationError(
-                "streaming ledgers do not materialize per-subject "
-                f"outcomes, but policy {type(policy).__name__} overrides "
-                "observe() and would silently read empty rounds; use an "
-                "eager SimulationLedger with adaptive policies"
-            )
-        self._contracts: Optional[Dict[str, Contract]] = None
-        self._excluded: Set[str] = set()
-        # Subjects that have left the marketplace for good (populated by
-        # retention-aware subclasses; the base engine never adds here).
-        self._departed: set = set()
-        # Cross-round caches of the fast kernel (identity-validated, so
-        # a redesign or behaviour flip invalidates them for free).
-        self._response_cache: ResponseCache = {}
-        self._payment_cache: PaymentCache = PaymentCache()
-        # Columnar routing state: the contract assignment and exclusion
-        # mask play the role of self._contracts/self._excluded, and the
-        # previous-feedback column replaces the feedback dict.
-        self._columnar = isinstance(population, ColumnarPopulation)
         self._assignment: Optional[ContractAssignment] = None
-        self._columnar_excluded: Optional[np.ndarray] = None
-        self._columnar_response_cache: ColumnarResponseCache = {}
-        self._previous_feedback_columns: Optional[np.ndarray] = None
-        self._departed_mask: Optional[np.ndarray] = None
-        self._last_columnar_result: Optional[ColumnarStepResult] = None
+        self._policy_excluded = np.zeros(population.n_subjects, dtype=bool)
+        # Subjects that have left the marketplace for good (set by
+        # retention-aware subclasses; the base engine never adds here).
+        self._departed = np.zeros(population.n_subjects, dtype=bool)
+        self._previous_feedback = np.zeros(population.n_subjects)
+        # Cross-round response cache (identity-validated, so a redesign
+        # invalidates it for free; cleared when behaviour flips).
+        self._response_cache: ColumnarResponseCache = {}
+        self._last_result: Optional[ColumnarStepResult] = None
         # Parallel round state: the engine (persistent worker pool +
-        # shared-memory segment) is built lazily on the first fast
-        # columnar round so sequential runs never pay for it.
+        # shared-memory segment) is built lazily on the first round so
+        # sequential runs never pay for it.
         self._round_workers = round_workers
         self._parallel_engine: Optional["ParallelRoundEngine"] = None
-        if isinstance(population, ColumnarPopulation):
-            self._previous_feedback_columns = np.zeros(population.n_subjects)
-            self._departed_mask = np.zeros(population.n_subjects, dtype=bool)
 
     def close(self) -> None:
         """Release parallel-round resources (workers + shared memory).
@@ -936,8 +625,7 @@ class MarketplaceSimulation:
             from .parallel import ParallelRoundEngine
 
             self._parallel_engine = ParallelRoundEngine(
-                cast(ColumnarPopulation, self.population),
-                n_workers=self._round_workers,
+                self.population, n_workers=self._round_workers
             )
         return self._parallel_engine
 
@@ -954,33 +642,28 @@ class MarketplaceSimulation:
         tracer = get_tracer()
         round_index = self.ledger.n_rounds
         with tracer.span("simulation.round", round_index=round_index) as span:
-            record = self._step_traced(round_index, tracer, span)
+            record, result = self._step_traced(round_index, tracer, span)
         self.ledger.append(record)
-        self.policy.observe(record)
+        self._last_result = result
+        self.policy.observe(result)
         return record
 
-    def _fast_rounds_enabled(self) -> bool:
-        return (
-            self.fast_rounds
-            if self.fast_rounds is not None
-            else fastpath_enabled()
-        )
-
-    def _step_traced(self, round_index, tracer, span) -> RoundRecord:
+    def _step_traced(
+        self, round_index, tracer, span
+    ) -> Tuple[RoundRecord, ColumnarStepResult]:
         """One round's work, run inside the ``simulation.round`` span."""
-        if self._columnar:
-            return self._step_columnar(round_index, tracer, span)
-        # Strategic agents may change behaviour between rounds; inform
-        # them before the requester re-designs, so this round's contracts
-        # face this round's behaviour.
-        for agent in self.population.agents.values():
-            agent.on_round(round_index)
+        population = self.population
+        # Strategic rows switch behaviour before the requester
+        # re-designs, so this round's contracts face this round's
+        # behaviour (renumbered response codes void cached responses).
+        if population.behaviour_at(round_index):
+            self._response_cache.clear()
         design_ms: Optional[float] = None
         stats = None
-        if self._contracts is None or round_index % self.redesign_every == 0:
+        if self._assignment is None or round_index % self.redesign_every == 0:
             design_start = tracer.clock()
-            self._contracts = self.policy.contracts(self.population)
-            self._excluded = self.policy.excluded_subjects(self.population)
+            self._assignment = self.policy.contracts_columnar(population)
+            self._policy_excluded = self.policy.excluded_mask(population)
             design_ms = (tracer.clock() - design_start) * 1e3
             # Which Section IV-C sweep engine priced this round's
             # contracts (REPRO_FASTPATH routing, see repro.core.sweep).
@@ -989,59 +672,98 @@ class MarketplaceSimulation:
             if stats is not None:
                 span.set("n_dirty", stats.n_dirty)
                 span.set("reuse_rate", stats.reuse_rate)
-        policy_weights = self.policy.current_weights(self.population)
-        excluded_ids = set(self._excluded) | self._departed
-        fast = self._fast_rounds_enabled()
-        span.set("round_fastpath", fast)
+        assignment = self._assignment
+        excluded_mask = self._policy_excluded | self._departed | population.excluded
 
-        if fast:
-            check = invariants_enabled()
+        check = invariants_enabled()
+        if check:
+            # Clone the generator state and payment history so the
+            # verifying replays consume the identical stream without
+            # advancing the real one twice.
+            replay_state = self._rng.bit_generator.state
+            replay_feedback = self._previous_feedback.copy()
+        engine = self._parallel_round_engine()
+        if engine is not None:
+            from .parallel import parallel_columnar_step, require_parallel_steps_agree
+
+            result = parallel_columnar_step(
+                population,
+                assignment,
+                excluded_mask,
+                self._previous_feedback,
+                self.lagged_payment,
+                self._rng,
+                engine,
+            )
             if check:
-                # Clone the generator state and payment history so the
-                # verifying legacy replay consumes the identical stream
-                # without advancing the real one twice.
-                replay_rng = np.random.default_rng(0)
-                replay_rng.bit_generator.state = self._rng.bit_generator.state
-                replay_feedback = dict(self._previous_feedback)
-            result = fast_step(
-                self.population,
-                self._contracts,
-                excluded_ids,
-                self.policy,
-                policy_weights,
+                require_parallel_steps_agree(
+                    result,
+                    fast_columnar_step(
+                        population,
+                        assignment,
+                        excluded_mask,
+                        replay_feedback.copy(),
+                        self.lagged_payment,
+                        _generator_at(replay_state),
+                    ),
+                )
+            span.set("round_workers", engine.n_workers)
+        else:
+            result = fast_columnar_step(
+                population,
+                assignment,
+                excluded_mask,
                 self._previous_feedback,
                 self.lagged_payment,
                 self._rng,
                 response_cache=self._response_cache,
-                payment_cache=self._payment_cache,
             )
-            if check:
-                reference = legacy_step(
-                    self.population,
-                    self._contracts,
-                    excluded_ids,
-                    self.policy,
-                    policy_weights,
-                    replay_feedback,
-                    self.lagged_payment,
-                    replay_rng,
-                )
-                require_steps_agree(result, reference)
-        else:
-            result = legacy_step(
-                self.population,
-                self._contracts,
+
+        outcomes: Dict[str, SubjectRoundOutcome] = {}
+        streaming = isinstance(self.ledger, StreamingLedger)
+        if check or not streaming:
+            policy_weights = self.policy.current_weights(population)
+            outcomes = _materialize_outcomes(
+                population, result, self.policy, policy_weights
+            ).outcomes
+        if check:
+            excluded_ids = {
+                population.subject_id(int(row))
+                for row in np.flatnonzero(excluded_mask)
+            }
+            reference = legacy_step(
+                cast(PopulationModel, population),
+                assignment.to_mapping(population),
                 excluded_ids,
                 self.policy,
                 policy_weights,
-                self._previous_feedback,
+                {
+                    population.subject_id(row): value
+                    for row, value in enumerate(replay_feedback.tolist())
+                },
                 self.lagged_payment,
-                self._rng,
+                _generator_at(replay_state),
             )
+            require_steps_agree(
+                StepOutcomes(outcomes, result.benefit, result.total_compensation),
+                reference,
+            )
+        if streaming:
+            cast(StreamingLedger, self.ledger).stage_arrays(
+                type_codes=population.type_codes,
+                n_members=population.n_members,
+                excluded=~result.active,
+                efforts=result.efforts,
+                feedback=result.feedback,
+                compensation=result.compensation,
+                rating_deviation=result.rating_deviation,
+                worker_utility=result.worker_utility,
+            )
+            outcomes = {}
 
         record = RoundRecord(
             round_index=round_index,
-            outcomes=result.outcomes,
+            outcomes=outcomes,
             benefit=result.benefit,
             total_compensation=result.total_compensation,
             utility=self.objective.params.utility(
@@ -1052,200 +774,19 @@ class MarketplaceSimulation:
             n_dirty=stats.n_dirty if stats is not None else None,
             reuse_rate=stats.reuse_rate if stats is not None else None,
         )
-        span.set("n_subjects", len(result.outcomes))
+        span.set("n_subjects", population.n_subjects)
         span.set(
             "n_excluded",
-            sum(1 for o in result.outcomes.values() if o.excluded),
+            population.n_subjects - int(np.count_nonzero(result.active)),
         )
         span.set("utility", record.utility)
         if design_ms is not None:
             span.set("design_ms", design_ms)
-        return record
+        return record, result
 
-    def _previous_feedback_mapping(self) -> Dict[str, float]:
-        """The previous-feedback column as the object path's dict.
 
-        The column stores 0.0 for never-paid subjects, which is exactly
-        the dict's ``.get(subject_id, 0.0)`` default — so the full
-        materialization is equivalent to the sparse dict.
-        """
-        population = cast(ColumnarPopulation, self.population)
-        assert self._previous_feedback_columns is not None
-        return {
-            population.subject_id(row): float(value)
-            for row, value in enumerate(self._previous_feedback_columns)
-        }
-
-    def _step_columnar(self, round_index, tracer, span) -> RoundRecord:
-        """One columnar round inside the ``simulation.round`` span.
-
-        Mirrors :meth:`_step_traced` with columns in place of objects:
-        contracts come as an archetype table plus per-subject codes,
-        exclusion is a boolean mask, and — when the ledger streams —
-        per-subject outcomes are staged as arrays and never expanded.
-        The strategic ``on_round`` fan-out is skipped entirely: the
-        columnar store only admits agents whose behaviour is constant
-        across rounds (``from_population`` rejects the rest).
-        """
-        population = cast(ColumnarPopulation, self.population)
-        assert self._previous_feedback_columns is not None
-        assert self._departed_mask is not None
-        design_ms: Optional[float] = None
-        stats = None
-        if self._assignment is None or round_index % self.redesign_every == 0:
-            design_start = tracer.clock()
-            self._assignment = self.policy.contracts_columnar(population)
-            self._columnar_excluded = self.policy.excluded_mask(population)
-            design_ms = (tracer.clock() - design_start) * 1e3
-            span.set("fastpath", fastpath_enabled())
-            stats = self.policy.redesign_stats()
-            if stats is not None:
-                span.set("n_dirty", stats.n_dirty)
-                span.set("reuse_rate", stats.reuse_rate)
-        assert self._assignment is not None
-        assert self._columnar_excluded is not None
-        policy_weights = self.policy.current_weights(
-            cast(PopulationModel, population)
-        )
-        excluded_mask = (
-            self._columnar_excluded | self._departed_mask | population.excluded
-        )
-        fast = self._fast_rounds_enabled()
-        span.set("round_fastpath", fast)
-        streaming = isinstance(self.ledger, StreamingLedger)
-
-        outcomes: Dict[str, SubjectRoundOutcome] = {}
-        if fast:
-            check = invariants_enabled()
-            if check:
-                replay_rng = np.random.default_rng(0)
-                replay_rng.bit_generator.state = self._rng.bit_generator.state
-                replay_feedback = self._previous_feedback_mapping()
-            engine = self._parallel_round_engine()
-            if engine is not None:
-                from .parallel import (
-                    parallel_columnar_step,
-                    require_parallel_steps_agree,
-                )
-
-                if check:
-                    fast_rng = np.random.default_rng(0)
-                    fast_rng.bit_generator.state = (
-                        self._rng.bit_generator.state
-                    )
-                    fast_feedback = self._previous_feedback_columns.copy()
-                result = parallel_columnar_step(
-                    population,
-                    self._assignment,
-                    excluded_mask,
-                    self._previous_feedback_columns,
-                    self.lagged_payment,
-                    self._rng,
-                    engine,
-                )
-                if check:
-                    sequential = fast_columnar_step(
-                        population,
-                        self._assignment,
-                        excluded_mask,
-                        fast_feedback,
-                        self.lagged_payment,
-                        fast_rng,
-                    )
-                    require_parallel_steps_agree(result, sequential)
-                span.set("round_workers", engine.n_workers)
-            else:
-                result = fast_columnar_step(
-                    population,
-                    self._assignment,
-                    excluded_mask,
-                    self._previous_feedback_columns,
-                    self.lagged_payment,
-                    self._rng,
-                    response_cache=self._columnar_response_cache,
-                    payment_cache=self._payment_cache,
-                )
-            self._last_columnar_result = result
-            materialized: Optional[StepOutcomes] = None
-            if check:
-                reference = legacy_columnar_step(
-                    population,
-                    self._assignment,
-                    excluded_mask,
-                    self.policy,
-                    policy_weights,
-                    replay_feedback,
-                    self.lagged_payment,
-                    replay_rng,
-                )
-                materialized = _materialize_columnar(
-                    population, result, self.policy, policy_weights
-                )
-                require_steps_agree(materialized, reference)
-            benefit = result.benefit
-            total_compensation = result.total_compensation
-            if streaming:
-                cast(StreamingLedger, self.ledger).stage_arrays(
-                    type_codes=population.type_codes,
-                    n_members=population.n_members,
-                    excluded=~result.active,
-                    efforts=result.efforts,
-                    feedback=result.feedback,
-                    compensation=result.compensation,
-                    rating_deviation=result.rating_deviation,
-                    worker_utility=result.worker_utility,
-                )
-            else:
-                if materialized is None:
-                    materialized = _materialize_columnar(
-                        population, result, self.policy, policy_weights
-                    )
-                outcomes = materialized.outcomes
-            n_subjects = population.n_subjects
-            n_excluded = n_subjects - int(np.count_nonzero(result.active))
-        else:
-            previous = self._previous_feedback_mapping()
-            step_result = legacy_columnar_step(
-                population,
-                self._assignment,
-                excluded_mask,
-                self.policy,
-                policy_weights,
-                previous,
-                self.lagged_payment,
-                self._rng,
-            )
-            if self.lagged_payment:
-                for row in range(population.n_subjects):
-                    self._previous_feedback_columns[row] = previous[
-                        population.subject_id(row)
-                    ]
-            self._last_columnar_result = None
-            outcomes = step_result.outcomes
-            benefit = step_result.benefit
-            total_compensation = step_result.total_compensation
-            # A streaming ledger absorbs these materialized outcomes
-            # from the record itself — the slow path is the escape
-            # hatch, not the bounded-memory path.
-            n_subjects = len(outcomes)
-            n_excluded = sum(1 for o in outcomes.values() if o.excluded)
-
-        record = RoundRecord(
-            round_index=round_index,
-            outcomes=outcomes,
-            benefit=benefit,
-            total_compensation=total_compensation,
-            utility=self.objective.params.utility(
-                benefit, total_compensation
-            ),
-            design_ms=design_ms,
-            span_id=span.span_id or None,
-            n_dirty=stats.n_dirty if stats is not None else None,
-            reuse_rate=stats.reuse_rate if stats is not None else None,
-        )
-        span.set("n_subjects", n_subjects)
-        span.set("n_excluded", n_excluded)
-        span.set("utility", record.utility)
-        if design_ms is not None:
-            span.set("design_ms", design_ms)
-        return record
+def _generator_at(state: dict) -> np.random.Generator:
+    """A fresh generator positioned at a saved ``bit_generator.state``."""
+    generator = np.random.default_rng(0)
+    generator.bit_generator.state = state
+    return generator

@@ -56,11 +56,7 @@ from ..workers.columnar import (
     ColumnarPopulation,
     ColumnarResponseCache,
 )
-from .engine import (
-    ColumnarStepResult,
-    PaymentCache,
-    fast_columnar_step,
-)
+from .engine import ColumnarStepResult, fast_columnar_step
 
 __all__ = [
     "ParallelRoundEngine",
@@ -78,7 +74,7 @@ _STATIC_COLUMNS: Tuple[Tuple[str, type], ...] = (
     ("feedback_noise", np.float64),
     ("rating_noise", np.float64),
     ("rating_bias", np.float64),
-    ("omega", np.float64),
+    ("act_omega", np.float64),
     ("beta", np.float64),
     ("eval_weight", np.float64),
     ("response_codes", np.int64),
@@ -230,7 +226,7 @@ class SharedColumnarView:
         self.feedback_noise = arrays["feedback_noise"][lo:hi]
         self.rating_noise = arrays["rating_noise"][lo:hi]
         self.rating_bias = arrays["rating_bias"][lo:hi]
-        self.omega = arrays["omega"][lo:hi]
+        self.act_omega = arrays["act_omega"][lo:hi]
         self.beta = arrays["beta"][lo:hi]
         self.eval_weight = arrays["eval_weight"][lo:hi]
         self.response_codes = arrays["response_codes"][lo:hi]
@@ -291,7 +287,6 @@ def _run_shard(
     draw_lo: int,
     draw_hi: int,
     response_cache: Optional[ColumnarResponseCache],
-    payment_cache: Optional[PaymentCache],
 ) -> None:
     """One shard's share of a round, over shared arrays.
 
@@ -314,7 +309,6 @@ def _run_shard(
         lagged_payment,
         cast(np.random.Generator, stub),
         response_cache=response_cache,
-        payment_cache=payment_cache,
     )
     stub.verify_consumed()
     arrays["efforts"][lo:hi] = result.efforts
@@ -343,7 +337,6 @@ def _shard_worker_main(
     segment = _attach_segment(shm_name)
     arrays = _attach_columns(segment.buf, n_subjects)
     response_cache: ColumnarResponseCache = {}
-    payment_cache = PaymentCache()
     interned: Dict[Tuple[Any, ...], Contract] = {}
     try:
         while True:
@@ -377,7 +370,6 @@ def _shard_worker_main(
                     draw_lo,
                     draw_hi,
                     response_cache,
-                    payment_cache,
                 )
                 conn.send(("ok", None))
             except Exception as exc:  # noqa: BLE001 - forwarded to parent
@@ -492,7 +484,7 @@ class ParallelRoundEngine:
             "feedback_noise": population.feedback_noise,
             "rating_noise": population.rating_noise,
             "rating_bias": population.rating_bias,
-            "omega": population.omega,
+            "act_omega": population.act_omega,
             "beta": population.beta,
             "eval_weight": population.eval_weight,
             "response_codes": population.response_codes,
@@ -509,7 +501,6 @@ class ParallelRoundEngine:
             np.copyto(self._arrays[column], self._sources[column])
         # Coordinator-side caches for inline (fallback) shard runs.
         self._local_response_cache: ColumnarResponseCache = {}
-        self._local_payment_cache = PaymentCache()
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -782,7 +773,6 @@ class ParallelRoundEngine:
             int(draw_edges[index]),
             int(draw_edges[index + 1]),
             self._local_response_cache,
-            self._local_payment_cache,
         )
 
 

@@ -10,33 +10,37 @@ Three policies cover the paper's evaluation:
 * :class:`FixedPaymentPolicy` — the classic fixed-price scheme the
   introduction argues against: one flat pay per task, independent of
   feedback.
+
+Every policy speaks the columnar API: :meth:`PaymentPolicy.contracts_columnar`
+posts an archetype contract table plus per-subject codes, and
+:meth:`PaymentPolicy.observe` reads each realized round back as result
+columns — the one hook a learning requester plugs into.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Set, Tuple, cast
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.contract import Contract
 from ..core.decomposition import Subproblem, SubproblemSolution, solve_subproblems
 from ..core.designer import DesignerConfig
-from ..core.sweep import fastpath_enabled
 from ..errors import SimulationError
-from .ledger import RoundRecord
 from ..serving.cache import ContractCache
-from ..serving.fingerprint import subproblem_fingerprint
 from ..serving.pool import (
     ColumnarDeltaState,
     ContractAssignment,
-    DeltaSolveState,
     RedesignStats,
     SolveDiagnostics,
     SolverPool,
 )
 from ..workers.columnar import WORKER_TYPE_ORDER, ColumnarPopulation
 from ..workers.population import PopulationModel
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> policies)
+    from .engine import ColumnarStepResult
 
 #: ``type_codes -> is_malicious`` lookup for vectorized exclusion.
 _MALICIOUS_TYPE = np.array(
@@ -50,14 +54,20 @@ class PaymentPolicy(abc.ABC):
     """Strategy interface: population knowledge -> posted contracts."""
 
     @abc.abstractmethod
-    def contracts(self, population: PopulationModel) -> Dict[str, Contract]:
-        """Contracts per subject id; omitted subjects are excluded."""
+    def contracts_columnar(
+        self, population: ColumnarPopulation
+    ) -> ContractAssignment:
+        """Contracts as an archetype table plus per-subject codes
+        (code ``-1``: no contract posted, the subject is excluded)."""
 
-    def excluded_subjects(self, population: PopulationModel) -> Set[str]:
-        """Subjects this policy bars from the system entirely."""
-        return set()
+    def excluded_mask(self, population: ColumnarPopulation) -> np.ndarray:
+        """Boolean per-subject mask of subjects this policy bars from
+        the system entirely (none by default)."""
+        return np.zeros(population.n_subjects, dtype=bool)
 
-    def current_weights(self, population: PopulationModel) -> Optional[Dict[str, float]]:
+    def current_weights(
+        self, population: Union[PopulationModel, ColumnarPopulation]
+    ) -> Optional[Dict[str, float]]:
         """Per-subject Eq. (5) weights this policy wants applied.
 
         ``None`` (the default) means "use the population's static
@@ -65,11 +75,11 @@ class PaymentPolicy(abc.ABC):
         """
         return None
 
-    def observe(self, record: RoundRecord) -> None:
+    def observe(self, result: "ColumnarStepResult") -> None:
         """Feed one realized round back into the policy (no-op here).
 
         Adaptive policies override this to update their estimators from
-        the :class:`~repro.simulation.ledger.RoundRecord`.
+        the round's result columns (population row order).
         """
 
     def solve_diagnostics(self, subject_id: str) -> Optional[SolveDiagnostics]:
@@ -84,7 +94,7 @@ class PaymentPolicy(abc.ABC):
         return None
 
     def redesign_stats(self) -> Optional[RedesignStats]:
-        """Dirty-set accounting of the most recent :meth:`contracts` call.
+        """Dirty-set accounting of the most recent design call.
 
         ``None`` (the default) means the policy does not track redesign
         deltas; delta-aware policies report how many subjects were
@@ -94,33 +104,16 @@ class PaymentPolicy(abc.ABC):
         """
         return None
 
-    def contracts_columnar(
-        self, population: ColumnarPopulation
-    ) -> ContractAssignment:
-        """Columnar contracts: an archetype table plus per-subject codes.
-
-        The default packs the object-path :meth:`contracts` result
-        through :meth:`ContractAssignment.from_mapping` (an O(n)
-        compatibility bridge — it materializes the lazy object views).
-        Columnar-aware policies override this to design per archetype
-        without touching per-subject objects.
-        """
-        mapping = self.contracts(cast(PopulationModel, population))
-        return ContractAssignment.from_mapping(mapping, population)
-
-    def excluded_mask(self, population: ColumnarPopulation) -> np.ndarray:
-        """Boolean per-subject exclusion mask (columnar twin of
-        :meth:`excluded_subjects`); the default materializes the id set."""
-        mask = np.zeros(population.n_subjects, dtype=bool)
-        for subject_id in self.excluded_subjects(
-            cast(PopulationModel, population)
-        ):
-            mask[population.index_of(subject_id)] = True
-        return mask
-
 
 class DynamicContractPolicy(PaymentPolicy):
     """The paper's dynamic contract design (Sections III-IV).
+
+    One contract is designed per design archetype and fanned out by
+    code; a :class:`~repro.serving.pool.ColumnarDeltaState` re-solves
+    only archetypes the previous epoch did not hold, so a static
+    population costs zero solves after the first round.  Reuse is
+    cross-verified against fresh solves under
+    ``REPRO_CHECK_INVARIANTS=1``.
 
     Args:
         mu: the requester's compensation weight.
@@ -132,13 +125,6 @@ class DynamicContractPolicy(PaymentPolicy):
         cache: an optional shared contract cache.  Supplying one (even
             with ``parallel=0``) also routes through the serving layer so
             repeat subproblems across rounds are deduplicated.
-        delta: dirty-set redesign — on repeat calls, re-solve only
-            subjects whose subproblem changed since the previous call
-            (same object or equal serving fingerprint means unchanged)
-            and reuse the stored designs for the rest.  ``None`` (the
-            default) follows the ``REPRO_FASTPATH`` convention; pass
-            ``True``/``False`` to force.  Reuse is cross-verified
-            against fresh solves under ``REPRO_CHECK_INVARIANTS=1``.
     """
 
     def __init__(
@@ -148,7 +134,6 @@ class DynamicContractPolicy(PaymentPolicy):
         max_workers: int = 1,
         parallel: int = 0,
         cache: Optional[ContractCache] = None,
-        delta: Optional[bool] = None,
     ) -> None:
         if mu <= 0.0:
             raise SimulationError(f"mu must be positive, got {mu!r}")
@@ -159,12 +144,9 @@ class DynamicContractPolicy(PaymentPolicy):
         self.max_workers = max_workers
         self.parallel = parallel
         self.cache = cache
-        self.delta = delta
         self._pool: Optional[SolverPool] = None
-        self._delta_state: Optional[DeltaSolveState] = None
-        self._columnar_delta: Optional[ColumnarDeltaState] = None
+        self._delta = ColumnarDeltaState()
         self._stats: Optional[RedesignStats] = None
-        self._solutions: Optional[Dict[str, SubproblemSolution]] = None
         self._diagnostics: Dict[str, SolveDiagnostics] = {}
 
     @property
@@ -184,9 +166,6 @@ class DynamicContractPolicy(PaymentPolicy):
                 self.cache = self._pool.cache
         return self._pool
 
-    def _delta_enabled(self) -> bool:
-        return self.delta if self.delta is not None else fastpath_enabled()
-
     def _solve_fresh(
         self, subproblems: Sequence[Subproblem]
     ) -> Tuple[Dict[str, SubproblemSolution], Dict[str, SolveDiagnostics]]:
@@ -200,67 +179,25 @@ class DynamicContractPolicy(PaymentPolicy):
         )
         return solutions, {}
 
-    def _fingerprint_of(self, subproblem: Subproblem) -> str:
-        return subproblem_fingerprint(subproblem, mu=self.mu, config=self.config)
-
-    def contracts(self, population: PopulationModel) -> Dict[str, Contract]:
-        subproblems = population.subproblems
-        if self._delta_enabled():
-            if self._delta_state is None:
-                self._delta_state = DeltaSolveState()
-            solutions, diagnostics, stats = self._delta_state.resolve(
-                subproblems,
-                fingerprint_of=self._fingerprint_of,
-                solve=self._solve_fresh,
-            )
-        else:
-            solutions, diagnostics = self._solve_fresh(subproblems)
-            stats = RedesignStats(
-                n_subjects=len(subproblems), n_dirty=len(subproblems)
-            )
-        self._stats = stats
-        self._diagnostics = diagnostics
-        self._solutions = solutions
-        return {
-            subject_id: solution.result.contract
-            for subject_id, solution in solutions.items()
-        }
-
     def contracts_columnar(
         self, population: ColumnarPopulation
     ) -> ContractAssignment:
         """Design one contract per archetype; fan out by code.
 
-        The delta path diffs the packed design matrix across epochs
-        (:class:`~repro.serving.pool.ColumnarDeltaState`) so a static
-        population costs zero solves after the first round.  Per-subject
-        serving diagnostics are not tracked on this path (there are no
-        per-subject solves to attribute them to), matching the
-        non-serving object path.
+        Serving-routed solves report per-archetype provenance, which is
+        fanned out to every subject of the archetype so the ledger
+        carries each subject's design fingerprint.
         """
-        if self._delta_enabled():
-            if self._columnar_delta is None:
-                self._columnar_delta = ColumnarDeltaState()
-            assignment, stats = self._columnar_delta.resolve(
-                population, solve=self._solve_fresh
-            )
-        else:
-            representatives = population.archetype_subproblems()
-            solutions, _ = self._solve_fresh(representatives)
-            assignment = ContractAssignment(
-                contracts=tuple(
-                    solutions[rep.subject_id].result.contract
-                    for rep in representatives
-                ),
-                codes=population.archetype_codes,
-            )
-            stats = RedesignStats(
-                n_subjects=population.n_subjects,
-                n_dirty=population.n_subjects,
-            )
-        self._stats = stats
+        assignment, self._stats = self._delta.resolve(
+            population, solve=self._solve_fresh
+        )
+        per_archetype = self._delta.last_diagnostics
         self._diagnostics = {}
-        self._solutions = None
+        if any(diagnostic is not None for diagnostic in per_archetype):
+            for row, code in enumerate(assignment.codes.tolist()):
+                diagnostic = per_archetype[code]
+                if diagnostic is not None:
+                    self._diagnostics[population.subject_id(row)] = diagnostic
         return assignment
 
     def solve_diagnostics(self, subject_id: str) -> Optional[SolveDiagnostics]:
@@ -275,18 +212,15 @@ class DynamicContractPolicy(PaymentPolicy):
             self._pool.close()
             self._pool = None
 
-    @property
-    def last_solutions(self) -> Optional[Dict[str, SubproblemSolution]]:
-        """Per-subject design results of the most recent call."""
-        return self._solutions
-
 
 class ExclusionPolicy(PaymentPolicy):
     """Exclude all malicious subjects; delegate the rest to ``inner``.
 
     The paper's baseline "in which all the malicious workers are simply
     excluded from the system": excluded subjects earn nothing and their
-    feedback does not enter the requester's benefit.
+    feedback does not enter the requester's benefit.  Everything else —
+    weights, observations, provenance, redesign accounting — is the
+    inner policy's.
 
     Args:
         inner: the policy applied to the surviving (honest) subjects.
@@ -303,24 +237,6 @@ class ExclusionPolicy(PaymentPolicy):
         self.inner = inner
         self.malice_threshold = malice_threshold
 
-    def excluded_subjects(self, population: PopulationModel) -> Set[str]:
-        return {
-            subproblem.subject_id
-            for subproblem in population.subproblems
-            if population.malice.get(subproblem.subject_id, 0.0)
-            > self.malice_threshold
-            or subproblem.params.worker_type.is_malicious
-        }
-
-    def contracts(self, population: PopulationModel) -> Dict[str, Contract]:
-        excluded = self.excluded_subjects(population)
-        inner_contracts = self.inner.contracts(population)
-        return {
-            subject_id: contract
-            for subject_id, contract in inner_contracts.items()
-            if subject_id not in excluded
-        }
-
     def excluded_mask(self, population: ColumnarPopulation) -> np.ndarray:
         return (population.e_mal > self.malice_threshold) | _MALICIOUS_TYPE[
             population.type_codes
@@ -332,6 +248,14 @@ class ExclusionPolicy(PaymentPolicy):
         inner = self.inner.contracts_columnar(population)
         codes = np.where(self.excluded_mask(population), -1, inner.codes)
         return ContractAssignment(contracts=inner.contracts, codes=codes)
+
+    def current_weights(
+        self, population: Union[PopulationModel, ColumnarPopulation]
+    ) -> Optional[Dict[str, float]]:
+        return self.inner.current_weights(population)
+
+    def observe(self, result: "ColumnarStepResult") -> None:
+        self.inner.observe(result)
 
     def solve_diagnostics(self, subject_id: str) -> Optional[SolveDiagnostics]:
         return self.inner.solve_diagnostics(subject_id)
@@ -358,20 +282,6 @@ class FixedPaymentPolicy(PaymentPolicy):
             raise SimulationError(f"n_intervals must be >= 1, got {n_intervals!r}")
         self.pay_per_member = pay_per_member
         self.n_intervals = n_intervals
-
-    def contracts(self, population: PopulationModel) -> Dict[str, Contract]:
-        config = DesignerConfig(n_intervals=self.n_intervals)
-        posted: Dict[str, Contract] = {}
-        for subproblem in population.subproblems:
-            grid = config.grid_for(
-                subproblem.effort_function, max_effort=subproblem.max_effort
-            )
-            posted[subproblem.subject_id] = Contract.flat(
-                grid,
-                subproblem.effort_function,
-                pay=self.pay_per_member * len(subproblem.member_ids),
-            )
-        return posted
 
     def contracts_columnar(
         self, population: ColumnarPopulation

@@ -16,7 +16,7 @@ experiment quantifies exactly that against the dynamic contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Union, cast
+from typing import Optional, Set, Union
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class RetentionSimulation(MarketplaceSimulation):
         retention: the departure rule.
         seed: feedback-noise seed.
         redesign_every: policy re-design cadence.
-        fast_rounds: round-kernel routing, as in
+        ledger: the round sink, as in
             :class:`~repro.simulation.engine.MarketplaceSimulation`.
     """
 
@@ -79,7 +79,6 @@ class RetentionSimulation(MarketplaceSimulation):
         retention: Optional[RetentionModel] = None,
         seed: int = 0,
         redesign_every: int = 1,
-        fast_rounds: Optional[bool] = None,
         ledger: Optional[Union[SimulationLedger, StreamingLedger]] = None,
     ) -> None:
         super().__init__(
@@ -88,102 +87,46 @@ class RetentionSimulation(MarketplaceSimulation):
             policy=policy,
             seed=seed,
             redesign_every=redesign_every,
-            fast_rounds=fast_rounds,
             ledger=ledger,
         )
         self.retention = retention if retention is not None else RetentionModel()
-        self._bad_rounds: Dict[str, int] = {}
-        # Columnar twin of the bad-round dict: one counter per row.
-        self._bad_counts: Optional[np.ndarray] = None
-        if isinstance(population, ColumnarPopulation):
-            self._bad_counts = np.zeros(population.n_subjects, dtype=np.int64)
+        self._bad_counts = np.zeros(self.population.n_subjects, dtype=np.int64)
 
     @property
     def departed(self) -> Set[str]:
         """Subjects that have left the marketplace."""
-        return set(self._departed)
+        return {
+            self.population.subject_id(int(row))
+            for row in np.flatnonzero(self._departed)
+        }
 
     def retention_rate(self, worker_type: Optional[WorkerType] = None) -> float:
         """Fraction of (optionally type-filtered) subjects still active."""
-        if self._columnar:
-            population = cast(ColumnarPopulation, self.population)
-            assert self._departed_mask is not None
-            if worker_type is None:
-                selected = np.ones(population.n_subjects, dtype=bool)
-            else:
-                selected = (
-                    population.type_codes == WORKER_TYPE_CODES[worker_type]
-                )
-            total = int(np.count_nonzero(selected))
-            if not total:
-                return 1.0
-            departed = int(np.count_nonzero(selected & self._departed_mask))
-            return (total - departed) / total
-        subjects = [
-            subproblem.subject_id
-            for subproblem in self.population.subproblems
-            if worker_type is None
-            or subproblem.params.worker_type is worker_type
-        ]
-        if not subjects:
-            return 1.0
-        active = sum(1 for s in subjects if s not in self._departed)
-        return active / len(subjects)
-
-    def _apply_departures_columnar(self, record: RoundRecord) -> None:
-        """The departure rule over columns (no per-subject objects).
-
-        Uses the round's realized utility columns when the fast kernel
-        ran; on the legacy escape hatch, the columns are rebuilt from
-        the record's materialized outcomes.  Comparisons are the scalar
-        rule's exact ``<`` on the same float64 values, and — matching
-        the object path — excluded subjects' counters are left alone,
-        not reset.
-        """
-        population = cast(ColumnarPopulation, self.population)
-        assert self._bad_counts is not None
-        assert self._departed_mask is not None
-        result = self._last_columnar_result
-        if result is not None:
-            active = result.active
-            per_member = result.worker_utility / population.n_members
+        population = self.population
+        if worker_type is None:
+            selected = np.ones(population.n_subjects, dtype=bool)
         else:
-            active = np.zeros(population.n_subjects, dtype=bool)
-            per_member = np.zeros(population.n_subjects)
-            for subject_id, outcome in record.outcomes.items():
-                if outcome.excluded:
-                    continue
-                row = population.index_of(subject_id)
-                active[row] = True
-                per_member[row] = (
-                    outcome.worker_utility / outcome.n_members
-                )
-        bad = active & (per_member < self.retention.reservation_utility)
-        good = active & ~bad
-        self._bad_counts[bad] += 1
-        self._bad_counts[good] = 0
-        departed_now = self._bad_counts >= self.retention.patience
-        fresh = departed_now & ~self._departed_mask
-        if fresh.any():
-            self._departed_mask |= departed_now
-            for row in np.flatnonzero(fresh):
-                self._departed.add(population.subject_id(int(row)))
+            selected = population.type_codes == WORKER_TYPE_CODES[worker_type]
+        total = int(np.count_nonzero(selected))
+        if not total:
+            return 1.0
+        departed = int(np.count_nonzero(selected & self._departed))
+        return (total - departed) / total
 
     def step(self) -> RoundRecord:
-        """One round, then apply the departure rule."""
+        """One round, then apply the departure rule.
+
+        Comparisons are the scalar rule's exact ``<`` on the round's
+        realized utility columns, and excluded subjects' counters are
+        left alone, not reset.
+        """
         record = super().step()
-        if self._columnar:
-            self._apply_departures_columnar(record)
-            return record
-        for subject_id, outcome in record.outcomes.items():
-            if outcome.excluded:
-                continue
-            per_member = outcome.worker_utility / outcome.n_members
-            if per_member < self.retention.reservation_utility:
-                bad = self._bad_rounds.get(subject_id, 0) + 1
-                self._bad_rounds[subject_id] = bad
-                if bad >= self.retention.patience:
-                    self._departed.add(subject_id)
-            else:
-                self._bad_rounds[subject_id] = 0
+        result = self._last_result
+        assert result is not None
+        per_member = result.worker_utility / self.population.n_members
+        bad = result.active & (per_member < self.retention.reservation_utility)
+        good = result.active & ~bad
+        self._bad_counts[bad] += 1
+        self._bad_counts[good] = 0
+        self._departed |= self._bad_counts >= self.retention.patience
         return record

@@ -1,12 +1,13 @@
 """Behavioural worker agents and population assembly."""
 
-from .base import ResponseCache, WorkerAgent, respond_batch
+from .base import WorkerAgent
 from .collusive import CollusiveCommunity
 from .columnar import (
     WORKER_TYPE_CODES,
     WORKER_TYPE_ORDER,
     ColumnarPopulation,
     ColumnarResponseCache,
+    PhaseColumns,
     synthetic_columnar,
 )
 from .honest import HonestWorker
@@ -26,9 +27,8 @@ __all__ = [
     "WORKER_TYPE_ORDER",
     "ColumnarPopulation",
     "ColumnarResponseCache",
-    "ResponseCache",
+    "PhaseColumns",
     "WorkerAgent",
-    "respond_batch",
     "synthetic_columnar",
     "synthetic_population",
     "CollusiveCommunity",

@@ -10,7 +10,7 @@ realized feedback, never the effort.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -21,15 +21,7 @@ from ..errors import ModelError
 from ..numerics import is_zero
 from ..types import WorkerParameters
 
-__all__ = ["ResponseCache", "WorkerAgent", "respond_batch"]
-
-#: Per-subject entry of a cross-round best-response cache: the contract
-#: the response was solved against, the parameters and true ``psi`` in
-#: force at solve time, and the response itself.  An entry is valid only
-#: while all three still hold (contract/psi by identity, parameters by
-#: value — strategic agents swap their parameter objects between
-#: rounds).
-ResponseCache = Dict[str, Tuple[Contract, WorkerParameters, QuadraticEffort, BestResponse]]
+__all__ = ["WorkerAgent"]
 
 
 class WorkerAgent(abc.ABC):
@@ -68,18 +60,6 @@ class WorkerAgent(abc.ABC):
             contract, self.params, effort_function=self.effort_function
         )
 
-    def response_key(self, contract: Contract) -> Tuple[object, ...]:
-        """Dedup key under which this agent's best response may be shared.
-
-        :func:`respond_batch` solves one best response per distinct key
-        and fans it out — sound because :meth:`respond` is a pure
-        function of ``(agent class, contract, true psi, parameters)``
-        for every agent in this package.  A subclass whose ``respond``
-        depends on additional state must override this to include that
-        state (or return a unique key to opt out of sharing).
-        """
-        return (type(self), id(contract), id(self.effort_function), self.params)
-
     @property
     def needs_feedback_draw(self) -> bool:
         """Whether :meth:`realize_feedback` consumes one generator draw."""
@@ -116,10 +96,12 @@ class WorkerAgent(abc.ABC):
         return np.abs(biases + noise_scales * draws)
 
     def on_round(self, round_index: int) -> None:
-        """Hook called by the engine at the start of every round.
+        """Enter the behaviour of round ``round_index``.
 
         Stationary agents ignore it; strategic agents (e.g. camouflaged
-        malicious workers) use it to switch behaviour over time.
+        malicious workers) use it to switch behaviour over time.  The
+        simulation applies the same rule to packed rows through
+        :meth:`~repro.workers.columnar.ColumnarPopulation.behaviour_at`.
         """
 
     @property
@@ -170,64 +152,3 @@ class WorkerAgent(abc.ABC):
             f"{type(self).__name__}(id={self.worker_id!r}, "
             f"beta={self.params.beta}, omega={self.params.omega})"
         )
-
-
-def respond_batch(
-    agents: Sequence[WorkerAgent],
-    contracts: Sequence[Contract],
-    cache: Optional[ResponseCache] = None,
-) -> List[BestResponse]:
-    """Best responses for many (agent, contract) pairs, solved once per
-    distinct :meth:`WorkerAgent.response_key`.
-
-    Real populations collapse onto a few archetypes sharing effort
-    functions, parameters *and* (via serving dedup or the designer's
-    candidate cache) contract objects, so a thousand-subject round needs
-    only a handful of Eq. (30) solves.  Responses are exact object
-    reuses, so results are bit-identical to calling ``respond`` per
-    agent.
-
-    Args:
-        agents: the responding agents, aligned with ``contracts``.
-        contracts: the posted contract per agent.
-        cache: optional cross-call (cross-round) cache keyed by worker
-            id; entries are validated against the agent's current
-            contract/psi (identity) and parameters (value) and refreshed
-            on mismatch, so strategic agents that mutate their
-            parameters between rounds can never be served stale
-            responses.
-    """
-    if len(agents) != len(contracts):
-        raise ModelError(
-            f"got {len(agents)} agents for {len(contracts)} contracts"
-        )
-    shared: Dict[Tuple[object, ...], BestResponse] = {}
-    responses: List[BestResponse] = []
-    for agent, contract in zip(agents, contracts):
-        if cache is not None:
-            entry = cache.get(agent.worker_id)
-            if (
-                entry is not None
-                and entry[0] is contract
-                and entry[1] == agent.params
-                and entry[2] is agent.effort_function
-            ):
-                responses.append(entry[3])
-                continue
-        key = agent.response_key(contract)
-        response = shared.get(key)
-        if response is None:
-            # Deliberate scalar fallback: this IS the memoized batch
-            # layer — one Eq. (30) solve per distinct response_key, not
-            # per subject.
-            response = agent.respond(contract)  # noqa: REPRO010
-            shared[key] = response
-        if cache is not None:
-            cache[agent.worker_id] = (
-                contract,
-                agent.params,
-                agent.effort_function,
-                response,
-            )
-        responses.append(response)
-    return responses

@@ -26,16 +26,23 @@ The legacy object API stays available through lazy views:
 ``columnar.malice`` materialize on first access (sharing one psi/params
 object per archetype), so :func:`~repro.simulation.engine.legacy_step`
 runs unmodified on a columnar store — which is how the bit-identity
-contracts cross-verify the columnar kernel.
+contract cross-verifies the columnar kernel.
 
-Only stationary agent classes (honest / malicious / collusive) can be
-held columnar: strategic workers mutate their parameters per round,
-which contradicts frozen columns, so :meth:`ColumnarPopulation.from_population`
-rejects them.
+Strategic workers (:class:`~repro.workers.strategic.CamouflagedWorker`,
+:class:`~repro.workers.strategic.IntermittentWorker`) behave as a pure
+function of the round index, so they pack too: their rows carry
+:class:`PhaseColumns`, and one vectorized
+:meth:`ColumnarPopulation.behaviour_at` sets the behaviour-side
+``act_omega``, ``act_type_codes`` and ``rating_bias`` columns for a
+round, exactly as ``on_round`` switches the agent objects.  The design
+side never moves with behaviour: the requester designs on what it
+believes, the workers respond with what they are.
 """
 
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass
 from typing import (
     Dict,
     Iterator,
@@ -59,12 +66,14 @@ from .collusive import CollusiveCommunity
 from .honest import HonestWorker
 from .malicious import MaliciousWorker
 from .population import ClassEffortFunctions, PopulationModel
+from .strategic import CamouflagedWorker, IntermittentWorker
 
 __all__ = [
     "WORKER_TYPE_ORDER",
     "WORKER_TYPE_CODES",
     "ColumnarPopulation",
     "ColumnarResponseCache",
+    "PhaseColumns",
     "synthetic_columnar",
 ]
 
@@ -78,7 +87,13 @@ WORKER_TYPE_CODES: Dict[WorkerType, int] = {
 #: Cross-round cache of deduplicated best responses, keyed by
 #: (contract code, response-archetype code) and validated by contract
 #: identity — a redesign that swaps the posted contract object re-solves.
+#: Response codes are renumbered whenever behaviour changes, so the
+#: owner clears the cache when :meth:`ColumnarPopulation.behaviour_at`
+#: reports a change.
 ColumnarResponseCache = Dict[Tuple[int, int], Tuple[Contract, float, float]]
+
+_HONEST_CODE = WORKER_TYPE_CODES[WorkerType.HONEST]
+_NONCOLLUSIVE_CODE = WORKER_TYPE_CODES[WorkerType.NONCOLLUSIVE_MALICIOUS]
 
 #: ``max_effort`` is optional; ``None`` is encoded as this sentinel in
 #: the packed design matrix (valid caps are strictly positive) so that
@@ -88,6 +103,46 @@ _NO_MAX_EFFORT = -1.0
 
 #: Agent classes whose behaviour is a pure function of frozen columns.
 _COLUMNAR_AGENT_TYPES = (HonestWorker, MaliciousWorker, CollusiveCommunity)
+
+#: Agent classes whose behaviour is a pure function of the round index.
+_PHASE_AGENT_TYPES = (CamouflagedWorker, IntermittentWorker)
+
+
+@dataclass(frozen=True)
+class PhaseColumns:
+    """Round-dependent behaviour of the strategic rows of a population.
+
+    Row ``rows[i]`` attacks in round ``r`` iff its position in the cycle
+    — ``r % cycle[i]``, or ``r`` itself when ``cycle[i] == 0`` — is at
+    least ``start[i]``.  That is :class:`CamouflagedWorker` with
+    ``start = attack_round, cycle = 0`` and :class:`IntermittentWorker`
+    with ``start = honest_rounds, cycle = honest_rounds +
+    attack_rounds``.  Attacking rows act as non-collusive malicious
+    workers with ``omega[i]`` and ``bias[i]``; the others act honestly
+    (``omega`` and bias 0).
+
+    Attributes:
+        rows: population row of each strategic subject (``int64``).
+        start: first attacking position within a cycle.
+        cycle: cycle length, 0 for a one-way flip.
+        omega: influence weight while attacking.
+        bias: rating bias while attacking.
+    """
+
+    rows: np.ndarray
+    start: np.ndarray
+    cycle: np.ndarray
+    omega: np.ndarray
+    bias: np.ndarray
+
+    def attacking(self, round_index: int) -> np.ndarray:
+        """Per strategic row: whether it attacks in ``round_index``."""
+        position = np.where(
+            self.cycle > 0,
+            round_index % np.maximum(self.cycle, 1),
+            round_index,
+        )
+        return position >= self.start
 
 
 def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -143,6 +198,23 @@ def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return representatives, codes
 
 
+def _parameters(type_code: int, beta: float, omega: float) -> WorkerParameters:
+    worker_type = WORKER_TYPE_ORDER[type_code]
+    if worker_type is WorkerType.HONEST:
+        return WorkerParameters.honest(beta=beta)
+    return WorkerParameters.malicious(
+        beta=beta,
+        omega=omega,
+        collusive=worker_type is WorkerType.COLLUSIVE_MALICIOUS,
+    )
+
+
+def _scatter(column: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    updated = column.copy()
+    updated[rows] = values
+    return updated
+
+
 def _float_column(values: object, n: int, name: str) -> np.ndarray:
     column = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
     if column.shape != (n,):
@@ -192,7 +264,10 @@ class ColumnarPopulation:
     base mask.  Design state is mutated only through
     :meth:`update_design_columns`, which swaps whole columns and
     invalidates the archetype caches — exactly the hook the
-    column-slice delta redesign diffs against.
+    column-slice delta redesign diffs against.  Behaviour state is
+    mutated only through :meth:`behaviour_at`, which swaps the
+    behaviour columns of the strategic rows and invalidates only the
+    response archetypes and the lazy agents.
 
     Args:
         r2, r1, r0: the requester's *fitted* psi coefficients (design
@@ -200,8 +275,8 @@ class ColumnarPopulation:
         act_r2, act_r1, act_r0: the subjects' *true* psi coefficients
             (behaviour side; equal to the fitted ones in the oracle
             setting).
-        beta, omega: utility parameters (shared by both sides, as in
-            every population builder).
+        beta, omega: utility parameters.  ``beta`` is shared by both
+            sides; ``omega`` is the design side's.
         design_weight: Eq. (5) weight the *designer* sees
             (``subproblem.feedback_weight``).
         eval_weight: Eq. (5) weight the *requester's book* uses
@@ -211,7 +286,7 @@ class ColumnarPopulation:
         type_codes: :data:`WORKER_TYPE_CODES` per subject.
         e_mal: oracle/estimated malice scores (the ``malice`` dict).
         feedback_noise, rating_noise, rating_bias: behavioural noise
-            model per subject.
+            model per subject (``rating_bias`` is the current bias).
         n_members: workers behind each subject (communities > 1).
         community_ids: index into ``communities`` or -1 for individuals.
         communities: member-id tuples for collusive meta-workers.
@@ -223,6 +298,11 @@ class ColumnarPopulation:
         class_functions: Section IV-B class-level psi fits carried for
             ``PopulationModel`` compatibility.
         deviations: optional diagnostic rating-deviation estimates.
+        act_omega, act_type_codes: behaviour-side omega and worker type
+            code; ``None`` means "as designed" (``omega`` /
+            ``type_codes``), which holds for every stationary row.
+        phases: round-dependent behaviour of strategic rows, applied by
+            :meth:`behaviour_at`.
     """
 
     def __init__(
@@ -251,6 +331,9 @@ class ColumnarPopulation:
         id_format: str = "w{index:05d}",
         class_functions: Optional[ClassEffortFunctions] = None,
         deviations: Optional[Dict[str, float]] = None,
+        act_omega: object = None,
+        act_type_codes: object = None,
+        phases: Optional[PhaseColumns] = None,
     ) -> None:
         first = np.asarray(r2, dtype=np.float64)
         n = int(first.shape[0]) if first.ndim == 1 else -1
@@ -288,6 +371,19 @@ class ColumnarPopulation:
             self.communities
         ):
             raise ModelError("community_ids references a missing community")
+        self._act_omega = (
+            None if act_omega is None else _float_column(act_omega, n, "act_omega")
+        )
+        self._act_type_codes = (
+            None
+            if act_type_codes is None
+            else _int_column(act_type_codes, n, "act_type_codes")
+        )
+        if phases is not None and phases.rows.size and (
+            phases.rows.min() < 0 or phases.rows.max() >= n
+        ):
+            raise ModelError("phase rows must index into the population")
+        self.phases = phases
         #: Base exclusion mask (the store's own, before policy/departure
         #: masks); the one writable column.
         self.excluded = np.zeros(n, dtype=bool)
@@ -341,6 +437,61 @@ class ColumnarPopulation:
             return self._index_of[subject_id]
         except KeyError:
             raise ModelError(f"unknown subject id {subject_id!r}") from None
+
+    # ------------------------------------------------------------------
+    # behaviour
+    # ------------------------------------------------------------------
+
+    @property
+    def act_omega(self) -> np.ndarray:
+        """Behaviour-side omega: what the subjects act on this round."""
+        return self.omega if self._act_omega is None else self._act_omega
+
+    @property
+    def act_type_codes(self) -> np.ndarray:
+        """Behaviour-side worker type codes (strategic rows flip)."""
+        if self._act_type_codes is None:
+            return self.type_codes
+        return self._act_type_codes
+
+    def behaviour_at(self, round_index: int) -> bool:
+        """Set the strategic rows' behaviour for ``round_index``.
+
+        The columnar ``on_round``: attacking rows take their attack
+        omega and rating bias and act as non-collusive malicious
+        workers, the rest act honestly.  Only the behaviour columns of
+        the strategic rows change, and only the response archetypes and
+        lazy agents are invalidated — and only when a row flipped.
+
+        Returns:
+            Whether any behaviour changed (response codes were then
+            renumbered, so callers drop response caches).
+        """
+        phases = self.phases
+        if phases is None:
+            return False
+        attacking = phases.attacking(round_index)
+        rows = phases.rows
+        omega = np.where(attacking, phases.omega, 0.0)
+        bias = np.where(attacking, phases.bias, 0.0)
+        types = np.where(attacking, _NONCOLLUSIVE_CODE, _HONEST_CODE)
+        if (
+            np.array_equal(self.act_omega[rows], omega)
+            and np.array_equal(self.rating_bias[rows], bias)
+            and np.array_equal(self.act_type_codes[rows], types)
+        ):
+            return False
+        self._act_omega = _float_column(
+            _scatter(self.act_omega, rows, omega), self._n, "act_omega"
+        )
+        self.rating_bias = _float_column(
+            _scatter(self.rating_bias, rows, bias), self._n, "rating_bias"
+        )
+        self._act_type_codes = _int_column(
+            _scatter(self.act_type_codes, rows, types), self._n, "act_type_codes"
+        )
+        self._invalidate_behaviour()
+        return True
 
     # ------------------------------------------------------------------
     # archetypes
@@ -419,8 +570,8 @@ class ColumnarPopulation:
                     self.act_r1,
                     self.act_r0,
                     self.beta,
-                    self.omega,
-                    self.type_codes.astype(np.float64),
+                    self.act_omega,
+                    self.act_type_codes.astype(np.float64),
                 ]
             )
             representatives, codes = unique_rows(matrix)
@@ -453,7 +604,7 @@ class ColumnarPopulation:
                 r1=float(self.act_r1[row]),
                 r0=float(self.act_r0[row]),
             )
-            objects = (psi, self._params_at(row))
+            objects = (psi, self._behaviour_params_at(row))
             self._resp_objects[code] = objects
         return objects
 
@@ -474,8 +625,8 @@ class ColumnarPopulation:
             "act_r1": np.ascontiguousarray(self.act_r1[reps]),
             "act_r0": np.ascontiguousarray(self.act_r0[reps]),
             "beta": np.ascontiguousarray(self.beta[reps]),
-            "omega": np.ascontiguousarray(self.omega[reps]),
-            "type_codes": np.ascontiguousarray(self.type_codes[reps]),
+            "omega": np.ascontiguousarray(self.act_omega[reps]),
+            "type_codes": np.ascontiguousarray(self.act_type_codes[reps]),
         }
 
     def respond_unique(
@@ -488,10 +639,8 @@ class ColumnarPopulation:
         """Deduplicated best responses for the subjects at ``rows``.
 
         Solves Eq. (30) once per distinct (contract, behaviour
-        archetype) pair and fans the scalar results back out — the
-        columnar analogue of :func:`repro.workers.base.respond_batch`,
-        with ``np.unique`` over a packed integer key replacing the
-        per-agent grouping loop.
+        archetype) pair, found with ``np.unique`` over a packed integer
+        key, and fans the scalar results back out.
 
         Args:
             contracts: the archetype contract table.
@@ -538,13 +687,15 @@ class ColumnarPopulation:
     # ------------------------------------------------------------------
 
     def _params_at(self, row: int) -> WorkerParameters:
-        worker_type = WORKER_TYPE_ORDER[int(self.type_codes[row])]
-        if worker_type is WorkerType.HONEST:
-            return WorkerParameters.honest(beta=float(self.beta[row]))
-        return WorkerParameters.malicious(
-            beta=float(self.beta[row]),
-            omega=float(self.omega[row]),
-            collusive=worker_type is WorkerType.COLLUSIVE_MALICIOUS,
+        return _parameters(
+            int(self.type_codes[row]), float(self.beta[row]), float(self.omega[row])
+        )
+
+    def _behaviour_params_at(self, row: int) -> WorkerParameters:
+        return _parameters(
+            int(self.act_type_codes[row]),
+            float(self.beta[row]),
+            float(self.act_omega[row]),
         )
 
     def _member_ids_at(self, row: int) -> Tuple[str, ...]:
@@ -590,7 +741,7 @@ class ColumnarPopulation:
         return psi
 
     def _build_agent(self, row: int) -> WorkerAgent:
-        worker_type = WORKER_TYPE_ORDER[int(self.type_codes[row])]
+        worker_type = WORKER_TYPE_ORDER[int(self.act_type_codes[row])]
         subject_id = self.subject_id(row)
         psi = self._acting_psi(row)
         if worker_type is WorkerType.HONEST:
@@ -606,7 +757,7 @@ class ColumnarPopulation:
                 worker_id=subject_id,
                 effort_function=psi,
                 beta=float(self.beta[row]),
-                omega=float(self.omega[row]),
+                omega=float(self.act_omega[row]),
                 rating_bias=float(self.rating_bias[row]),
                 feedback_noise=float(self.feedback_noise[row]),
                 rating_noise=float(self.rating_noise[row]),
@@ -616,7 +767,7 @@ class ColumnarPopulation:
             member_ids=self._member_ids_at(row),
             effort_function=psi,
             beta=float(self.beta[row]),
-            omega=float(self.omega[row]),
+            omega=float(self.act_omega[row]),
             rating_bias=float(self.rating_bias[row]),
             feedback_noise=float(self.feedback_noise[row]),
             rating_noise=float(self.rating_noise[row]),
@@ -689,11 +840,15 @@ class ColumnarPopulation:
     def from_population(cls, model: PopulationModel) -> "ColumnarPopulation":
         """Pack an object population into columns.
 
+        Strategic agents pack as :class:`PhaseColumns` rows whose
+        behaviour columns start at the agent's current phase.
+
         Raises:
-            ModelError: if an agent is of a non-stationary (strategic)
-                class, its parameters diverge from its subproblem's, or
-                the weights dict diverges from the subproblem weights
-                (the store keeps one design-weight column).
+            ModelError: if an agent is of an unknown class, a stationary
+                agent's parameters (or a strategic agent's ``beta``)
+                diverge from its subproblem's — the store keeps one
+                design parameter column and one ``beta`` column — or a
+                subject lacks an agent or an evaluation weight.
         """
         n = len(model.subproblems)
         if n < 1:
@@ -702,30 +857,47 @@ class ColumnarPopulation:
             name: []
             for name in (
                 "r2", "r1", "r0", "act_r2", "act_r1", "act_r0",
-                "beta", "omega", "design_weight", "eval_weight",
+                "beta", "omega", "act_omega", "design_weight", "eval_weight",
                 "max_effort", "e_mal", "feedback_noise", "rating_noise",
                 "rating_bias",
             )
         }
         type_codes: List[int] = []
+        act_type_codes: List[int] = []
         n_members: List[int] = []
         community_ids: List[int] = []
         communities: List[Tuple[str, ...]] = []
         community_index: Dict[Tuple[str, ...], int] = {}
         subject_ids: List[str] = []
-        for subproblem in model.subproblems:
+        phase_rows: List[Tuple[int, int, int, float, float]] = []
+        for row, subproblem in enumerate(model.subproblems):
             subject_id = subproblem.subject_id
             agent = model.agents.get(subject_id)
             if agent is None:
                 raise ModelError(f"no agent for subject {subject_id!r}")
-            if type(agent) not in _COLUMNAR_AGENT_TYPES:
+            if isinstance(agent, _PHASE_AGENT_TYPES):
+                # Exact on purpose: one column must hold both values.
+                if agent.params.beta != subproblem.params.beta:  # noqa: REPRO001
+                    raise ModelError(
+                        f"agent {subject_id!r} beta {agent.params.beta!r} "
+                        f"diverges from its subproblem's "
+                        f"{subproblem.params.beta!r}; the columnar store "
+                        "keeps one beta column"
+                    )
+                if isinstance(agent, CamouflagedWorker):
+                    start, cycle = agent.attack_round, 0
+                else:
+                    start, cycle = agent.honest_rounds, agent.cycle_length
+                phase_rows.append(
+                    (row, start, cycle, agent.attack_omega, agent.attack_bias)
+                )
+            elif type(agent) not in _COLUMNAR_AGENT_TYPES:
                 raise ModelError(
                     f"agent {subject_id!r} is {type(agent).__name__}; only "
-                    "stationary honest/malicious/collusive agents can be "
-                    "held columnar (strategic workers mutate their "
-                    "parameters per round)"
+                    "honest/malicious/collusive agents and camouflaged/"
+                    "intermittent strategic workers can be held columnar"
                 )
-            if agent.params != subproblem.params:
+            elif agent.params != subproblem.params:
                 raise ModelError(
                     f"agent {subject_id!r} parameters {agent.params!r} diverge "
                     f"from its subproblem's {subproblem.params!r}; the "
@@ -748,6 +920,7 @@ class ColumnarPopulation:
             columns["act_r0"].append(acting.r0)
             columns["beta"].append(subproblem.params.beta)
             columns["omega"].append(subproblem.params.omega)
+            columns["act_omega"].append(agent.params.omega)
             columns["design_weight"].append(subproblem.feedback_weight)
             columns["eval_weight"].append(float(eval_weight))
             columns["max_effort"].append(
@@ -758,8 +931,9 @@ class ColumnarPopulation:
             columns["e_mal"].append(float(model.malice.get(subject_id, 0.0)))
             columns["feedback_noise"].append(agent.feedback_noise)
             columns["rating_noise"].append(agent.rating_noise)
-            columns["rating_bias"].append(float(getattr(agent, "rating_bias", 0.0)))
+            columns["rating_bias"].append(float(agent.rating_bias_now))
             type_codes.append(WORKER_TYPE_CODES[subproblem.params.worker_type])
+            act_type_codes.append(WORKER_TYPE_CODES[agent.params.worker_type])
             n_members.append(agent.n_members)
             if isinstance(agent, CollusiveCommunity):
                 members = tuple(agent.member_ids)
@@ -772,6 +946,19 @@ class ColumnarPopulation:
             else:
                 community_ids.append(-1)
             subject_ids.append(subject_id)
+        phases = None
+        act_omega: Optional[List[float]] = columns.pop("act_omega")
+        if phase_rows:
+            rows, start, cycle, omega, bias = zip(*phase_rows)
+            phases = PhaseColumns(
+                rows=np.asarray(rows, dtype=np.int64),
+                start=np.asarray(start, dtype=np.int64),
+                cycle=np.asarray(cycle, dtype=np.int64),
+                omega=np.asarray(omega, dtype=np.float64),
+                bias=np.asarray(bias, dtype=np.float64),
+            )
+        else:
+            act_omega = None
         return cls(
             type_codes=type_codes,
             n_members=n_members,
@@ -780,6 +967,9 @@ class ColumnarPopulation:
             subject_ids=subject_ids,
             class_functions=model.class_functions,
             deviations=dict(model.deviations),
+            act_omega=act_omega,
+            act_type_codes=act_type_codes if phases is not None else None,
+            phases=phases,
             **columns,
         )
 
@@ -788,7 +978,8 @@ class ColumnarPopulation:
 
         The round trip is value-faithful: subproblems, agents, weights
         and malice carry the same numbers (psi/params objects are the
-        shared archetype objects, not the originals).
+        shared archetype objects, not the originals).  Strategic rows
+        come back as their current phase's stationary agent.
         """
         agents = {subject_id: self.agents[subject_id] for subject_id in self.agents}
         return PopulationModel(
@@ -821,8 +1012,8 @@ class ColumnarPopulation:
         This is the supported mutation path: the delta-redesign state
         diffs the packed design matrix against its previous value, so
         columns must never be edited in place (they are frozen).  The
-        behaviour (``act_*``) columns are deliberately not updatable —
-        agents are stationary by the columnar contract.
+        behaviour (``act_*``) columns change only through
+        :meth:`behaviour_at`.
         """
         updates = {
             "r2": r2, "r1": r1, "r0": r0, "beta": beta, "omega": omega,
@@ -835,6 +1026,18 @@ class ColumnarPopulation:
             setattr(self, name, _float_column(column, self._n, name))
         self._invalidate()
 
+    def with_design_weight(self, design_weight: np.ndarray) -> "ColumnarPopulation":
+        """This population with its design-weight column substituted.
+
+        A design view for policies that design on their own Eq. (5)
+        weights: every other column is shared (they are frozen), and the
+        view's archetypes are derived afresh from the substituted column.
+        """
+        view = copy.copy(self)
+        view.design_weight = _float_column(design_weight, self._n, "design_weight")
+        view._invalidate()
+        return view
+
     def _invalidate(self) -> None:
         """Reset every cache derived from the columns."""
         self._design_matrix: Optional[np.ndarray] = None
@@ -843,15 +1046,19 @@ class ColumnarPopulation:
         self._arch_subproblems: Optional[List[Subproblem]] = None
         self._arch_psis: Dict[int, QuadraticEffort] = {}
         self._arch_params: Dict[int, WorkerParameters] = {}
+        self._subproblems: Optional[List[Subproblem]] = None
+        self._weights: Optional[Dict[str, float]] = None
+        self._malice: Optional[Dict[str, float]] = None
+        self._index_of: Optional[Dict[str, int]] = None
+        self._invalidate_behaviour()
+
+    def _invalidate_behaviour(self) -> None:
+        """Reset the caches derived from the behaviour columns."""
         self._resp_codes: Optional[np.ndarray] = None
         self._resp_reps: Optional[np.ndarray] = None
         self._resp_psis: Dict[int, QuadraticEffort] = {}
         self._resp_objects: Dict[int, Tuple[QuadraticEffort, WorkerParameters]] = {}
-        self._subproblems: Optional[List[Subproblem]] = None
         self._agents: Optional[_LazyAgents] = None
-        self._weights: Optional[Dict[str, float]] = None
-        self._malice: Optional[Dict[str, float]] = None
-        self._index_of: Optional[Dict[str, int]] = None
 
 
 def synthetic_columnar(

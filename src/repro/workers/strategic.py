@@ -64,6 +64,7 @@ class CamouflagedWorker(WorkerAgent):
         self._honest_params = WorkerParameters.honest(beta=beta)
         self._attack_params = WorkerParameters.malicious(beta=beta, omega=omega)
         self.attack_round = attack_round
+        self.attack_omega = omega
         self.attack_bias = rating_bias
         self._attacking = attack_round == 0
         self._sync_params()
@@ -138,6 +139,7 @@ class IntermittentWorker(WorkerAgent):
         )
         self._honest_params = WorkerParameters.honest(beta=beta)
         self._attack_params = WorkerParameters.malicious(beta=beta, omega=omega)
+        self.attack_omega = omega
         self.attack_bias = rating_bias
         self.honest_rounds = honest_rounds
         self.attack_rounds = attack_rounds

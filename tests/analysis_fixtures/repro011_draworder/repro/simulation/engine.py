@@ -1,7 +1,7 @@
 """Seeded REPRO011 corpus: kernels whose draws disagree with the manifest.
 
 Never imported at runtime — parsed by the flow analyzer in
-``tests/analysis_flow/test_flow_passes.py``.  ``fast_step`` draws one
+``tests/analysis_flow/test_flow_passes.py``.  ``fast_columnar_step`` draws one
 extra ``rng.normal`` block the sibling manifest does not pin;
 ``fast_shuffle`` consumes draws without any manifest entry at all.
 """
@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-__all__ = ["fast_shuffle", "fast_step"]
+__all__ = ["fast_columnar_step", "fast_shuffle"]
 
 
-def fast_step(efforts: Sequence[float], rng: Any) -> List[float]:
+def fast_columnar_step(efforts: Sequence[float], rng: Any) -> List[float]:
     """Draws standard_normal (manifested) then normal (not manifested)."""
     draws = rng.standard_normal(len(efforts))
     jitter = rng.normal(0.0, 1.0, size=len(efforts))

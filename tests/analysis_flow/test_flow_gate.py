@@ -5,8 +5,8 @@ Three properties the PR's acceptance criteria pin:
 * ``repro lint --flow`` is clean on ``src/repro`` with no baseline;
 * deleting the ``require_sweeps_agree`` contract call from the sweep
   router makes the gate exit non-zero (REPRO012);
-* adding an unmanifested ``rng.*`` draw to ``fast_step`` makes the gate
-  exit non-zero (REPRO011).
+* adding an unmanifested ``rng.*`` draw to the round kernel
+  (``fast_columnar_step``) makes the gate exit non-zero (REPRO011).
 
 The mutation tests copy ``src/repro`` (and the ``tests`` tree, which
 the coverage checks consult) into a tmp repo, edit the copy, and run
@@ -27,7 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 
 _CONTRACT_CALL = "        require_sweeps_agree(pairs, reference)\n"
-_DRAW_LINE = "        draws = rng.standard_normal(len(scales))\n"
+_DRAW_LINE = "        draws = rng.standard_normal(total_draws)\n"
 
 
 def _copy_repo(tmp_path: Path) -> Path:
@@ -91,7 +91,7 @@ def test_unmanifested_draw_in_fast_step_trips_gate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert exit_code == 1
     assert "REPRO011" in out
-    assert "fast_step" in out
+    assert "fast_columnar_step" in out
 
     findings = run_flow([root / "src" / "repro"])
     draw_findings = [d for d in findings if d.code == "REPRO011"]
@@ -137,11 +137,11 @@ def test_project_index_shape():
     """The index discovers the registered kernels of the real tree."""
     index = ProjectIndex.build([SRC])
     fast = {fn.key for fn in index.fast_kernels()}
-    assert "simulation/engine.py::fast_step" in fast
+    assert "simulation/engine.py::fast_columnar_step" in fast
     assert "core/sweep.py::vectorized_sweep" in fast
     legacy = {fn.key for fn in index.legacy_kernels()}
     assert "simulation/engine.py::legacy_step" in legacy
     assert "core/sweep.py::legacy_sweep" in legacy
     batch = {fn.name for fn in index.batch_helpers()}
-    assert {"respond_batch", "realize_feedback_batch", "rating_deviation_batch"} <= batch
+    assert {"realize_feedback_batch", "rating_deviation_batch"} <= batch
     assert index.package_root == SRC.resolve()

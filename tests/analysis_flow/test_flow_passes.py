@@ -54,7 +54,7 @@ def test_repro010_columnar_fixture_exact_findings():
 
 
 def test_repro010_columnar_checks_skip_plain_fast_kernels():
-    """The object-path fixture (`fast_step`) keeps exactly its three
+    """The plain-kernel fixture (`fast_step`) keeps exactly its three
     generic findings: columnar checks never fire outside columnar
     kernels, where `.agents[...]` access is the legitimate path."""
     findings = _findings("repro010_purity", PurityPass())
@@ -88,10 +88,10 @@ def test_repro011_draworder_fixture_exact_findings():
     findings = _findings("repro011_draworder", DrawOrderPass())
     assert [d.code for d in findings] == ["REPRO011"] * 2
     by_context = {d.context: d.message for d in findings}
-    assert set(by_context) == {"fast_step", "fast_shuffle"}
+    assert set(by_context) == {"fast_columnar_step", "fast_shuffle"}
     assert (
         "draw order ['standard_normal', 'normal'] does not match manifest "
-        "['standard_normal']" in by_context["fast_step"]
+        "['standard_normal']" in by_context["fast_columnar_step"]
     )
     assert "no entry in analysis/draw_order.toml" in by_context["fast_shuffle"]
 

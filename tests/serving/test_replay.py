@@ -97,6 +97,28 @@ class TestReplayVerification:
         )
         assert verified > 0
 
+    def test_ledger_replays_clean_under_invariants(
+        self, context, population, monkeypatch
+    ):
+        """Per-archetype provenance fanned out by code still replays: every
+        round is checked against the oracle loop and every fingerprinted
+        payout against a fresh solve."""
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        policy = DynamicContractPolicy(
+            mu=context.config.mu_default, cache=ContractCache()
+        )
+        ledger = _run_simulation(context, population, policy)
+        active = sum(
+            1
+            for record in ledger.records
+            for outcome in record.outcomes.values()
+            if not outcome.excluded
+        )
+        verified = verify_ledger(
+            ledger, population.subproblems, mu=context.config.mu_default
+        )
+        assert verified == active > 0
+
     def test_round_subset_selection(self, context, population):
         policy = DynamicContractPolicy(
             mu=context.config.mu_default, cache=ContractCache()

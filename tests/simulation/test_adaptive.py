@@ -10,10 +10,13 @@ from repro.errors import SimulationError
 from repro.simulation import (
     AdaptiveDynamicPolicy,
     EwmaDeviationTracker,
+    ExclusionPolicy,
     MarketplaceSimulation,
+    StreamingLedger,
 )
 from repro.types import RequesterParameters, WorkerType
-from repro.workers import CamouflagedWorker, build_population
+from repro.workers import CamouflagedWorker, IntermittentWorker, build_population
+from repro.workers.columnar import ColumnarPopulation
 
 
 @pytest.fixture()
@@ -66,8 +69,9 @@ class TestTracker:
 
 class TestAdaptivePolicy:
     def test_contracts_for_every_subject(self, population):
-        policy = AdaptiveDynamicPolicy(mu=1.0)
-        contracts = policy.contracts(population)
+        columnar = ColumnarPopulation.from_population(population)
+        assignment = AdaptiveDynamicPolicy(mu=1.0).contracts_columnar(columnar)
+        contracts = assignment.to_mapping(columnar)
         assert set(contracts) == {s.subject_id for s in population.subproblems}
 
     def test_priors_give_uniform_weights(self, population):
@@ -98,10 +102,12 @@ class TestAdaptivePolicy:
     def test_freeze_after_stops_learning(self, population, objective):
         policy = AdaptiveDynamicPolicy(mu=1.0, freeze_after=1)
         simulation = MarketplaceSimulation(population, objective, policy, seed=0)
+        ids = [s.subject_id for s in population.subproblems]
         simulation.run(1)
-        frozen = dict(policy.tracker._estimates)
+        frozen = [policy.tracker.estimate(s) for s in ids]
+        assert frozen != [policy.tracker.prior_deviation] * len(ids)
         simulation.run(3)
-        assert dict(policy.tracker._estimates) == frozen
+        assert [policy.tracker.estimate(s) for s in ids] == frozen
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -165,3 +171,114 @@ class TestEngineIntegration:
             assert outcome.feedback_weight == pytest.approx(
                 population.weights[subject_id]
             )
+
+
+class TestColumnarObservation:
+    def test_bulk_update_matches_scalar_ewma(self):
+        scalar = EwmaDeviationTracker(smoothing=0.3, prior_deviation=0.4)
+        bulk = EwmaDeviationTracker(smoothing=0.3, prior_deviation=0.4)
+        ids = ["a", "b", "c"]
+        slots = bulk.slots(ids)
+        for deviations in ([0.1, 2.5, 0.7], [1.9, 0.0, 0.3]):
+            for subject_id, deviation in zip(ids, deviations):
+                scalar.observe(subject_id, deviation)
+            bulk.observe_slots(slots, np.array(deviations))
+        for subject_id in ids:
+            assert bulk.estimate(subject_id) == scalar.estimate(subject_id)
+            assert bulk.n_observations(subject_id) == 2
+        with pytest.raises(SimulationError):
+            bulk.observe_slots(slots, np.array([0.1, -0.2, 0.3]))
+
+    def test_exclusion_forwards_feedback_to_inner_policy(
+        self, population, objective
+    ):
+        alone = AdaptiveDynamicPolicy(mu=1.0)
+        MarketplaceSimulation(population, objective, alone, seed=0).run(3)
+        wrapped = ExclusionPolicy(inner=AdaptiveDynamicPolicy(mu=1.0))
+        ledger = MarketplaceSimulation(
+            population, objective, wrapped, seed=0
+        ).run(3)
+        honest = population.subjects_of_type(WorkerType.HONEST)[0]
+        assert alone.tracker.n_observations(honest) == 3
+        assert wrapped.inner.tracker.n_observations(honest) == 3
+        outcome = ledger.records[-1].outcomes[honest]
+        assert outcome.policy_weight == pytest.approx(
+            wrapped.inner.current_weights(population)[honest]
+        )
+        # Excluded subjects are never observed.
+        malicious = population.subjects_of_type(
+            WorkerType.NONCOLLUSIVE_MALICIOUS
+        )[0]
+        assert wrapped.inner.tracker.n_observations(malicious) == 0
+
+    def test_streaming_run_learns_like_an_eager_one(self, population, objective):
+        eager = AdaptiveDynamicPolicy(mu=1.0)
+        streamed = AdaptiveDynamicPolicy(mu=1.0)
+        expected = MarketplaceSimulation(
+            population, objective, eager, seed=0
+        ).run(4)
+        ledger = MarketplaceSimulation(
+            population, objective, streamed, seed=0, ledger=StreamingLedger()
+        ).run(4)
+        assert ledger.utility_series().tolist() == expected.utility_series().tolist()
+        assert streamed.current_weights(population) == eager.current_weights(
+            population
+        )
+
+
+def _plant(population, factory, n_attackers):
+    attacker_ids = population.subjects_of_type(
+        WorkerType.NONCOLLUSIVE_MALICIOUS
+    )[:n_attackers]
+    for subject_id in attacker_ids:
+        old_agent = population.agents[subject_id]
+        population.agents[subject_id] = factory(subject_id, old_agent)
+    return attacker_ids
+
+
+def _camouflaged(subject_id, old):
+    return CamouflagedWorker(
+        worker_id=subject_id,
+        effort_function=old.effort_function,
+        beta=old.params.beta,
+        omega=0.5,
+        rating_bias=2.5,
+        attack_round=3,
+    )
+
+
+def _intermittent(subject_id, old):
+    return IntermittentWorker(
+        worker_id=subject_id,
+        effort_function=old.effort_function,
+        beta=old.params.beta,
+        omega=0.5,
+        rating_bias=2.5,
+        honest_rounds=2,
+        attack_rounds=1,
+        feedback_noise=0.2,
+    )
+
+
+@pytest.mark.parametrize(
+    "factory,attack_round",
+    [(_camouflaged, 6), (_intermittent, 2)],
+    ids=["camouflaged", "intermittent"],
+)
+def test_strategic_population_replays_clean_under_invariants(
+    population, objective, factory, attack_round, monkeypatch
+):
+    """An ext_camouflage-shaped run: planted strategic attackers under
+    the adaptive policy, every round replayed through the oracle."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    attacker_ids = _plant(population, factory, 4)
+    policy = AdaptiveDynamicPolicy(mu=1.0)
+    ledger = MarketplaceSimulation(population, objective, policy, seed=3).run(7)
+    assert ledger.n_rounds == 7
+    deviations = [
+        [record.outcomes[a].rating_deviation for a in attacker_ids]
+        for record in ledger.records
+    ]
+    # Honest-phase rounds carry no planted bias; attack rounds do.
+    assert max(deviations[0]) < 2.0
+    assert min(deviations[attack_round]) > 1.0

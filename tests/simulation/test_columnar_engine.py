@@ -1,8 +1,12 @@
-"""Columnar engine equivalence: `fast_columnar_step` / `legacy_columnar_step`.
+"""Columnar engine equivalence: `fast_columnar_step` against `legacy_step`.
 
-The contract is bit-identity: a `ColumnarPopulation` routed through
-either columnar kernel must produce the same ledger — every outcome
-field, every reduction — as the object-based engine on the same seed.
+Every simulation packs its population into columns and steps it through
+the one kernel; `legacy_step` over the packed population's lazy object
+views is the oracle.  The contract is bit-identity: a population packed
+by the simulation and one packed up front produce the same ledger —
+every outcome field, every reduction — and under
+``REPRO_CHECK_INVARIANTS=1`` every round of both is replayed through the
+oracle and compared exactly.
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.utility import RequesterObjective
-from repro.errors import SimulationError
 from repro.serving.pool import ColumnarDeltaState, ContractAssignment
 from repro.simulation import (
+    AdaptiveDynamicPolicy,
     DynamicContractPolicy,
     ExclusionPolicy,
     FixedPaymentPolicy,
@@ -22,14 +26,10 @@ from repro.simulation import (
     RetentionSimulation,
     SimulationLedger,
     StreamingLedger,
+    legacy_step,
     require_ledgers_agree,
 )
-from repro.simulation.engine import (
-    PaymentCache,
-    _payment_function,
-    fast_columnar_step,
-    legacy_columnar_step,
-)
+from repro.simulation.engine import fast_columnar_step
 from repro.workers import synthetic_population
 from repro.workers.columnar import ColumnarPopulation
 
@@ -47,65 +47,63 @@ def _columnar():
 
 
 POLICIES = [
-    ("dynamic", lambda: DynamicContractPolicy(mu=1.0, delta=False)),
-    ("dynamic-delta", lambda: DynamicContractPolicy(mu=1.0, delta=True)),
-    (
-        "exclusion",
-        lambda: ExclusionPolicy(DynamicContractPolicy(mu=1.0, delta=False)),
-    ),
+    ("dynamic", lambda: DynamicContractPolicy(mu=1.0)),
+    # Re-weights every round, so each design epoch has a real dirty set.
+    ("dynamic-delta", lambda: AdaptiveDynamicPolicy(mu=1.0)),
+    ("exclusion", lambda: ExclusionPolicy(DynamicContractPolicy(mu=1.0))),
     ("fixed", lambda: FixedPaymentPolicy(pay_per_member=0.4)),
 ]
 
 
-def _run(population, policy, fast_rounds, lagged=False, ledger=None, n=4):
+def _run(population, policy, lagged=False, ledger=None, n=4):
     simulation = MarketplaceSimulation(
         population,
         RequesterObjective(),
         policy,
         seed=7,
         lagged_payment=lagged,
-        fast_rounds=fast_rounds,
         ledger=ledger,
     )
     return simulation.run(n)
 
 
 @pytest.mark.parametrize("lagged", [False, True])
-@pytest.mark.parametrize("fast_rounds", [False, True])
+@pytest.mark.parametrize("invariants", [False, True])
 @pytest.mark.parametrize("name,policy_factory", POLICIES)
-def test_columnar_engine_bit_identical(name, policy_factory, fast_rounds, lagged):
-    reference = _run(_population(), policy_factory(), fast_rounds, lagged)
-    produced = _run(_columnar(), policy_factory(), fast_rounds, lagged)
+def test_columnar_engine_bit_identical(
+    name, policy_factory, invariants, lagged, monkeypatch
+):
+    if invariants:
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    reference = _run(_population(), policy_factory(), lagged)
+    produced = _run(_columnar(), policy_factory(), lagged)
     assert isinstance(reference, SimulationLedger)
     assert isinstance(produced, SimulationLedger)
     require_ledgers_agree(produced, reference)
 
 
 def test_columnar_cross_verified_under_invariants(monkeypatch):
-    """REPRO_CHECK_INVARIANTS replays every fast columnar round through
-    the legacy escape hatch and demands exact agreement."""
+    """REPRO_CHECK_INVARIANTS replays every round through the oracle and
+    demands exact agreement; the replay never perturbs the run."""
+    plain = _run(_columnar(), DynamicContractPolicy(mu=1.0), lagged=True)
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-    produced = _run(
-        _columnar(), DynamicContractPolicy(mu=1.0, delta=True), True, lagged=True
-    )
-    reference = _run(
-        _population(), DynamicContractPolicy(mu=1.0, delta=True), True, lagged=True
-    )
-    assert isinstance(produced, SimulationLedger)
-    assert isinstance(reference, SimulationLedger)
-    require_ledgers_agree(produced, reference)
+    checked = _run(_columnar(), DynamicContractPolicy(mu=1.0), lagged=True)
+    assert isinstance(plain, SimulationLedger)
+    assert isinstance(checked, SimulationLedger)
+    require_ledgers_agree(checked, plain)
 
 
 @pytest.mark.parametrize("redesign_every", [2, 3])
-def test_columnar_redesign_cadence(redesign_every):
+def test_columnar_redesign_cadence(redesign_every, monkeypatch):
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+
     def build(population):
         return MarketplaceSimulation(
             population,
             RequesterObjective(),
-            DynamicContractPolicy(mu=1.0, delta=False),
+            DynamicContractPolicy(mu=1.0),
             seed=7,
             redesign_every=redesign_every,
-            fast_rounds=True,
         )
 
     reference = build(_population()).run(5)
@@ -115,8 +113,13 @@ def test_columnar_redesign_cadence(redesign_every):
     require_ledgers_agree(produced, reference)
 
 
-@pytest.mark.parametrize("fast_rounds", [False, True])
-def test_columnar_retention_matches_object_path(fast_rounds):
+@pytest.mark.parametrize("invariants", [False, True])
+def test_columnar_retention_matches_object_path(invariants, monkeypatch):
+    """Departures follow the realized columns; with invariants on, each
+    round is also checked against the object loop over the lazy views."""
+    if invariants:
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+
     def build(population):
         return RetentionSimulation(
             population,
@@ -124,7 +127,6 @@ def test_columnar_retention_matches_object_path(fast_rounds):
             FixedPaymentPolicy(pay_per_member=0.05),
             retention=RetentionModel(reservation_utility=0.2, patience=2),
             seed=5,
-            fast_rounds=fast_rounds,
         )
 
     reference_sim = build(_population())
@@ -135,27 +137,25 @@ def test_columnar_retention_matches_object_path(fast_rounds):
     assert isinstance(reference, SimulationLedger)
     require_ledgers_agree(produced, reference)
     assert produced_sim.departed == reference_sim.departed
+    assert produced_sim.departed
     assert produced_sim.retention_rate() == reference_sim.retention_rate()
 
 
-def test_streaming_ledger_rejects_adaptive_policies():
-    from repro.simulation import AdaptiveDynamicPolicy
-
-    population = _population()
-    policy = AdaptiveDynamicPolicy(mu=1.0)
-    with pytest.raises(SimulationError, match="observe"):
-        MarketplaceSimulation(
-            population,
-            RequesterObjective(),
-            policy,
-            ledger=StreamingLedger(),
-        )
+def test_streaming_ledger_accepts_adaptive_policies():
+    """Adaptive policies observe the result columns, so a streaming run
+    learns exactly what an eager one does."""
+    eager = _run(_population(), AdaptiveDynamicPolicy(mu=1.0))
+    streamed = _run(
+        _population(), AdaptiveDynamicPolicy(mu=1.0), ledger=StreamingLedger()
+    )
+    assert isinstance(streamed, StreamingLedger)
+    assert streamed.utility_series().tolist() == eager.utility_series().tolist()
 
 
 class TestColumnarDeltaState:
     def test_first_epoch_solves_everything(self):
         columnar = _columnar()
-        policy = DynamicContractPolicy(mu=1.0, delta=True)
+        policy = DynamicContractPolicy(mu=1.0)
         assignment = policy.contracts_columnar(columnar)
         stats = policy.redesign_stats()
         assert isinstance(assignment, ContractAssignment)
@@ -165,7 +165,7 @@ class TestColumnarDeltaState:
 
     def test_unchanged_population_reuses_all(self):
         columnar = _columnar()
-        policy = DynamicContractPolicy(mu=1.0, delta=True)
+        policy = DynamicContractPolicy(mu=1.0)
         first = policy.contracts_columnar(columnar)
         second = policy.contracts_columnar(columnar)
         stats = policy.redesign_stats()
@@ -178,7 +178,7 @@ class TestColumnarDeltaState:
 
     def test_single_subject_mutation_dirties_one_archetype(self):
         columnar = _columnar()
-        policy = DynamicContractPolicy(mu=1.0, delta=True)
+        policy = DynamicContractPolicy(mu=1.0)
         policy.contracts_columnar(columnar)
         weights = columnar.design_weight.copy()
         row = 0
@@ -194,8 +194,8 @@ class TestColumnarDeltaState:
     def test_delta_state_is_consistent_with_fresh_solve(self):
         columnar_a = _columnar()
         columnar_b = _columnar()
-        delta_policy = DynamicContractPolicy(mu=1.0, delta=True)
-        fresh_policy = DynamicContractPolicy(mu=1.0, delta=False)
+        delta_policy = DynamicContractPolicy(mu=1.0)
+        fresh_policy = DynamicContractPolicy(mu=1.0)
         delta_policy.contracts_columnar(columnar_a)
         reused = delta_policy.contracts_columnar(columnar_a)
         fresh = fresh_policy.contracts_columnar(columnar_b)
@@ -208,67 +208,72 @@ class TestColumnarDeltaState:
                 == contract.content_key()
             )
 
+    def test_state_keeps_only_the_previous_epoch(self):
+        """Designs never seen again are dropped: the state holds one
+        epoch's archetypes however many epochs it absorbed, while a
+        subject returning to an archetype the previous epoch held still
+        reuses its design."""
+        columnar = _columnar()
+        policy = DynamicContractPolicy(mu=1.0)
+        policy.contracts_columnar(columnar)
+        # A mover whose base archetype keeps other members.
+        mover = int(np.argmax(np.bincount(columnar.archetype_codes)[
+            columnar.archetype_codes
+        ]))
+        base = columnar.design_weight.copy()
+        for epoch in range(6):
+            weights = base.copy()
+            weights[mover] = 10.0 + epoch  # a never-seen weight each epoch
+            columnar.update_design_columns(design_weight=weights)
+            policy.contracts_columnar(columnar)
+            assert policy.redesign_stats().n_dirty == 1
+            assert len(policy._delta._solutions) == columnar.n_archetypes
+        columnar.update_design_columns(design_weight=base)
+        policy.contracts_columnar(columnar)
+        # The mover returns to its base archetype, which every epoch held.
+        assert policy.redesign_stats().n_dirty == 0
+
     def test_resolve_requires_columnar_population(self):
         state = ColumnarDeltaState()
         assert state.last_stats is None
 
 
-class TestPaymentCacheContentKey:
-    def test_value_equal_contract_hits_cache(self):
-        """Satellite regression: delta-reused contracts are rebuilt as
-        new objects; the payment cache must hit on content, not `is`."""
+class TestPayFunctionMemo:
+    def test_each_contract_builds_its_pay_function_once(self):
         columnar = _columnar()
-        policy = DynamicContractPolicy(mu=1.0, delta=False)
-        first = policy.contracts_columnar(columnar).contracts[0]
-        second = policy.contracts_columnar(columnar).contracts[0]
-        assert first is not second
-        assert first.content_key() == second.content_key()
-        cache = PaymentCache()
-        function_first = _payment_function(first, "@contract:0", cache)
-        function_second = _payment_function(second, "@contract:0", cache)
-        assert function_second is function_first
-        # The content hit refreshed the stored object: identity now hits.
-        entry = cache.get("@contract:0")
-        assert entry is not None and entry[0] is second
-
-    def test_different_contract_misses_cache(self):
-        columnar = _columnar()
-        assignment = DynamicContractPolicy(mu=1.0).contracts_columnar(columnar)
-        contracts = assignment.contracts
+        contracts = DynamicContractPolicy(mu=1.0).contracts_columnar(
+            columnar
+        ).contracts
         assert len(contracts) >= 2
-        cache = PaymentCache()
-        function_a = _payment_function(contracts[0], "@contract:0", cache)
-        function_b = _payment_function(contracts[1], "@contract:0", cache)
-        assert function_a is not function_b
-        entry = cache.get("@contract:0")
-        assert entry is not None and entry[0] is contracts[1]
+        functions = [contract.as_feedback_function() for contract in contracts]
+        for contract, function in zip(contracts, functions):
+            assert contract.as_feedback_function() is function
+            assert contract.pay_for_feedback(1.0) == function(1.0)
+        assert functions[0] is not functions[1]
 
-    def test_cross_round_cache_reuse_in_simulation(self):
-        """A no-delta dynamic run redesigns every round with value-equal
-        contracts; the engine-level payment cache must keep hitting."""
+    def test_memo_survives_rounds_and_stays_out_of_pickles(self):
+        import pickle
+
         simulation = MarketplaceSimulation(
-            _columnar(),
-            RequesterObjective(),
-            DynamicContractPolicy(mu=1.0, delta=False),
-            seed=7,
-            fast_rounds=True,
+            _columnar(), RequesterObjective(), DynamicContractPolicy(mu=1.0), seed=7
         )
         simulation.step()
-        cache = simulation._payment_cache
-        functions_before = {
-            key: cache.get(key)[1] for key in cache.keys()
-        }
-        assert functions_before
+        contract = simulation._assignment.contracts[0]
+        function = contract.as_feedback_function()
         simulation.step()
-        for key, function in functions_before.items():
-            entry = cache.get(key)
-            assert entry is not None and entry[1] is function
+        # The delta redesign reposts the same object; its function stays.
+        assert simulation._assignment.contracts[0] is contract
+        assert contract.as_feedback_function() is function
+        copy = pickle.loads(pickle.dumps(contract))
+        assert "_feedback_function" not in copy.__dict__
+        assert copy == contract
 
 
 def test_kernel_signatures_cover_escape_hatch():
-    """Both columnar kernels agree on one hand-built round."""
+    """The kernel agrees with the reference loop over the lazy views on
+    one hand-built round."""
     columnar = _columnar()
-    policy = DynamicContractPolicy(mu=1.0, delta=False)
+    policy = DynamicContractPolicy(mu=1.0)
     assignment = policy.contracts_columnar(columnar)
     excluded = np.zeros(columnar.n_subjects, dtype=bool)
     excluded[2] = True
@@ -278,8 +283,15 @@ def test_kernel_signatures_cover_escape_hatch():
     result = fast_columnar_step(
         columnar, assignment, excluded, previous, False, rng_fast
     )
-    reference = legacy_columnar_step(
-        columnar, assignment, excluded, policy, None, {}, False, rng_legacy
+    reference = legacy_step(
+        columnar,
+        assignment.to_mapping(columnar),
+        {columnar.subject_id(2)},
+        policy,
+        None,
+        {},
+        False,
+        rng_legacy,
     )
     assert result.benefit == reference.benefit
     assert result.total_compensation == reference.total_compensation
@@ -289,3 +301,36 @@ def test_kernel_signatures_cover_escape_hatch():
         assert result.efforts[row] == outcome.effort
         assert result.feedback[row] == outcome.feedback
         assert result.compensation[row] == outcome.compensation
+
+
+def test_shared_contract_objects_share_one_code(monkeypatch):
+    """Archetypes posted one contract object are solved and paid once:
+    the kernel groups by contract object, not by archetype code."""
+    calls = []
+    respond_unique = ColumnarPopulation.respond_unique
+
+    def counting(self, contracts, contract_codes, rows, cache=None):
+        calls.append(np.unique(contract_codes).size)
+        return respond_unique(self, contracts, contract_codes, rows, cache)
+
+    monkeypatch.setattr(ColumnarPopulation, "respond_unique", counting)
+    columnar = _columnar()
+    assignment = DynamicContractPolicy(mu=1.0).contracts_columnar(columnar)
+    doubled = ContractAssignment(
+        contracts=assignment.contracts + assignment.contracts,
+        codes=assignment.codes + len(assignment.contracts) * (
+            np.arange(columnar.n_subjects) % 2
+        ),
+    )
+    excluded = np.zeros(columnar.n_subjects, dtype=bool)
+    doubled_result = fast_columnar_step(
+        columnar, doubled, excluded, np.zeros(columnar.n_subjects), False,
+        np.random.default_rng(3),
+    )
+    plain_result = fast_columnar_step(
+        columnar, assignment, excluded, np.zeros(columnar.n_subjects), False,
+        np.random.default_rng(3),
+    )
+    assert calls[0] == calls[1] == len(set(map(id, assignment.contracts)))
+    assert np.array_equal(doubled_result.compensation, plain_result.compensation)
+    assert doubled_result.benefit == plain_result.benefit

@@ -57,7 +57,7 @@ class TestNoisyFeedback:
             noisy_population, objective, DynamicContractPolicy(mu=1.0), seed=1
         )
         record = simulation.step()
-        contracts = simulation._contracts
+        contracts = simulation._assignment.to_mapping(simulation.population)
         for subject_id, outcome in record.outcomes.items():
             if outcome.excluded:
                 continue
@@ -74,9 +74,9 @@ class TestRedesignCadence:
                 super().__init__(pay_per_member=1.0)
                 self.calls = 0
 
-            def contracts(self, population):
+            def contracts_columnar(self, population):
                 self.calls += 1
-                return super().contracts(population)
+                return super().contracts_columnar(population)
 
         policy = CountingPolicy()
         MarketplaceSimulation(
@@ -93,9 +93,9 @@ class TestRedesignCadence:
                 super().__init__(pay_per_member=1.0)
                 self.calls = 0
 
-            def contracts(self, population):
+            def contracts_columnar(self, population):
                 self.calls += 1
-                return super().contracts(population)
+                return super().contracts_columnar(population)
 
         policy = CountingPolicy()
         MarketplaceSimulation(

@@ -1,9 +1,12 @@
-"""The fast round kernel is bit-identical to the legacy loop.
+"""The columnar round kernel is bit-identical to the legacy loop.
 
-``require_ledgers_agree`` (exact equality, no tolerance) across every
-policy shape, payment timing, and — via hypothesis — random populations,
-seeds and cadences.  A failure here means the vectorized kernel skewed
-the draw stream, reordered a reduction, or dropped a subject.
+Runs under ``REPRO_CHECK_INVARIANTS=1`` replay every round through
+``legacy_step`` over the lazy object views and compare exactly
+(``require_steps_agree``, no tolerance), and their ledgers must equal
+the unchecked runs' (``require_ledgers_agree``) — across every policy
+shape, payment timing, and — via hypothesis — random populations, seeds
+and cadences.  A failure here means the kernel skewed the draw stream,
+reordered a reduction, or dropped a subject.
 """
 
 from __future__ import annotations
@@ -28,18 +31,23 @@ from repro.simulation import (
 from repro.workers import synthetic_population
 
 
-def _ledger(population, policy, fast_rounds, lagged=False, n_rounds=4,
+def _ledger(population, policy, checked, lagged=False, n_rounds=4,
             redesign_every=1, seed=7):
-    simulation = MarketplaceSimulation(
-        population,
-        RequesterObjective(),
-        policy,
-        seed=seed,
-        redesign_every=redesign_every,
-        lagged_payment=lagged,
-        fast_rounds=fast_rounds,
-    )
-    return simulation.run(n_rounds)
+    """A run's ledger; ``checked`` replays every round through the oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        if checked:
+            patch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        else:
+            patch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        simulation = MarketplaceSimulation(
+            population,
+            RequesterObjective(),
+            policy,
+            seed=seed,
+            redesign_every=redesign_every,
+            lagged_payment=lagged,
+        )
+        return simulation.run(n_rounds)
 
 
 def _policies():
@@ -69,15 +77,17 @@ def test_retention_departures_match():
         25, n_archetypes=4, seed=6, feedback_noise=0.25
     )
 
-    def run(fast_rounds):
-        simulation = RetentionSimulation(
-            population,
-            RequesterObjective(),
-            FixedPaymentPolicy(pay_per_member=0.05),
-            seed=3,
-            fast_rounds=fast_rounds,
-        )
-        ledger = simulation.run(5)
+    def run(checked):
+        with pytest.MonkeyPatch.context() as patch:
+            if checked:
+                patch.setenv("REPRO_CHECK_INVARIANTS", "1")
+            simulation = RetentionSimulation(
+                population,
+                RequesterObjective(),
+                FixedPaymentPolicy(pay_per_member=0.05),
+                seed=3,
+            )
+            ledger = simulation.run(5)
         return ledger, simulation.departed
 
     fast, fast_departed = run(True)
@@ -136,7 +146,7 @@ def test_fast_step_equals_legacy_step_property(
     redesign_every,
     policy_index,
 ):
-    """Property: fast and legacy ledgers are equal over random setups."""
+    """Property: the kernel equals the legacy loop over random setups."""
     population = synthetic_population(
         n_subjects,
         n_archetypes=max(2, n_subjects // 3),
@@ -159,8 +169,8 @@ def test_fast_step_equals_legacy_step_property(
 
 
 def test_invariants_cross_check_runs_every_fast_round(monkeypatch):
-    """Under REPRO_CHECK_INVARIANTS=1 the fast engine replays the legacy
-    kernel in-line; a full run passing means every round verified."""
+    """Under REPRO_CHECK_INVARIANTS=1 the engine replays the legacy loop
+    in-line; a full run passing means every round verified."""
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     population = synthetic_population(
         12, n_archetypes=3, seed=2, feedback_noise=0.4

@@ -38,7 +38,7 @@ class TestLaggedPayment:
             lagged_payment=True,
         )
         record = simulation.step()
-        contracts = simulation._contracts
+        contracts = simulation._assignment.to_mapping(simulation.population)
         for subject_id, outcome in record.outcomes.items():
             if outcome.excluded:
                 continue
@@ -57,7 +57,7 @@ class TestLaggedPayment:
         )
         first = simulation.step()
         second = simulation.step()
-        contracts = simulation._contracts
+        contracts = simulation._assignment.to_mapping(simulation.population)
         for subject_id, outcome in second.outcomes.items():
             if outcome.excluded:
                 continue

@@ -37,7 +37,7 @@ from repro.simulation.parallel import (
     parallel_columnar_step,
     require_parallel_steps_agree,
 )
-from repro.workers import synthetic_population
+from repro.workers import CamouflagedWorker, synthetic_population
 from repro.workers.columnar import ColumnarPopulation, synthetic_columnar
 
 N_SUBJECTS = 97
@@ -65,7 +65,7 @@ def _columnar(n_subjects: int = N_SUBJECTS, seed: int = SEED) -> ColumnarPopulat
 
 
 def _round_inputs(columnar: ColumnarPopulation):
-    assignment = DynamicContractPolicy(mu=1.0, delta=False).contracts_columnar(
+    assignment = DynamicContractPolicy(mu=1.0).contracts_columnar(
         columnar
     )
     excluded = np.zeros(columnar.n_subjects, dtype=bool)
@@ -179,10 +179,9 @@ def _simulation(population, round_workers=None):
     return MarketplaceSimulation(
         population,
         RequesterObjective(),
-        DynamicContractPolicy(mu=1.0, delta=False),
+        DynamicContractPolicy(mu=1.0),
         seed=7,
         lagged_payment=True,
-        fast_rounds=True,
         round_workers=round_workers,
     )
 
@@ -205,15 +204,15 @@ def test_simulation_round_workers_bit_identical(monkeypatch):
 
 
 def test_simulation_round_workers_matches_object_path():
-    """The sharded engine agrees with the object-based population too."""
+    """The sharded engine on a pre-packed population agrees with the
+    sequential engine on the object population it was packed from."""
     reference = MarketplaceSimulation(
         synthetic_population(
             n_subjects=14, n_archetypes=5, seed=SEED, feedback_noise=0.3
         ),
         RequesterObjective(),
-        DynamicContractPolicy(mu=1.0, delta=False),
+        DynamicContractPolicy(mu=1.0),
         seed=7,
-        fast_rounds=True,
     ).run(4)
     columnar = ColumnarPopulation.from_population(
         synthetic_population(
@@ -229,9 +228,8 @@ def _simulation_context(population, round_workers):
     simulation = MarketplaceSimulation(
         population,
         RequesterObjective(),
-        DynamicContractPolicy(mu=1.0, delta=False),
+        DynamicContractPolicy(mu=1.0),
         seed=7,
-        fast_rounds=True,
         round_workers=round_workers,
     )
     return simulation
@@ -345,6 +343,16 @@ def test_engine_validates_arguments():
         ParallelRoundEngine(_columnar(n_subjects=4), n_workers=0)
     with pytest.raises(SimulationError, match="round_workers"):
         _simulation(_columnar(n_subjects=4), round_workers=0)
+    population = synthetic_population(n_subjects=6, n_archetypes=2, seed=0)
+    subject_id = population.subproblems[0].subject_id
+    agent = population.agents[subject_id]
+    population.agents[subject_id] = CamouflagedWorker(
+        worker_id=subject_id,
+        effort_function=agent.effort_function,
+        beta=agent.params.beta,
+    )
+    with pytest.raises(SimulationError, match="phase"):
+        _simulation(population, round_workers=2)
 
 
 def test_more_workers_than_subjects_clamps():

@@ -15,6 +15,7 @@ from repro.simulation import (
 )
 from repro.types import RequesterParameters, WorkerType
 from repro.workers import build_population
+from repro.workers.columnar import ColumnarPopulation
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +32,22 @@ def population(request):
     )
 
 
+@pytest.fixture(scope="module")
+def columnar(population):
+    return ColumnarPopulation.from_population(population)
+
+
 @pytest.fixture()
 def objective():
     return RequesterObjective(RequesterParameters(mu=1.0))
 
 
 class TestDynamicPolicy:
-    def test_contracts_for_every_subject(self, population):
+    def test_contracts_for_every_subject(self, population, columnar):
         policy = DynamicContractPolicy(mu=1.0)
-        contracts = policy.contracts(population)
+        contracts = policy.contracts_columnar(columnar).to_mapping(columnar)
         assert set(contracts) == {s.subject_id for s in population.subproblems}
-        assert policy.excluded_subjects(population) == set()
+        assert not policy.excluded_mask(columnar).any()
 
     def test_rejects_bad_mu(self):
         with pytest.raises(SimulationError):
@@ -49,17 +55,20 @@ class TestDynamicPolicy:
 
 
 class TestExclusionPolicy:
-    def test_excludes_malicious_subjects(self, population):
+    def test_excludes_malicious_subjects(self, population, columnar):
         policy = ExclusionPolicy(inner=DynamicContractPolicy(mu=1.0))
-        excluded = policy.excluded_subjects(population)
+        mask = policy.excluded_mask(columnar)
+        excluded = {
+            columnar.subject_id(int(row)) for row in np.flatnonzero(mask)
+        }
         malicious = set(
             population.subjects_of_type(WorkerType.NONCOLLUSIVE_MALICIOUS)
         ) | set(population.subjects_of_type(WorkerType.COLLUSIVE_MALICIOUS))
         assert excluded >= malicious
         honest = set(population.subjects_of_type(WorkerType.HONEST))
-        contracts = policy.contracts(population)
+        contracts = policy.contracts_columnar(columnar).to_mapping(columnar)
         assert set(contracts).isdisjoint(excluded)
-        assert set(contracts) <= honest | excluded | set(contracts)
+        assert set(contracts) == honest - excluded
 
     def test_threshold_validated(self):
         with pytest.raises(SimulationError):
@@ -67,9 +76,9 @@ class TestExclusionPolicy:
 
 
 class TestFixedPolicy:
-    def test_flat_pay_scaled_by_members(self, population):
+    def test_flat_pay_scaled_by_members(self, population, columnar):
         policy = FixedPaymentPolicy(pay_per_member=1.5)
-        contracts = policy.contracts(population)
+        contracts = policy.contracts_columnar(columnar).to_mapping(columnar)
         for subproblem in population.subproblems:
             contract = contracts[subproblem.subject_id]
             expected = 1.5 * len(subproblem.member_ids)
@@ -97,12 +106,14 @@ class TestEngine:
         series = ledger.utility_series()
         assert series[0] == pytest.approx(series[1])
 
-    def test_excluded_subjects_idle(self, population, objective):
+    def test_excluded_subjects_idle(self, population, columnar, objective):
         policy = ExclusionPolicy(inner=DynamicContractPolicy(mu=1.0))
         simulation = MarketplaceSimulation(population, objective, policy, seed=0)
         record = simulation.step()
-        for subject_id in policy.excluded_subjects(population):
-            outcome = record.outcomes[subject_id]
+        excluded = np.flatnonzero(policy.excluded_mask(columnar))
+        assert excluded.size
+        for row in excluded:
+            outcome = record.outcomes[columnar.subject_id(int(row))]
             assert outcome.excluded
             assert outcome.compensation == 0.0
             assert outcome.effort == 0.0

@@ -1,12 +1,13 @@
 """Seed-reproducibility regression: the engine's RNG draw order is pinned.
 
 The contract (documented in docs/PERFORMANCE.md and relied on for the
-fast/legacy bit-identity): per round, subjects are visited in
+kernel/oracle bit-identity): per round, subjects are visited in
 ``population.subproblems`` order; each active subject consumes its
 feedback-noise draw first, then its rating-deviation draw; agents with a
 zero noise scale consume nothing for that draw, and excluded subjects
 consume nothing at all.  These tests replay the stream with a fresh
-generator and reconstruct every realized value, for both round kernels.
+generator and reconstruct every realized value — for the columnar
+kernel, its sharded front end, and with the oracle replay switched on.
 """
 
 from __future__ import annotations
@@ -85,15 +86,20 @@ def _mixed_population() -> PopulationModel:
     )
 
 
-def _run(population, policy, fast_rounds, n_rounds=3):
-    simulation = MarketplaceSimulation(
-        population,
-        RequesterObjective(),
-        policy,
-        seed=SEED,
-        fast_rounds=fast_rounds,
-    )
-    return simulation.run(n_rounds)
+def _run(population, policy, invariants=False, round_workers=None, n_rounds=3):
+    """A run; ``invariants`` also replays each round through the oracle
+    from a cloned generator, which must leave the real stream alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        if invariants:
+            patch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        with MarketplaceSimulation(
+            population,
+            RequesterObjective(),
+            policy,
+            seed=SEED,
+            round_workers=round_workers,
+        ) as simulation:
+            return simulation.run(n_rounds)
 
 
 def _replay_and_check(population, ledger, excluded=frozenset()):
@@ -124,50 +130,58 @@ def _replay_and_check(population, ledger, excluded=frozenset()):
                 assert outcome.rating_deviation == abs(agent.rating_bias_now)
 
 
-@pytest.mark.parametrize("fast_rounds", [False, True])
-def test_draw_order_all_active(fast_rounds):
+@pytest.mark.parametrize("invariants", [False, True])
+def test_draw_order_all_active(invariants):
     """Feedback-then-rating per subject, subjects in population order."""
     population = _mixed_population()
-    ledger = _run(population, DynamicContractPolicy(mu=1.0), fast_rounds)
+    ledger = _run(population, DynamicContractPolicy(mu=1.0), invariants)
     _replay_and_check(population, ledger)
 
 
-@pytest.mark.parametrize("fast_rounds", [False, True])
-def test_excluded_subjects_consume_no_draws(fast_rounds):
+@pytest.mark.parametrize("invariants", [False, True])
+def test_excluded_subjects_consume_no_draws(invariants):
     """Excluding the malicious half must not shift the honest draws."""
     population = _mixed_population()
     ledger = _run(
         population,
         ExclusionPolicy(DynamicContractPolicy(mu=1.0)),
-        fast_rounds,
+        invariants,
     )
     _replay_and_check(population, ledger, excluded={"s3", "s4"})
 
 
 def test_same_seed_same_ledger_across_kernels():
-    """Both kernels consume the identical stream: equal seeds, equal bits."""
-    fast = _run(_mixed_population(), DynamicContractPolicy(mu=1.0), True)
-    legacy = _run(_mixed_population(), DynamicContractPolicy(mu=1.0), False)
-    for produced, reference in zip(fast.records, legacy.records):
+    """The sequential and the sharded kernel consume the identical
+    stream: equal seeds, equal bits."""
+    sequential = _run(_mixed_population(), DynamicContractPolicy(mu=1.0))
+    sharded = _run(
+        _mixed_population(), DynamicContractPolicy(mu=1.0), round_workers=2
+    )
+    for produced, reference in zip(sharded.records, sequential.records):
         assert produced.outcomes == reference.outcomes
         assert produced.benefit == reference.benefit
         assert produced.total_compensation == reference.total_compensation
 
 
-@pytest.mark.parametrize("fast_rounds", [False, True])
-def test_columnar_kernels_consume_pinned_stream(fast_rounds):
-    """The columnar kernels replay the identical pinned draw order.
+@pytest.mark.parametrize("sharded", [False, True])
+def test_columnar_kernels_consume_pinned_stream(sharded):
+    """Both columnar kernels replay the identical pinned draw order.
 
-    ``fast_columnar_step`` lays out draw slots from the noise columns
-    and ``legacy_columnar_step`` forwards the generator through the lazy
-    views; both must reconstruct from a fresh generator exactly like the
-    object kernels do.
+    ``fast_columnar_step`` lays out draw slots from the noise columns;
+    ``parallel_columnar_step`` draws the same block in the coordinator
+    and slices it per shard.  Both must reconstruct from a fresh
+    generator exactly like the reference loop does, whether the
+    population was packed up front or by the simulation.
     """
     from repro.workers.columnar import ColumnarPopulation
 
     population = _mixed_population()
     columnar = ColumnarPopulation.from_population(_mixed_population())
-    ledger = _run(columnar, DynamicContractPolicy(mu=1.0), fast_rounds)
+    ledger = _run(
+        columnar,
+        DynamicContractPolicy(mu=1.0),
+        round_workers=2 if sharded else None,
+    )
     _replay_and_check(population, ledger)
 
 
@@ -175,10 +189,10 @@ def test_draw_order_manifest_matches_kernels():
     """analysis/draw_order.toml pins exactly what the kernels consume.
 
     This is the regression test the manifest names (REPRO011): the
-    statically extracted generator-consuming call sites of ``fast_step``
-    and ``legacy_step`` must equal the manifested sequences, so a new or
-    reordered ``rng.*`` draw cannot land without editing the manifest —
-    and this file — in the same commit.
+    statically extracted generator-consuming call sites of the kernels
+    must equal the manifested sequences, so a new or reordered ``rng.*``
+    draw cannot land without editing the manifest — and this file — in
+    the same commit.
     """
     import ast
     import inspect
@@ -186,12 +200,7 @@ def test_draw_order_manifest_matches_kernels():
 
     import repro.analysis as analysis_pkg
     from repro.analysis.flow import extract_draw_order, load_manifest
-    from repro.simulation.engine import (
-        fast_columnar_step,
-        fast_step,
-        legacy_columnar_step,
-        legacy_step,
-    )
+    from repro.simulation.engine import fast_columnar_step, legacy_step
     from repro.simulation.parallel import parallel_columnar_step
 
     manifest = load_manifest(
@@ -199,31 +208,26 @@ def test_draw_order_manifest_matches_kernels():
     )
     assert manifest.regression_test == "tests/simulation/test_rng_order.py"
 
-    for kernel, key in [
-        (fast_step, "simulation/engine.py::fast_step"),
+    kernels = [
         (legacy_step, "simulation/engine.py::legacy_step"),
         (fast_columnar_step, "simulation/engine.py::fast_columnar_step"),
-        (legacy_columnar_step, "simulation/engine.py::legacy_columnar_step"),
         (parallel_columnar_step, "simulation/parallel.py::parallel_columnar_step"),
-    ]:
+    ]
+    assert set(manifest.kernels) == {key for _, key in kernels}
+    for kernel, key in kernels:
         node = ast.parse(inspect.getsource(kernel)).body[0]
         extracted = tuple(site.name for site in extract_draw_order(node))
         assert extracted == manifest.kernels[key], key
 
-    # The engine draws exactly these shapes: the fast kernels one
-    # stacked standard-normal block per round; legacy_step a forwarded
-    # feedback draw then a forwarded rating draw per subject; the
-    # columnar escape hatch forwards the generator whole.
-    assert manifest.kernels["simulation/engine.py::fast_step"] == ("standard_normal",)
+    # The engine draws exactly these shapes: the kernel one stacked
+    # standard-normal block per round; legacy_step a forwarded feedback
+    # draw then a forwarded rating draw per subject.
     assert manifest.kernels["simulation/engine.py::legacy_step"] == (
         "realize_feedback",
         "rating_deviation",
     )
     assert manifest.kernels["simulation/engine.py::fast_columnar_step"] == (
         "standard_normal",
-    )
-    assert manifest.kernels["simulation/engine.py::legacy_columnar_step"] == (
-        "legacy_step",
     )
     # The sharded front end draws the same single block in the
     # coordinator; shards consume pre-drawn slices, never a generator.

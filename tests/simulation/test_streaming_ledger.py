@@ -37,7 +37,7 @@ def _run_pair(n_subjects, seed, n_rounds, lagged, spill_path=None):
         )
 
     def policy():
-        return DynamicContractPolicy(mu=1.0, delta=False)
+        return DynamicContractPolicy(mu=1.0)
 
     eager = MarketplaceSimulation(
         population(),
@@ -45,7 +45,6 @@ def _run_pair(n_subjects, seed, n_rounds, lagged, spill_path=None):
         policy(),
         seed=seed,
         lagged_payment=lagged,
-        fast_rounds=True,
     ).run(n_rounds)
     spill = OutcomeSpill(spill_path) if spill_path is not None else None
     streaming = StreamingLedger(spill=spill)
@@ -55,7 +54,6 @@ def _run_pair(n_subjects, seed, n_rounds, lagged, spill_path=None):
         policy(),
         seed=seed,
         lagged_payment=lagged,
-        fast_rounds=True,
         ledger=streaming,
     ).run(n_rounds)
     assert isinstance(eager, SimulationLedger)
@@ -161,7 +159,6 @@ def test_object_mode_absorption():
         RequesterObjective(),
         FixedPaymentPolicy(pay_per_member=0.4),
         seed=2,
-        fast_rounds=True,
     )
     eager = eager_sim.run(4)
     assert isinstance(eager, SimulationLedger)

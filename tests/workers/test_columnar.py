@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decomposition import Subproblem
 from repro.core.effort import QuadraticEffort
 from repro.errors import ModelError
 from repro.types import WorkerParameters, WorkerType
+from repro.simulation import DynamicContractPolicy
 from repro.workers import (
     CamouflagedWorker,
     CollusiveCommunity,
     HonestWorker,
+    IntermittentWorker,
     synthetic_population,
 )
 from repro.workers.columnar import (
@@ -116,7 +120,7 @@ def test_synthetic_columnar_matches_object_builder():
         )
 
 
-def test_strategic_agents_are_rejected():
+def test_strategic_agents_pack_as_phase_rows():
     population = _population()
     subject_id = population.subproblems[0].subject_id
     agent = population.agents[subject_id]
@@ -128,8 +132,93 @@ def test_strategic_agents_are_rejected():
         rating_bias=2.0,
         attack_round=3,
     )
-    with pytest.raises(ModelError, match="strategic"):
+    columnar = ColumnarPopulation.from_population(population)
+    assert columnar.phases is not None
+    assert columnar.phases.rows.tolist() == [0]
+    # Design columns keep the subproblem; behaviour starts honest.
+    assert columnar.omega[0] == population.subproblems[0].params.omega
+    assert columnar.act_omega[0] == 0.0
+    assert columnar.rating_bias[0] == 0.0
+    assert not columnar.behaviour_at(2)
+    assert columnar.behaviour_at(3)
+    assert columnar.act_omega[0] == 0.5
+    assert columnar.rating_bias[0] == 2.0
+    assert not columnar.behaviour_at(9)
+    # The stationary rows never move.
+    assert np.array_equal(columnar.act_omega[1:], columnar.omega[1:])
+
+    population.agents[subject_id] = CamouflagedWorker(
+        worker_id=subject_id,
+        effort_function=agent.effort_function,
+        beta=agent.params.beta + 0.5,
+    )
+    with pytest.raises(ModelError, match="beta"):
         ColumnarPopulation.from_population(population)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    round_index=st.integers(min_value=0, max_value=40),
+    attack_round=st.integers(min_value=0, max_value=12),
+    honest_rounds=st.integers(min_value=1, max_value=4),
+    attack_rounds=st.integers(min_value=1, max_value=4),
+    omega=st.floats(min_value=0.05, max_value=2.0),
+    bias=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_behaviour_at_matches_on_round(
+    round_index, attack_round, honest_rounds, attack_rounds, omega, bias
+):
+    """A packed strategic row after ``behaviour_at(r)`` acts exactly like
+    its agent after ``on_round(r)``: same params, same current rating
+    bias, same best response — through the lazy agent and the kernel."""
+    population = _population(n=8, feedback_noise=0.0)
+    ids = [s.subject_id for s in population.subproblems]
+    references = {}
+    for index, factory in enumerate(
+        (
+            lambda sid, old: CamouflagedWorker(
+                worker_id=sid,
+                effort_function=old.effort_function,
+                beta=old.params.beta,
+                omega=omega,
+                rating_bias=bias,
+                attack_round=attack_round,
+            ),
+            lambda sid, old: IntermittentWorker(
+                worker_id=sid,
+                effort_function=old.effort_function,
+                beta=old.params.beta,
+                omega=omega,
+                rating_bias=bias,
+                honest_rounds=honest_rounds,
+                attack_rounds=attack_rounds,
+            ),
+        )
+    ):
+        subject_id = ids[index]
+        population.agents[subject_id] = factory(
+            subject_id, population.agents[subject_id]
+        )
+        references[subject_id] = factory(subject_id, population.agents[subject_id])
+    columnar = ColumnarPopulation.from_population(population)
+    columnar.behaviour_at(round_index)
+    assignment = DynamicContractPolicy(mu=1.0).contracts_columnar(columnar)
+    for subject_id, reference in references.items():
+        reference.on_round(round_index)
+        row = columnar.index_of(subject_id)
+        lazy = columnar.agents[subject_id]
+        assert lazy.params == reference.params
+        assert lazy.rating_bias_now == reference.rating_bias_now
+        assert columnar.rating_bias[row] == reference.rating_bias_now
+        contract = assignment.contracts[int(assignment.codes[row])]
+        expected = reference.respond(contract)
+        assert lazy.respond(contract) == expected
+        rows = np.array([row])
+        efforts, feedback = columnar.respond_unique(
+            assignment.contracts, assignment.codes[rows], rows
+        )
+        assert efforts[0] == expected.effort
+        assert feedback[0] == float(reference.effort_function(expected.effort))
 
 
 def test_collusive_round_trip():
