@@ -175,8 +175,9 @@ def test_cluster_throughput_latency_and_equivalence(
     same per-process cache capacity, and both get one full priming pass
     first.  The single process still thrashes (working set > capacity);
     the shards' partitioned caches stay warm.  The baseline is the raw
-    :class:`SolverPool` -- a *stricter* bar than ``ContractServer``,
-    which adds asyncio batching overhead on top of the same pool.
+    :class:`SolverPool` -- a *stricter* bar than a zero-shard
+    :class:`ShardRouter`, which adds its routing and counters on top of
+    the same pool.
 
     Latency quantiles come from the :mod:`repro.obs` histogram the load
     generator publishes into (``Histogram.quantile``), and the measured

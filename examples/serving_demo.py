@@ -12,14 +12,15 @@ contract requests three ways:
    dedup collapses the population onto one solve per archetype;
 2. across repeated rounds — the contract cache turns steady-state
    rounds into dictionary lookups;
-3. through the asyncio :class:`repro.serving.ContractServer` — requests
-   are batched, solved off the event loop and streamed back in
-   completion order, with backpressure bounding the request queue;
+3. through a zero-shard :class:`repro.serving.ShardRouter` — the serving
+   tier's one front end (what ``repro serve`` drives), here with its
+   in-process pool as the only solver;
 4. once more with tracing on — ``repro.obs`` records the span tree
    (batch -> designs) and renders the hottest-spans report;
 5. over HTTP against a 2-shard cluster — a plain ``http.client``
-   consumer posts JSON to the :class:`repro.serving.ShardRouter`'s
-   front end and reads back the same contracts the pool produced;
+   consumer posts one columnar frame (the archetype table plus a code
+   per subject) to the router's front end and reads back the same
+   contracts the pool produced;
 6. the cluster round again with tracing on — the span context crosses
    the HTTP hop and the shard pipes, the shards' spans are scraped
    back over ``obs_export``, and the merged report shows one trace
@@ -28,11 +29,11 @@ contract requests three ways:
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 
-from repro.serving import ContractCache, ContractServer, ServingStats, SolverPool
+from repro.serving import ContractCache, ServingStats, ShardRouter, SolverPool
+from repro.serving.cluster.codec import columnar_frame, frame_to_json
 from repro.serving.workload import synthetic_subproblems
 
 N_SUBJECTS = 120
@@ -59,23 +60,33 @@ def pooled_rounds() -> None:
     print()
 
 
-async def streamed_round() -> None:
-    """Serve one round through the asyncio marketplace front-end."""
+def routed_rounds() -> None:
+    """Serve rounds through a router without shards (``repro serve``)."""
     subproblems = synthetic_subproblems(
         n_subjects=24, n_archetypes=6, seed=42
     )
-    async with ContractServer(max_batch=8, batch_window=0.005) as server:
-        print("streaming designs in completion order:")
-        count = 0
-        async for subject_id, design in server.stream(subproblems):
-            count += 1
-            if count <= 5:
-                print(
-                    f"  {subject_id}: k_opt={design.k_opt}, "
-                    f"pay={design.response.compensation:.3f}"
-                )
-        print(f"  ... {count} designs streamed")
-        print(server.stats.format())
+    with ShardRouter(n_shards=0) as router:
+        for round_index in range(2):
+            designs, hits = router.solve_designs(subproblems)
+            print(
+                f"router round {round_index}: {len(designs)} designs, "
+                f"{sum(hits)} served from cache"
+            )
+        for subproblem, design in list(zip(subproblems, designs))[:3]:
+            print(
+                f"  {subproblem.subject_id}: k_opt={design.k_opt}, "
+                f"pay={design.response.compensation:.3f}"
+            )
+        print(f"/healthz: {router.healthz()['status']} (no shards)")
+
+
+def post_frame(conn: http.client.HTTPConnection, router, subproblems) -> list:
+    """POST one round as a columnar frame; designs fanned out by code."""
+    frame = columnar_frame(subproblems, router.fingerprints(subproblems))
+    body = json.dumps({"columnar": frame_to_json(frame)})
+    conn.request("POST", "/solve_batch", body=body)
+    reply = json.loads(conn.getresponse().read())
+    return [reply["designs"][code] for code in reply["codes"]]
 
 
 def traced_round() -> None:
@@ -105,8 +116,7 @@ def clustered_round() -> None:
     its owning worker process.  The contracts that come back are
     byte-identical to the pooled path above.
     """
-    from repro.serving import HTTPServerThread, ShardRouter
-    from repro.serving.cluster.codec import subproblem_to_json
+    from repro.serving import HTTPServerThread
 
     subproblems = synthetic_subproblems(
         n_subjects=24, n_archetypes=6, seed=42
@@ -116,11 +126,7 @@ def clustered_round() -> None:
             host, port = server.address
             conn = http.client.HTTPConnection(host, port, timeout=30.0)
             try:
-                body = json.dumps(
-                    {"subproblems": [subproblem_to_json(s) for s in subproblems]}
-                )
-                conn.request("POST", "/solve_batch", body=body)
-                designs = json.loads(conn.getresponse().read())["designs"]
+                designs = post_frame(conn, router, subproblems)
                 hired = sum(1 for d in designs if d["hired"])
                 print(
                     f"HTTP /solve_batch on {len(router.shard_ids)} shards: "
@@ -147,8 +153,7 @@ def traced_cluster_round() -> None:
     """
     from repro.obs.export import render_report, span_records
     from repro.obs.trace import Tracer, set_tracer
-    from repro.serving import HTTPServerThread, ShardRouter
-    from repro.serving.cluster.codec import subproblem_to_json
+    from repro.serving import HTTPServerThread
 
     subproblems = synthetic_subproblems(
         n_subjects=24, n_archetypes=6, seed=42
@@ -161,15 +166,7 @@ def traced_cluster_round() -> None:
                 host, port = server.address
                 conn = http.client.HTTPConnection(host, port, timeout=30.0)
                 try:
-                    body = json.dumps(
-                        {
-                            "subproblems": [
-                                subproblem_to_json(s) for s in subproblems
-                            ]
-                        }
-                    )
-                    conn.request("POST", "/solve_batch", body=body)
-                    conn.getresponse().read()
+                    post_frame(conn, router, subproblems)
                 finally:
                     conn.close()
             scrape = router.obs_scrape(include_spans=True)
@@ -187,7 +184,7 @@ def traced_cluster_round() -> None:
 
 def main() -> None:
     pooled_rounds()
-    asyncio.run(streamed_round())
+    routed_rounds()
     print()
     traced_round()
     print()

@@ -37,7 +37,6 @@ from .core import (
 from .errors import ReproError
 from .serving import (
     ContractCache,
-    ContractServer,
     ServingStats,
     SolverPool,
     design_fingerprint,
@@ -71,7 +70,6 @@ __all__ = [
     "solve_subproblems",
     "ReproError",
     "ContractCache",
-    "ContractServer",
     "ServingStats",
     "SolverPool",
     "design_fingerprint",

@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="run the asyncio contract-serving marketplace demo",
+        help="serve marketplace rounds through the shard router",
     )
     add_serve_arguments(serve_parser)
 

@@ -3,8 +3,8 @@
 Tracing records *where wall-clock time went*; profiling additionally
 samples the process CPU clock at span boundaries, so a span's
 ``cpu_ms`` vs ``duration_ms`` gap separates compute-bound work (the
-candidate recursion) from waiting (process-pool fan-out, the asyncio
-batch window).  Sampling costs two ``time.process_time()`` calls per
+candidate recursion) from waiting (process-pool fan-out, shard pipe
+waits).  Sampling costs two ``time.process_time()`` calls per
 span, so it rides the same enablement as the tracer: **off unless**
 ``REPRO_OBS=1`` (or :func:`repro.obs.enable` with ``cpu=True``), and
 with tracing disabled entirely the cost is the tracer's single

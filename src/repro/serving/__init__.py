@@ -11,18 +11,16 @@ into a serving layer:
 * :mod:`~repro.serving.pool` — fingerprint-dedup plus
   ``concurrent.futures`` process fan-out with chunking, per-task
   timeouts and deterministic result ordering.
-* :mod:`~repro.serving.server` — an asyncio front-end that batches
-  requests by fingerprint, applies queue backpressure and streams
-  results.
 * :mod:`~repro.serving.stats` — latency / throughput / cache counters.
 * :mod:`~repro.serving.workload` — synthetic subproblem populations for
   benchmarks and smoke tests.
 * :mod:`~repro.serving.replay` — ledger-level verification that cached
   contracts match recomputed ones.
-* :mod:`~repro.serving.cluster` — sharded multi-process serving: a
-  consistent-hash shard router with failover and supervision, fronted
-  by a stdlib HTTP/JSON server (``/solve``, ``/solve_batch``,
-  ``/healthz``, ``/stats``).
+* :mod:`~repro.serving.cluster` — the one serving front end: a
+  consistent-hash shard router with failover and supervision (with
+  zero shards, its in-process pool serves), fronted by a stdlib
+  HTTP/JSON server that takes columnar frames at ``/solve_batch``
+  (plus ``/healthz``, ``/stats``, ``/metrics``).
 * :mod:`~repro.serving.loadgen` — a closed-loop load harness recording
   p50/p99 latency through :mod:`repro.obs` histograms
   (``repro bench-serve`` on the CLI).
@@ -57,7 +55,6 @@ from .pool import (
     solve_subproblems_parallel,
 )
 from .replay import verify_ledger, verify_round
-from .server import ContractServer
 from .stats import ServingStats
 from .workload import synthetic_subproblems
 
@@ -66,7 +63,6 @@ __all__ = [
     "ClusterHTTPServer",
     "ClusterStats",
     "ContractCache",
-    "ContractServer",
     "HTTPServerThread",
     "HashRing",
     "LRUCache",

@@ -4,29 +4,36 @@ Reused by the main ``repro`` CLI::
 
     repro solve --n-subjects 200 --parallel 2       # one pooled solve
     repro solve --rounds 5 --check                  # cached rounds + audit
-    repro serve --rounds 3 --n-subjects 200         # asyncio marketplace demo
+    repro serve --rounds 3 --n-subjects 200         # marketplace rounds
+    repro serve --rounds 3 --parallel 2             # ... over 2 shards
 
 ``repro solve`` drives the :class:`~repro.serving.pool.SolverPool`
 synchronously (this is also the CI serving smoke test); ``repro serve``
-drives the :class:`~repro.serving.server.ContractServer` end to end.
+drives the same rounds through the serving tier's one front end, a
+:class:`~repro.serving.cluster.router.ShardRouter` (``--parallel 0``:
+no shards, the router's in-process pool serves).
 Exit status: 0 on success, 1 when ``--check`` finds a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import pickle
 import time
 from typing import List
 
-from ..core.decomposition import Subproblem, decomposition_report, solve_subproblems
+from ..core.decomposition import (
+    Subproblem,
+    SubproblemSolution,
+    decomposition_report,
+    solve_subproblems,
+)
 from ..errors import ServingError
 from ..obs.cli import add_obs_out_argument, obs_session
-from ..obs.metrics import get_registry
 from .cache import ContractCache
+from .cluster.cli import _registry_for
+from .cluster.router import ClusterStats, ShardRouter
 from .pool import SolverPool
-from .server import ContractServer
 from .stats import ServingStats
 from .workload import synthetic_subproblems
 
@@ -51,7 +58,10 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="solver-pool processes; 0 = in-process solving (default: 0)",
+        help=(
+            "worker processes (solve: pool processes, serve: shards); "
+            "0 = in-process solving (default: 0)"
+        ),
     )
     parser.add_argument(
         "--rounds",
@@ -87,18 +97,6 @@ def add_solve_arguments(parser: argparse.ArgumentParser) -> None:
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``repro serve`` flags to a (sub)parser."""
     _add_workload_arguments(parser)
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="largest request batch the server fulfils at once (default: 64)",
-    )
-    parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=1024,
-        help="request-queue bound before backpressure (default: 1024)",
-    )
 
 
 def _workload(args: argparse.Namespace) -> List[Subproblem]:
@@ -111,18 +109,6 @@ def _workload(args: argparse.Namespace) -> List[Subproblem]:
     )
 
 
-def _stats_for(args: argparse.Namespace) -> ServingStats:
-    """Serving stats for one CLI command.
-
-    With ``--obs-out`` the counters publish into the process-global
-    :mod:`repro.obs` registry, so the dump carries serving metrics next
-    to the spans; without it they stay private to the command.
-    """
-    if getattr(args, "obs_out", None) is not None:
-        return ServingStats(registry=get_registry())
-    return ServingStats()
-
-
 def run_solve(args: argparse.Namespace) -> int:
     """Solve a synthetic population through the pool; print a report."""
     with obs_session(getattr(args, "obs_out", None)):
@@ -131,7 +117,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
 def _run_solve(args: argparse.Namespace) -> int:
     subproblems = _workload(args)
-    stats = _stats_for(args)
+    stats = ServingStats(registry=_registry_for(args))
     cache = ContractCache()
     with SolverPool(
         n_workers=args.parallel,
@@ -167,29 +153,40 @@ def _run_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _serve_demo(args: argparse.Namespace) -> ServingStats:
+def run_serve(args: argparse.Namespace) -> int:
+    """Serve synthetic marketplace rounds through the shard router."""
+    with obs_session(getattr(args, "obs_out", None)):
+        return _run_serve(args)
+
+
+def _run_serve(args: argparse.Namespace) -> int:
     subproblems = _workload(args)
-    async with ContractServer(
-        mu=args.mu,
-        n_workers=args.parallel,
-        max_batch=args.max_batch,
-        max_pending=args.max_pending,
-        stats=_stats_for(args),
-    ) as server:
+    stats = ClusterStats(registry=_registry_for(args))
+    with ShardRouter(n_shards=args.parallel, mu=args.mu, stats=stats) as router:
         for round_index in range(args.rounds):
-            solutions = await server.solve_population(subproblems)
-            report = decomposition_report(solutions, mu=args.mu)
+            designs, hits = router.solve_designs(subproblems)
+            report = decomposition_report(
+                {
+                    subproblem.subject_id: SubproblemSolution(subproblem, design)
+                    for subproblem, design in zip(subproblems, designs)
+                },
+                mu=args.mu,
+            )
             print(
                 f"round {round_index}: utility "
                 f"{report['total_utility']:.4f}, hired "
-                f"{int(report['n_hired'])}/{int(report['n_subjects'])}"
+                f"{int(report['n_hired'])}/{int(report['n_subjects'])}, "
+                f"{sum(hits)} served from cache"
             )
-        return server.stats
-
-
-def run_serve(args: argparse.Namespace) -> int:
-    """Serve synthetic rounds through the asyncio marketplace front-end."""
-    with obs_session(getattr(args, "obs_out", None)):
-        stats = asyncio.run(_serve_demo(args))
-        print(stats.format())
+        snapshot = router.stats_snapshot()
+    # Router counters (the in-process pool's under cluster.local.*),
+    # then the shards' summed serving and cache counters.
+    print(f"-- serving stats ({args.parallel} shard(s)) --")
+    for name, fields in sorted(snapshot["router"].items()):
+        if fields.get("value", 0.0) > 0:
+            print(f"{name:>32}: {int(fields['value'])}")
+    if snapshot["shards"]:
+        for key, value in sorted(snapshot["totals"].items()):
+            shown = f"{value:.4f}" if key.endswith("_rate") else str(int(value))
+            print(f"{'shards.' + key:>32}: {shown}")
     return 0

@@ -1,8 +1,9 @@
 """Sharded multi-process contract serving (`repro.serving.cluster`).
 
-The single-process :class:`~repro.serving.server.ContractServer` tops
-out at one GIL-bound process and one cache's worth of warm contracts.
-This package scales the serving layer out:
+The serving tier's one front end.  One process tops out at one
+GIL-bound interpreter and one cache's worth of warm contracts; this
+package scales the serving layer out, and its router with
+``n_shards=0`` is also the single-process deployment:
 
 * :mod:`~repro.serving.cluster.ring` — a stable consistent-hash ring
   over shard ids; design fingerprints map to shards with cache affinity
@@ -12,12 +13,12 @@ This package scales the serving layer out:
   :class:`~repro.serving.cache.ContractCache`, spoken to over a pipe.
 * :mod:`~repro.serving.cluster.router` — fingerprint routing, bounded
   retry/backoff failover, a supervisor that restarts crashed shards
-  with warm-cache handoff, and a local last-resort solver so no request
-  is ever lost.
+  with warm-cache handoff, and an in-process pool that is the last
+  resort (no request is ever lost) or, without shards, the solver.
 * :mod:`~repro.serving.cluster.http` — a minimal stdlib HTTP/JSON front
-  end (``/solve``, ``/solve_batch``, ``/healthz``, ``/stats``).
-* :mod:`~repro.serving.cluster.codec` — the JSON wire format for
-  subproblems and solved designs.
+  end (``/solve_batch``, ``/healthz``, ``/stats``, ``/metrics``).
+* :mod:`~repro.serving.cluster.codec` — the one wire format: columnar
+  batch frames in, solved designs out.
 
 The closed-loop load harness lives one level up in
 :mod:`repro.serving.loadgen` (``repro bench-serve`` on the CLI).
@@ -25,11 +26,7 @@ The closed-loop load harness lives one level up in
 
 from __future__ import annotations
 
-from .codec import (
-    design_to_json,
-    subproblem_from_json,
-    subproblem_to_json,
-)
+from .codec import design_to_json
 from .http import ClusterHTTPServer, HTTPServerThread, run_http_in_thread
 from .ring import HashRing
 from .router import ClusterStats, ShardRouter
@@ -45,6 +42,4 @@ __all__ = [
     "ShardSpec",
     "design_to_json",
     "run_http_in_thread",
-    "subproblem_from_json",
-    "subproblem_to_json",
 ]

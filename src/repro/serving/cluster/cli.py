@@ -125,6 +125,12 @@ def add_bench_serve_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _registry_for(args: argparse.Namespace) -> MetricsRegistry:
+    """The metrics registry of one serving CLI command.
+
+    With ``--obs-out`` the counters publish into the process-global
+    :mod:`repro.obs` registry, so the dump carries serving metrics next
+    to the spans; without it they stay private to the command.
+    """
     if getattr(args, "obs_out", None) is not None:
         return get_registry()
     return MetricsRegistry()
@@ -246,7 +252,7 @@ def _run_bench_serve(
             if args.http:
                 http_thread = HTTPServerThread(router, port=args.port).start()
                 host, port = http_thread.address
-                target = http_target(host, port)
+                target = http_target(host, port, mu=args.mu)
                 print(f"cluster HTTP front end on http://{host}:{port}")
             else:
                 target = router_target(router)

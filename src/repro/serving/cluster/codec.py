@@ -1,32 +1,27 @@
-"""JSON wire format for subproblems and solved designs.
+"""The cluster's one wire format: columnar batch frames and solved designs.
 
-The HTTP front end (:mod:`repro.serving.cluster.http`) speaks plain
-JSON.  A subproblem serializes to exactly the fields the Section IV-C
-designer consumes (the same tuple the design fingerprint hashes); a
-solved design serializes to the quantities downstream consumers read
+Every solve request, over HTTP and over the shard pipes, travels as a
+**columnar batch frame**.  A population batch holds at most a few dozen
+*design archetypes* (unique fingerprints) among millions of subjects,
+so instead of shipping one object per subject a frame packs one
+``(K, 7)`` float64 archetype table + per-archetype worker types /
+representative ids / fingerprints, plus an ``(n,)`` int64 code vector
+mapping each request to its archetype row.  A single design is a
+one-row frame.  A shard solves the K representatives (fed with the
+frame's own fingerprints, so its cache keys are the ones the router
+routed on) and replies with K designs; the caller fans the results back
+out through the codes.  Fingerprints deliberately exclude
+``subject_id``/``member_ids``, which is what makes the rebuilt
+``member_ids=()`` representatives solve and cache exactly as the
+originals.
+
+A solved design serializes to the quantities downstream consumers read
 off a :class:`~repro.core.designer.DesignResult` — the posted
 compensation vector, the selected piece, the best response and the
-requester utility.
-
-Python's :mod:`json` emits ``repr``-style floats, which round-trip
-every finite double exactly, so a compensation vector survives the HTTP
-hop bit-identically — the cluster benchmarks assert that against serial
-solving.
-
-This module also defines the **columnar batch frame**: the zero-pickle
-wire format for whole solve batches.  A population batch holds at most
-a few dozen *design archetypes* (unique fingerprints) among millions of
-subjects, so instead of shipping O(population) pickled
-:class:`Subproblem` objects, a frame packs one ``(K, 7)`` float64
-archetype table + per-archetype worker types / representative ids /
-fingerprints, plus an ``(n,)`` int64 code vector mapping each request
-to its archetype row.  A shard solves the K representatives (fed with
-the frame's own fingerprints, so its cache keys and hit semantics are
-identical to the object path) and replies with K designs; the caller
-fans the results back out through the codes.  Fingerprints deliberately
-exclude ``subject_id``/``member_ids``, which is what makes the
-rebuilt ``member_ids=()`` representatives solve and cache exactly as
-the originals.
+requester utility.  Python's :mod:`json` emits ``repr``-style floats,
+which round-trip every finite double exactly, so frames and
+compensation vectors survive the HTTP hop bit-identically — the cluster
+benchmarks assert that against serial solving.
 """
 
 from __future__ import annotations
@@ -47,8 +42,6 @@ __all__ = [
     "expand_frame_results",
     "frame_from_json",
     "frame_to_json",
-    "subproblem_from_json",
-    "subproblem_to_json",
     "subproblems_from_frame",
 ]
 
@@ -62,59 +55,6 @@ _WIRE_WORKER_TYPES: Tuple[WorkerType, ...] = tuple(WorkerType)
 _WIRE_WORKER_CODES: Dict[WorkerType, int] = {
     worker_type: code for code, worker_type in enumerate(_WIRE_WORKER_TYPES)
 }
-
-
-def subproblem_to_json(subproblem: Subproblem) -> Dict[str, Any]:
-    """Encode one subproblem as a JSON-serializable dict."""
-    r2, r1, r0 = subproblem.effort_function.coefficients()
-    return {
-        "subject_id": subproblem.subject_id,
-        "r2": r2,
-        "r1": r1,
-        "r0": r0,
-        "beta": subproblem.params.beta,
-        "omega": subproblem.params.omega,
-        "worker_type": subproblem.params.worker_type.value,
-        "feedback_weight": subproblem.feedback_weight,
-        "member_ids": list(subproblem.member_ids),
-        "max_effort": subproblem.max_effort,
-    }
-
-
-def subproblem_from_json(payload: Mapping[str, Any]) -> Subproblem:
-    """Decode one subproblem from its JSON dict.
-
-    Raises:
-        ServingError: on missing fields or invalid values (the model
-            layer's own validation errors are re-raised as such, so the
-            HTTP front end can map them to a 400).
-    """
-    try:
-        effort_function = QuadraticEffort(
-            r2=float(payload["r2"]),
-            r1=float(payload["r1"]),
-            r0=float(payload.get("r0", 0.0)),
-        )
-        params = WorkerParameters(
-            beta=float(payload.get("beta", 1.0)),
-            omega=float(payload.get("omega", 0.0)),
-            worker_type=WorkerType(payload.get("worker_type", "honest")),
-        )
-        max_effort = payload.get("max_effort")
-        return Subproblem(
-            subject_id=str(payload["subject_id"]),
-            effort_function=effort_function,
-            params=params,
-            feedback_weight=float(payload.get("feedback_weight", 1.0)),
-            member_ids=tuple(payload.get("member_ids") or ()),
-            max_effort=None if max_effort is None else float(max_effort),
-        )
-    except ServingError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise ServingError(f"malformed subproblem payload: {error}") from error
-    except Exception as error:  # noqa: BLE001 - model validation -> 400
-        raise ServingError(f"invalid subproblem: {error}") from error
 
 
 def design_to_json(
@@ -148,8 +88,8 @@ def columnar_frame(
     Groups requests by fingerprint: row ``k`` of the table holds the
     k-th distinct archetype (in first-appearance order) and
     ``codes[i]`` maps request ``i`` to its row.  The frame carries the
-    *given* fingerprints so the receiving side never recomputes them —
-    cache keys stay bit-identical to the object wire format.
+    *given* fingerprints, so a shard caches under exactly the keys the
+    router routed on.
     """
     if len(subproblems) != len(fingerprints):
         raise ServingError(
@@ -293,8 +233,9 @@ def expand_frame_results(
 ) -> Tuple[List[Any], List[bool]]:
     """Fan K per-archetype results back out to the frame's n requests.
 
-    Exactly the object path's dedupe semantics: every request in a
-    fingerprint group shares its group's design object and hit flag.
+    The same semantics as :meth:`SolverPool.solve_designs`' dedupe:
+    every request in a fingerprint group shares its group's design
+    object and hit flag.
     """
     codes = np.asarray(frame["codes"], dtype=np.int64)
     if len(designs) != len(cache_hits):

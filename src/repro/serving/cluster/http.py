@@ -3,13 +3,14 @@
 An :mod:`asyncio`-streams HTTP/1.1 server (no third-party framework)
 exposing the cluster to anything that can speak JSON over a socket:
 
-* ``POST /solve`` — one subproblem in, one solved design out;
-* ``POST /solve_batch`` — ``{"subproblems": [...]}`` in,
-  ``{"designs": [...]}`` out, input order preserved; or the columnar
-  variant ``{"columnar": frame}`` in, ``{"columnar": true, "designs":
-  [K per-archetype designs], "codes": [...]}`` out — O(K) JSON per hop
-  for an n-subject batch (see
-  :func:`~repro.serving.cluster.codec.columnar_frame`);
+* ``POST /solve_batch`` — ``{"columnar": frame}`` in, ``{"columnar":
+  true, "designs": [K per-archetype designs], "codes": [...]}`` out —
+  O(K) JSON per hop for an n-subject batch (see
+  :func:`~repro.serving.cluster.codec.columnar_frame`); one design is a
+  one-row frame.  Each row's fingerprint is recomputed under the
+  router's ``(mu, config)`` before routing, and a frame whose
+  fingerprints disagree is answered 400: the shards cache under those
+  keys, so a wrong one would poison every later request for it;
 * ``GET /healthz`` — shard liveness (with per-shard restart counts) +
   overall ``ok``/``degraded``;
 * ``GET /stats`` — router counters, per-shard serving counters (pid,
@@ -46,18 +47,13 @@ import numpy as np
 
 from ...errors import ServingError
 from ...obs.trace import TRACEPARENT_HEADER, Tracer, get_tracer, parse_traceparent
-from .codec import (
-    design_to_json,
-    frame_from_json,
-    subproblem_from_json,
-    subproblems_from_frame,
-)
+from .codec import design_to_json, frame_from_json, subproblems_from_frame
 from .router import ShardRouter
 
 __all__ = ["ClusterHTTPServer", "HTTPServerThread", "run_http_in_thread"]
 
-#: Largest accepted request body, in bytes (a defensive bound; a batch
-#: of a few thousand subproblems stays well under it).
+#: Largest accepted request body, in bytes (a defensive bound; a frame
+#: of a few thousand archetypes stays well under it).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _STATUS_REASONS = {
@@ -69,6 +65,22 @@ _STATUS_REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _RequestError(ServingError):
+    """A request that cannot be read: answered with ``status``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of a request head; a line over the stream limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError as error:
+        raise _RequestError(400, f"request head line too long: {error}") from error
 
 
 class ClusterHTTPServer:
@@ -138,7 +150,15 @@ class ClusterHTTPServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _RequestError as error:
+                    # The body was never read, so the stream cannot be
+                    # resynchronized: answer, then close.
+                    await self._write_response(
+                        writer, error.status, {"error": str(error)}, False
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -165,7 +185,7 @@ class ClusterHTTPServer:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
         try:
-            request_line = await reader.readline()
+            request_line = await _read_line(reader)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return None
         if not request_line or request_line.strip() == b"":
@@ -176,16 +196,23 @@ class ClusterHTTPServer:
         method, raw_path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _RequestError(400, f"invalid Content-Length {raw_length!r}")
         if length > MAX_BODY_BYTES:
-            raise ServingError(
+            raise _RequestError(
+                413,
                 f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte bound"
+                f"{MAX_BODY_BYTES}-byte bound",
             )
         body = await reader.readexactly(length) if length else b""
         path = raw_path.split("?", 1)[0]
@@ -240,75 +267,17 @@ class ClusterHTTPServer:
                     ),
                 )
                 return 200, scrape.prometheus_text()
-            if path == "/solve":
-                if method != "POST":
-                    return 405, {"error": f"{method} not allowed on {path}"}
-                return 200, await self._solve_payload(body, batch=False)
             if path == "/solve_batch":
                 if method != "POST":
                     return 405, {"error": f"{method} not allowed on {path}"}
-                return 200, await self._solve_payload(body, batch=True)
+                return 200, await self._solve_batch(body)
             return 404, {"error": f"no such endpoint: {path}"}
         except ServingError as error:
             return 400, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - last-resort 500
             return 500, {"error": f"{type(error).__name__}: {error}"}
 
-    async def _solve_payload(self, body: bytes, batch: bool) -> Dict[str, Any]:
-        """Decode, solve off-loop, and encode one solve request."""
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ServingError(f"request body is not valid JSON: {error}") from error
-        if batch:
-            if isinstance(payload, dict) and "columnar" in payload:
-                return await self._solve_columnar_payload(payload["columnar"])
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("subproblems"), list
-            ):
-                raise ServingError(
-                    'batch requests need a JSON object with a "subproblems" '
-                    'list (or a "columnar" frame)'
-                )
-            raw_items = payload["subproblems"]
-        else:
-            if not isinstance(payload, dict):
-                raise ServingError("solve requests need a JSON subproblem object")
-            raw_items = [payload]
-        subproblems = [subproblem_from_json(item) for item in raw_items]
-        fingerprints = self.router.fingerprints(subproblems)
-        loop = asyncio.get_running_loop()
-        # Executor threads don't see this task's contextvars, so the
-        # request span's context is captured here and handed to the
-        # router explicitly — the batch span still parents under it.
-        trace_context = (
-            Tracer.current_context() if get_tracer().enabled else None
-        )
-        designs, cache_hits = await loop.run_in_executor(
-            None,
-            functools.partial(
-                self.router.solve_designs,
-                subproblems,
-                fingerprints,
-                trace_context=trace_context,
-            ),
-        )
-        encoded = [
-            design_to_json(
-                subproblem.subject_id,
-                design,
-                fingerprint=fingerprint,
-                cache_hit=hit,
-            )
-            for subproblem, design, fingerprint, hit in zip(
-                subproblems, designs, fingerprints, cache_hits
-            )
-        ]
-        if batch:
-            return {"designs": encoded}
-        return encoded[0]
-
-    async def _solve_columnar_payload(self, raw_frame: Any) -> Dict[str, Any]:
+    async def _solve_batch(self, body: bytes) -> Dict[str, Any]:
         """Solve a columnar batch frame posted to ``/solve_batch``.
 
         The request carries ``{"columnar": frame}`` — the archetype
@@ -318,9 +287,28 @@ class ClusterHTTPServer:
         plus the echoed codes, so an n-subject batch costs O(K) JSON on
         both hops.  The caller fans results out through the codes.
         """
-        frame = frame_from_json(raw_frame)
+        try:
+            payload = json.loads(body.decode("utf-8") or "null")
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise ServingError(f"request body is not valid JSON: {error}") from error
+        if not isinstance(payload, dict) or "columnar" not in payload:
+            raise ServingError(
+                'solve requests need a JSON object with a "columnar" frame'
+            )
+        frame = frame_from_json(payload["columnar"])
         representatives, fingerprints = subproblems_from_frame(frame)
+        expected = self.router.fingerprints(representatives)
+        for row, (claimed, actual) in enumerate(zip(fingerprints, expected)):
+            if claimed != actual:
+                raise ServingError(
+                    f"frame row {row} carries fingerprint {claimed!r}, but its "
+                    f"fields fingerprint to {actual!r} under this server's mu "
+                    "and config"
+                )
         loop = asyncio.get_running_loop()
+        # Executor threads don't see this task's contextvars, so the
+        # request span's context is captured here and handed to the
+        # router explicitly — the batch span still parents under it.
         trace_context = (
             Tracer.current_context() if get_tracer().enabled else None
         )

@@ -14,7 +14,9 @@ request path that ties them together:
 3. **degrade, never drop** — when every shard attempt is exhausted the
    router solves locally in-process (its own small
    :class:`~repro.serving.pool.SolverPool`), so a request can slow down
-   but never be lost;
+   but never be lost.  A router built with ``n_shards=0`` serves every
+   batch from that pool: the single-process deployment of the same
+   request path;
 4. **supervise** — a daemon thread restarts dead shards and re-warms
    them from the surviving peers' caches (the peers served the dead
    shard's keys during the outage, so the handoff restores affinity
@@ -43,11 +45,8 @@ from ...obs.trace import NULL_SPAN, SpanContext, Tracer, get_tracer
 from ..cache import ContractCache
 from ..fingerprint import subproblem_fingerprint
 from ..pool import SolverPool
-from .codec import (
-    columnar_frame,
-    expand_frame_results,
-    subproblems_from_frame,
-)
+from ..stats import ServingStats
+from .codec import columnar_frame, expand_frame_results
 from .ring import DEFAULT_REPLICAS, HashRing
 from .shard import ShardProcess, ShardSpec, ShardTransportError
 
@@ -75,6 +74,10 @@ class ClusterStats:
         restarts: shard processes revived by the supervisor.
         handoff_entries: cached designs shipped in warm handoffs.
         request_latency: end-to-end seconds per routed group dispatch.
+
+    The router's in-process pool (the fallback, or with zero shards the
+    only solver) books its :class:`~repro.serving.stats.ServingStats`
+    into the same registry under ``<namespace>.local.*``.
     """
 
     def __init__(
@@ -125,10 +128,12 @@ class ShardRouter:
     """Consistent-hash request router over shard processes.
 
     Args:
-        n_shards: shards to boot (ids ``shard-0`` ... ``shard-{n-1}``).
+        n_shards: shards to boot (ids ``shard-0`` ... ``shard-{n-1}``);
+            ``0`` serves every batch from the router's in-process pool.
         mu: the requester's compensation weight (shared by all shards).
         config: designer configuration shared by all shards.
-        cache_capacity: per-shard contract-cache bound.
+        cache_capacity: per-shard contract-cache bound (the in-process
+            pool's, when ``n_shards=0``).
         replicas: ring virtual nodes per shard.
         request_timeout: seconds one shard attempt may take.
         max_retries: shard attempts after the first before the local
@@ -154,8 +159,8 @@ class ShardRouter:
         start_method: Optional[str] = None,
         stats: Optional[ClusterStats] = None,
     ) -> None:
-        if n_shards < 1:
-            raise ServingError(f"n_shards must be >= 1, got {n_shards!r}")
+        if n_shards < 0:
+            raise ServingError(f"n_shards must be >= 0, got {n_shards!r}")
         if max_retries < 0:
             raise ServingError(f"max_retries must be >= 0, got {max_retries!r}")
         if backoff < 0.0:
@@ -183,11 +188,19 @@ class ShardRouter:
         self._supervisor: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         # Last-resort solver: small private cache, in-process solving.
+        # Without shards it is the only solver, so it gets a shard's
+        # cache.  Its serving counters publish beside the router's.
         self._fallback_pool = SolverPool(
             n_workers=0,
             mu=mu,
             config=config,
-            cache=ContractCache(capacity=max(64, cache_capacity // 4)),
+            cache=ContractCache(
+                capacity=cache_capacity if n_shards == 0 else max(64, cache_capacity // 4)
+            ),
+            stats=ServingStats(
+                registry=self.stats.registry,
+                namespace=f"{self.stats.namespace}.local".lstrip("."),
+            ),
         )
 
     # -- lifecycle ----------------------------------------------------
@@ -433,7 +446,8 @@ class ShardRouter:
         Requests are grouped by owner shard (ring assignment of each
         design fingerprint) and the groups dispatched concurrently; the
         returned designs and cache-hit flags align with the input order
-        regardless of which shard answered when.
+        regardless of which shard answered when.  A zero-shard router
+        solves the batch in its in-process pool.
 
         ``trace_context`` parents the ``cluster.solve_batch`` span under
         a caller's span from another thread or process (the HTTP front
@@ -472,8 +486,17 @@ class ShardRouter:
             return [], []
 
         with self._lock:
-            owners = [self._ring.assign(fp) for fp in fingerprints]
+            owners = [self._ring.assign(fp) for fp in fingerprints] if len(self._ring) else []
             executor = self._executor
+        if not owners:
+            # A router without shards serves from its own pool; that is
+            # its serving path, not a fallback.
+            designs, cache_hits = self._fallback_pool.solve_designs(
+                subproblems, fingerprints
+            )
+            self.stats.requests.inc(len(subproblems))
+            self.stats.batches.inc()
+            return designs, cache_hits
 
         groups: Dict[str, List[int]] = {}
         for index, owner in enumerate(owners):
@@ -601,28 +624,26 @@ class ShardRouter:
             return expand_frame_results(frame, rep_designs, rep_hits)
 
         # Every shard attempt exhausted: degrade to the local pool so
-        # the request is slowed down, never lost.  Solving the K frame
-        # representatives (with the frame's fingerprints) and fanning
-        # out is exactly the pool's own dedupe semantics.
+        # the request is slowed down, never lost.
         self.stats.local_fallbacks.inc()
-        representatives, rep_fingerprints = subproblems_from_frame(frame)
-        rep_designs, rep_hits = self._fallback_pool.solve_designs(
-            representatives, rep_fingerprints
+        designs, cache_hits = self._fallback_pool.solve_designs(
+            subproblems, fingerprints
         )
         self.stats.request_latency.observe(time.perf_counter() - started)
         span.update(served_by="local", attempts=attempts)
         if last_error is not None:
             span.set("transport_error", str(last_error))
-        return expand_frame_results(frame, rep_designs, rep_hits)
+        return designs, cache_hits
 
     # -- introspection ------------------------------------------------
 
     def healthz(self, timeout: float = 2.0) -> Dict[str, Any]:
         """Liveness of every shard plus an overall status.
 
-        ``status`` is ``"ok"`` when every shard answers its health
-        probe, ``"degraded"`` otherwise (the cluster still serves — via
-        failover and the local fallback — while degraded).
+        ``status`` is ``"ok"`` when the router is running and every
+        shard answers its health probe (a zero-shard router is ``"ok"``
+        while running), ``"degraded"`` otherwise (the cluster still
+        serves — via failover and the local fallback — while degraded).
         """
         with self._lock:
             processes = dict(self._shards)
@@ -647,7 +668,7 @@ class ShardRouter:
             shards[shard_id] = info
             healthy += 1
         return {
-            "status": "ok" if healthy == len(processes) and processes else "degraded",
+            "status": "ok" if self.running and healthy == len(processes) else "degraded",
             "n_shards": len(processes),
             "n_healthy": healthy,
             "shards": shards,

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ...core.decomposition import Subproblem
 from ...core.designer import DesignerConfig, DesignResult
 from ...errors import ServingError
 from ...obs.aggregate import metric_samples
@@ -99,10 +98,11 @@ class ShardSpec:
 def shard_main(conn: Connection, spec: ShardSpec) -> None:
     """The shard process body: serve ``(op, payload, meta)`` forever.
 
-    Ops: ``solve`` (subproblems + fingerprints in, designs + hit flags
-    out), ``health``/``stats`` (snapshots), ``cache_export`` /
-    ``cache_import`` (warm handoff), ``obs_export`` (spans + metric
-    reservoirs for federation), ``shutdown`` (clean exit) and ``crash``
+    Ops: ``solve_columnar`` (a columnar frame in, its K archetype
+    designs + hit flags out), ``health``/``stats`` (snapshots),
+    ``cache_export`` / ``cache_import`` (warm handoff), ``obs_export``
+    (spans + metric reservoirs for federation), ``shutdown`` (clean
+    exit) and ``crash``
     (fault injection: die without replying).  Application errors are
     reported as ``("error", message)`` replies; the loop only exits on
     shutdown or a dead pipe.
@@ -188,23 +188,10 @@ def _dispatch(
     stats: ServingStats,
 ) -> Any:
     """Execute one shard op (inside the shard process)."""
-    if op == "solve":
-        subproblems, fingerprints = payload
-        started = stats.now()
-        designs, cache_hits = pool.solve_designs(subproblems, fingerprints)
-        # Each request in a synchronously-solved pipe batch waited the
-        # whole op: book that as its latency so shard snapshots carry
-        # the p50/p99 the /stats consumers (repro obs top) render.
-        # The pool only books counters + batch latency here, so this
-        # double-counts nothing.
-        elapsed = stats.now() - started
-        stats.record_latencies([elapsed] * len(subproblems))
-        return ([_slim(design) for design in designs], cache_hits)
     if op == "solve_columnar":
-        # Zero-pickle batch path: the frame carries K archetype rows +
-        # n request codes.  Solve the K representatives (with the
-        # frame's own fingerprints, so cache keys match the object
-        # path bit for bit) and reply O(K); the caller fans out.
+        # The frame carries K archetype rows + n request codes.  Solve
+        # the K representatives (with the frame's own fingerprints, the
+        # keys the router routed on) and reply O(K); the caller fans out.
         frame = payload
         representatives, fingerprints = subproblems_from_frame(frame)
         n_requests = len(frame["codes"])
@@ -214,8 +201,9 @@ def _dispatch(
         )
         elapsed = stats.now() - started
         # The pool booked the K archetype solves; top the request
-        # counter up to the n subjects this batch actually served and
-        # book each one's wall wait, mirroring the object "solve" op.
+        # counter up to the n subjects this batch actually served, and
+        # book the whole op as each one's latency so shard snapshots
+        # carry the p50/p99 the /stats consumers (repro obs top) render.
         stats.record_fanout(n_requests - len(representatives))
         stats.record_latencies([elapsed] * n_requests)
         return ([_slim(design) for design in designs], list(cache_hits))
@@ -458,30 +446,6 @@ class ShardProcess:
 
     # -- typed convenience wrappers -----------------------------------
 
-    def solve(
-        self,
-        subproblems: Sequence[Subproblem],
-        fingerprints: Sequence[str],
-        timeout: Optional[float] = None,
-        trace_context: Optional[SpanContext] = None,
-    ) -> Tuple[List[DesignResult], List[bool]]:
-        """Solve a batch on this shard; designs + cache-hit flags.
-
-        ``trace_context`` (the caller's span context) travels in the
-        pipe envelope so the shard's ``serving.solve_batch`` span
-        parents under it.
-        """
-        meta: Optional[Dict[str, str]] = None
-        if trace_context is not None:
-            meta = {TRACEPARENT_HEADER: format_traceparent(trace_context)}
-        designs, cache_hits = self.request(
-            "solve",
-            (tuple(subproblems), tuple(fingerprints)),
-            timeout=timeout,
-            meta=meta,
-        )
-        return list(designs), list(cache_hits)
-
     def solve_columnar(
         self,
         frame: Dict[str, Any],
@@ -491,10 +455,12 @@ class ShardProcess:
         """Solve a columnar batch frame on this shard.
 
         Ships the packed archetype table + codes
-        (:func:`~repro.serving.cluster.codec.columnar_frame`) instead of
-        O(n) pickled subproblems, and receives the K per-archetype
-        designs + hit flags; fan out with
+        (:func:`~repro.serving.cluster.codec.columnar_frame`) and
+        receives the K per-archetype designs + hit flags; fan out with
         :func:`~repro.serving.cluster.codec.expand_frame_results`.
+        ``trace_context`` (the caller's span context) travels in the
+        pipe envelope so the shard's ``serving.solve_batch`` span
+        parents under it.
         """
         meta: Optional[Dict[str, str]] = None
         if trace_context is not None:

@@ -10,10 +10,10 @@ backlog), and every round-trip latency lands in a
 :meth:`~repro.obs.metrics.Histogram.quantile` rather than eyeballs.
 
 Targets are plain callables taking a batch of subproblems, with
-adapters for the three serving stacks: a :class:`SolverPool` or
+adapters for a :class:`SolverPool` or
 :class:`~repro.serving.cluster.router.ShardRouter` in-process, or a
-cluster HTTP endpoint over the wire (one keep-alive connection per
-worker thread).
+cluster HTTP endpoint over the wire (columnar frames, one keep-alive
+connection per worker thread).
 
 Traffic replays the synthetic-archetype population of
 :func:`repro.serving.workload.synthetic_subproblems`: requests re-ask
@@ -36,8 +36,9 @@ from ..core.decomposition import Subproblem
 from ..errors import ServingError
 from ..obs.metrics import Counter, Histogram, MetricsRegistry
 from ..obs.trace import TRACEPARENT_HEADER, Tracer, format_traceparent, get_tracer
-from .cluster.codec import subproblem_to_json
+from .cluster.codec import columnar_frame, frame_to_json
 from .cluster.router import ShardRouter
+from .fingerprint import subproblem_fingerprint
 from .pool import SolverPool
 
 __all__ = [
@@ -285,9 +286,15 @@ def router_target(router: ShardRouter) -> Target:
     return send
 
 
-def http_target(host: str, port: int, timeout: float = 30.0) -> Target:
-    """A target POSTing batches to a cluster HTTP endpoint.
+def http_target(
+    host: str, port: int, timeout: float = 30.0, mu: float = 1.0
+) -> Target:
+    """A target POSTing batches to a cluster HTTP endpoint as frames.
 
+    Each batch travels as one columnar frame whose fingerprints are
+    computed under ``mu``, which must be the server's (the front end
+    answers 400 to fingerprints it does not recompute).  The target
+    returns the design payloads fanned back out to the batch's order.
     Each worker thread keeps one keep-alive connection (thread-local);
     a transport failure drops the connection so the next round-trip
     reconnects.
@@ -299,8 +306,9 @@ def http_target(host: str, port: int, timeout: float = 30.0) -> Target:
         if conn is None:
             conn = http.client.HTTPConnection(host, port, timeout=timeout)
             local.conn = conn
+        fingerprints = [subproblem_fingerprint(item, mu=mu) for item in batch]
         body = json.dumps(
-            {"subproblems": [subproblem_to_json(item) for item in batch]}
+            {"columnar": frame_to_json(columnar_frame(batch, fingerprints))}
         )
         headers = {"Content-Type": "application/json"}
         if get_tracer().enabled:
@@ -326,6 +334,6 @@ def http_target(host: str, port: int, timeout: float = 30.0) -> Target:
         if response.status != 200:
             detail = payload.get("error", payload) if isinstance(payload, dict) else payload
             raise ServingError(f"HTTP {response.status}: {detail}")
-        return payload["designs"]
+        return [payload["designs"][code] for code in payload["codes"]]
 
     return send

@@ -390,9 +390,6 @@ class SolverPool:
         timeout: optional per-task (per-chunk) wall-clock budget in
             seconds; exceeding it raises :class:`ServingError`.
         cache: optional cross-batch contract cache.
-        dedupe: collapse identical fingerprints within a batch onto a
-            single solve (on by default; disable to force one solve per
-            subject, e.g. when benchmarking raw solver throughput).
         stats: optional serving counters to record batches into.
     """
 
@@ -404,7 +401,6 @@ class SolverPool:
         chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
         cache: Optional[ContractCache] = None,
-        dedupe: bool = True,
         stats: Optional[ServingStats] = None,
     ) -> None:
         if n_workers < 0:
@@ -419,7 +415,6 @@ class SolverPool:
         self.chunk_size = chunk_size
         self.timeout = timeout
         self.cache = cache
-        self.dedupe = dedupe
         self.stats = stats
         self._executor: Optional[ProcessPoolExecutor] = None
 
@@ -497,7 +492,7 @@ class SolverPool:
         """Designs aligned with the input order, plus cache-hit flags.
 
         This is the serving core: requests may repeat fingerprints (and
-        even subject ids — the server batches arbitrary request streams);
+        even subject ids — callers batch arbitrary request streams);
         each unique fingerprint is resolved once via cache lookup or a
         (possibly pooled) fresh solve, then fanned back out.
 
@@ -513,10 +508,7 @@ class SolverPool:
             if fingerprints is None:
                 fingerprints = self.fingerprints(subproblems)
             designs, cache_hits = self._solve_designs(subproblems, fingerprints)
-            span.set(
-                "n_unique",
-                len(set(fingerprints)) if self.dedupe else len(subproblems),
-            )
+            span.set("n_unique", len(set(fingerprints)))
             span.set("n_hits", sum(1 for hit in cache_hits if hit))
             span.set("n_workers", self.n_workers)
             span.set("fastpath", fastpath_enabled())
@@ -537,21 +529,17 @@ class SolverPool:
                 f"{len(subproblems)} subproblems"
             )
 
-        # Group requests by solve key.  With dedup on, the key is the
-        # fingerprint itself; with dedup off each request is its own
-        # group (but still shares the cache via the fingerprint).
-        groups: Dict[Tuple[str, int], int] = {}
+        # The fingerprint is the solve key: each distinct one is looked
+        # up or solved once (from its first request) and fanned out.
+        groups: Dict[str, int] = {}
         for index, fingerprint in enumerate(fingerprints):
-            key = (fingerprint, 0 if self.dedupe else index)
-            groups.setdefault(key, index)
+            groups.setdefault(fingerprint, index)
 
-        results: Dict[Tuple[str, int], DesignResult] = {}
-        hit_keys: List[Tuple[str, int]] = []
-        misses: List[Tuple[Tuple[str, int], Subproblem]] = []
+        results: Dict[str, DesignResult] = {}
+        hit_keys: List[str] = []
+        misses: List[Tuple[str, Subproblem]] = []
         for key, first_index in groups.items():
-            cached = (
-                self.cache.get_design(key[0]) if self.cache is not None else None
-            )
+            cached = self.cache.get_design(key) if self.cache is not None else None
             if cached is not None:
                 results[key] = cached
                 hit_keys.append(key)
@@ -562,12 +550,12 @@ class SolverPool:
         for (key, _), result in zip(misses, fresh):
             results[key] = result
             if self.cache is not None:
-                self.cache.put_design(key[0], result)
+                self.cache.put_design(key, result)
 
         for key in hit_keys:
             representative = subproblems[groups[key]]
             maybe_verify_cached(
-                key[0],
+                key,
                 results[key],
                 lambda subproblem=representative: _solve_chunk(
                     ((subproblem,), self.mu, self.config)
@@ -576,12 +564,8 @@ class SolverPool:
             )
 
         hit_set = set(hit_keys)
-        designs: List[DesignResult] = []
-        cache_hits: List[bool] = []
-        for index, fingerprint in enumerate(fingerprints):
-            key = (fingerprint, 0 if self.dedupe else index)
-            designs.append(results[key])
-            cache_hits.append(key in hit_set)
+        designs = [results[fingerprint] for fingerprint in fingerprints]
+        cache_hits = [fingerprint in hit_set for fingerprint in fingerprints]
 
         if self.stats is not None:
             self.stats.record_batch(
@@ -635,7 +619,6 @@ def solve_subproblems_parallel(
     chunk_size: Optional[int] = None,
     timeout: Optional[float] = None,
     cache: Optional[ContractCache] = None,
-    dedupe: bool = True,
 ) -> Dict[str, SubproblemSolution]:
     """One-shot pooled solve (spawns and tears down a :class:`SolverPool`).
 
@@ -649,6 +632,5 @@ def solve_subproblems_parallel(
         chunk_size=chunk_size,
         timeout=timeout,
         cache=cache,
-        dedupe=dedupe,
     ) as pool:
         return pool.solve(subproblems)

@@ -1,8 +1,7 @@
 """Latency / throughput / cache counters for the serving layer.
 
-One :class:`ServingStats` instance is threaded through the solver pool
-and the marketplace server; the ``repro serve`` / ``repro solve`` CLI
-surfaces its snapshot.
+One :class:`ServingStats` instance is threaded through a solver pool
+(``repro solve`` prints its snapshot; every cluster shard keeps one).
 
 Since the :mod:`repro.obs` layer landed, ``ServingStats`` is a *view*
 over :mod:`repro.obs.metrics` instruments rather than a parallel set of

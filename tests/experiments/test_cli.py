@@ -21,6 +21,17 @@ class TestCli:
         assert "Fig. 6" in output
         assert "PASS" in output
 
+    @pytest.mark.parametrize("parallel", ["0", "1"])
+    def test_serve_rounds_through_the_router(self, capsys, parallel):
+        code = main(
+            ["serve", "--n-subjects", "20", "--rounds", "2", "--parallel", parallel]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "round 1:" in output
+        assert "20 served from cache" in output
+        assert f"-- serving stats ({parallel} shard(s)) --" in output
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])

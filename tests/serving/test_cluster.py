@@ -9,6 +9,7 @@ import pytest
 from repro.core import solve_subproblems
 from repro.errors import ServingError
 from repro.serving import ShardProcess, ShardRouter, ShardSpec
+from repro.serving.cluster.codec import columnar_frame
 from repro.serving.cluster.shard import ShardTransportError
 from repro.serving.workload import synthetic_subproblems
 
@@ -34,15 +35,26 @@ def router():
         yield instance
 
 
+def _compensation_bytes(design):
+    return pickle.dumps(design.contract.compensations)
+
+
 class TestShardProcess:
     def test_solve_health_and_stats(self, workload):
+        serial = solve_subproblems(workload[:3], mu=1.0)
         shard = ShardProcess(ShardSpec(shard_id="s0"))
         shard.start()
         try:
-            fingerprints = [f"fp{i}" for i in range(3)]
-            designs, hits = shard.solve(workload[:3], fingerprints)
+            # The shard trusts the fingerprints it is sent (the router
+            # computed them), so distinct labels give three frame rows.
+            frame = columnar_frame(workload[:3], [f"fp{i}" for i in range(3)])
+            designs, hits = shard.solve_columnar(frame)
             assert len(designs) == 3 and hits == [False, False, False]
-            _, hits_again = shard.solve(workload[:3], fingerprints)
+            for subproblem, design in zip(workload[:3], designs):
+                assert _compensation_bytes(design) == _compensation_bytes(
+                    serial[subproblem.subject_id].result
+                )
+            _, hits_again = shard.solve_columnar(frame)
             assert hits_again == [True, True, True]
             health = shard.health()
             assert health["shard_id"] == "s0"
@@ -77,11 +89,12 @@ class TestShardProcess:
         sink.start()
         try:
             fingerprints = [f"fp{i}" for i in range(4)]
-            source.solve(workload[:4], fingerprints)
+            frame = columnar_frame(workload[:4], fingerprints)
+            source.solve_columnar(frame)
             entries = source.cache_export()
             assert sorted(fp for fp, _ in entries) == sorted(fingerprints)
             assert sink.cache_import(entries) == 4
-            _, hits = sink.solve(workload[:4], fingerprints)
+            _, hits = sink.solve_columnar(frame)
             assert hits == [True, True, True, True]
         finally:
             source.stop()
@@ -94,15 +107,15 @@ class TestShardProcess:
         shard = ShardProcess(ShardSpec(shard_id="s0"))
         shard.start()
         try:
-            designs, _ = shard.solve(workload[:2], ["fpA", "fpB"])
+            designs, _ = shard.solve_columnar(
+                columnar_frame(workload[:2], ["fpA", "fpB"])
+            )
         finally:
             shard.stop()
         for subproblem, design in zip(workload[:2], designs):
             assert design.evaluations == ()
             expected = serial[subproblem.subject_id].result
-            assert pickle.dumps(design.contract.compensations) == (
-                pickle.dumps(expected.contract.compensations)
-            )
+            assert _compensation_bytes(design) == _compensation_bytes(expected)
             assert design.k_opt == expected.k_opt
 
     def test_application_error_keeps_shard_alive(self, workload):
@@ -113,8 +126,20 @@ class TestShardProcess:
                 shard.request("no_such_op")
             assert not isinstance(excinfo.value, ShardTransportError)
             assert shard.alive
-            designs, _ = shard.solve(workload[:1], ["fp"])
+            designs, _ = shard.solve_columnar(columnar_frame(workload[:1], ["fp"]))
             assert len(designs) == 1
+        finally:
+            shard.stop()
+
+    def test_pickled_solve_op_is_gone(self, workload):
+        # Frames are the only solve payload on the pipe.
+        assert not hasattr(ShardProcess, "solve")
+        shard = ShardProcess(ShardSpec(shard_id="s0"))
+        shard.start()
+        try:
+            with pytest.raises(ServingError, match="unknown shard op 'solve'"):
+                shard.request("solve", (tuple(workload[:1]), ("fp",)))
+            assert shard.alive
         finally:
             shard.stop()
 
@@ -123,7 +148,7 @@ class TestShardProcess:
         shard.start()
         shard.kill()
         with pytest.raises(ShardTransportError):
-            shard.solve(workload[:1], ["fp"])
+            shard.solve_columnar(columnar_frame(workload[:1], ["fp"]))
 
     def test_restart_after_kill(self):
         shard = ShardProcess(ShardSpec(shard_id="s0"))
@@ -262,7 +287,7 @@ class TestFailover:
 
     def test_validation(self):
         with pytest.raises(ServingError):
-            ShardRouter(n_shards=0)
+            ShardRouter(n_shards=-1)
         with pytest.raises(ServingError):
             ShardRouter(max_retries=-1)
         with pytest.raises(ServingError):
@@ -288,3 +313,53 @@ class TestIntrospection:
             len(workload)
         )
         assert set(snapshot["shards"]) == set(router.shard_ids)
+
+
+class TestZeroShardRouter:
+    """``n_shards=0``: the router's in-process pool serves every batch."""
+
+    def test_contracts_are_bit_identical_to_serial(self, workload):
+        serial = solve_subproblems(workload, mu=1.0)
+        with ShardRouter(n_shards=0) as router:
+            assert router.shard_ids == ()
+            designs, hits = router.solve_designs(workload)
+        assert not any(hits)
+        for subproblem, design in zip(workload, designs):
+            assert _compensation_bytes(design) == _compensation_bytes(
+                serial[subproblem.subject_id].result
+            )
+
+    def test_later_rounds_hit_the_cache(self, workload):
+        serial = solve_subproblems(workload, mu=1.0)
+        with ShardRouter(n_shards=0) as router:
+            router.solve_designs(workload)
+            for _ in range(2):
+                designs, hits = router.solve_designs(workload)
+                assert all(hits)
+                for subproblem, design in zip(workload, designs):
+                    assert _compensation_bytes(design) == _compensation_bytes(
+                        serial[subproblem.subject_id].result
+                    )
+
+    def test_batches_count_but_are_not_fallbacks(self, workload):
+        with ShardRouter(n_shards=0) as router:
+            router.solve_designs(workload)
+            router.solve(workload)
+            assert router.stats.requests.value == 2 * len(workload)
+            assert router.stats.batches.value == 2
+            assert router.stats.local_fallbacks.value == 0
+            router_metrics = router.stats_snapshot()["router"]
+        # The pool's own counters publish beside the router's.
+        assert router_metrics["cluster.local.requests"]["value"] == 2 * len(workload)
+        assert router_metrics["cluster.local.cache_hits"]["value"] == len(
+            set(router.fingerprints(workload))
+        )
+
+    def test_healthz_is_ok_while_running(self):
+        router = ShardRouter(n_shards=0)
+        assert router.healthz()["status"] == "degraded"
+        with router:
+            report = router.healthz()
+            assert report["status"] == "ok"
+            assert report["n_shards"] == 0
+        assert router.healthz()["status"] == "degraded"

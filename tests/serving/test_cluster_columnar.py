@@ -1,13 +1,13 @@
 """Columnar wire format for the cluster tier: frame codec, shard op, HTTP.
 
-A solve batch of n subjects collapsing onto K archetypes used to cross
-the shard pipe (and the HTTP hop) as n pickled `Subproblem` objects;
-the columnar frame ships a (K, 7) float table plus an (n,) int64 code
-vector instead.  These tests pin the properties the engine relies on:
-the frame round-trips bit-exactly (including through JSON), the shard
-solves the frame's OWN fingerprints (cache keys identical to the object
-wire format), results fan back out in request order, and the serving
-counters keep meaning "subjects served" regardless of wire format.
+A solve batch of n subjects collapsing onto K archetypes crosses the
+shard pipe (and the HTTP hop) as a (K, 7) float table plus an (n,)
+int64 code vector, the cluster's one solve codec.  These tests pin the
+properties the engine relies on: the frame round-trips bit-exactly
+(including through JSON), the shard solves the frame's OWN fingerprints
+(the keys the router routed on), results fan back out in request order
+and match serial solving, and the shard's request counter means
+"subjects served".
 """
 
 from __future__ import annotations
@@ -151,37 +151,32 @@ class TestFrameCodec:
 
 
 class TestShardColumnarOp:
-    def test_solve_columnar_matches_object_op(self, workload, fingerprints):
+    def test_solve_columnar_matches_serial(self, workload, fingerprints):
         frame = columnar_frame(workload, fingerprints)
-        object_shard = ShardProcess(ShardSpec(shard_id="obj"))
-        frame_shard = ShardProcess(ShardSpec(shard_id="col"))
-        object_shard.start()
-        frame_shard.start()
+        serial = solve_subproblems(workload, mu=1.0)
+        shard = ShardProcess(ShardSpec(shard_id="col"))
+        shard.start()
         try:
-            designs, hits = object_shard.solve(workload, fingerprints)
-            rep_designs, rep_hits = frame_shard.solve_columnar(frame)
+            rep_designs, rep_hits = shard.solve_columnar(frame)
             assert len(rep_designs) == len(frame["fingerprints"])
             assert not any(rep_hits)
-            fanned, fanned_hits = expand_frame_results(
-                frame, rep_designs, rep_hits
-            )
-            for object_design, frame_design in zip(designs, fanned):
+            fanned, _ = expand_frame_results(frame, rep_designs, rep_hits)
+            for subproblem, frame_design in zip(workload, fanned):
                 assert pickle.dumps(
-                    object_design.contract.compensations
+                    serial[subproblem.subject_id].result.contract.compensations
                 ) == pickle.dumps(frame_design.contract.compensations)
             # Same fingerprints were cached: a repeat frame is all hits.
-            _, warm_hits = frame_shard.solve_columnar(frame)
+            _, warm_hits = shard.solve_columnar(frame)
             assert all(warm_hits)
         finally:
-            object_shard.stop()
-            frame_shard.stop()
+            shard.stop()
 
     def test_requests_counter_means_subjects_served(
         self, workload, fingerprints
     ):
         """The shard books n requests for an n-subject frame even though
-        it only solved K archetypes — `requests` stays comparable across
-        wire formats (and across the cluster aggregation)."""
+        it only solved K archetypes — `requests` means subjects served
+        (and sums across the cluster aggregation)."""
         frame = columnar_frame(workload, fingerprints)
         shard = ShardProcess(ShardSpec(shard_id="s0"))
         shard.start()
@@ -202,9 +197,9 @@ class TestShardColumnarOp:
 
 class TestRouterColumnarPath:
     def test_router_matches_serial_through_frames(self, workload):
-        """`solve_designs` now ships frames to the shards internally;
-        results must stay bit-identical to the serial solver and to the
-        pre-frame wire format's semantics (order, hit flags)."""
+        """`solve_designs` ships frames to the shards internally; results
+        must stay bit-identical to the serial solver, in input order,
+        with per-subject hit flags."""
         serial = solve_subproblems(workload, mu=1.0)
         with ShardRouter(n_shards=2, supervise_interval=0.0) as router:
             designs, hits = router.solve_designs(workload)

@@ -5,18 +5,22 @@ from __future__ import annotations
 import http.client
 import json
 import pickle
+import socket
 
 import pytest
 
 from repro.core import solve_subproblems
+from repro.errors import ServingError
 from repro.serving import HTTPServerThread, ShardRouter
 from repro.serving.cluster.codec import (
+    columnar_frame,
     design_to_json,
-    subproblem_from_json,
-    subproblem_to_json,
+    frame_from_json,
+    frame_to_json,
+    subproblems_from_frame,
 )
+from repro.serving.cluster.http import MAX_BODY_BYTES
 from repro.serving.fingerprint import subproblem_fingerprint
-from repro.errors import ServingError
 from repro.serving.workload import synthetic_subproblems
 
 
@@ -30,6 +34,26 @@ def endpoint(workload):
     with ShardRouter(n_shards=2, supervise_interval=0.0) as router:
         with HTTPServerThread(router) as thread:
             yield thread.address
+
+
+def _frame_body(subproblems, fingerprints=None):
+    """A ``/solve_batch`` body: the subproblems as one columnar frame."""
+    if fingerprints is None:
+        fingerprints = [subproblem_fingerprint(s) for s in subproblems]
+    return {"columnar": frame_to_json(columnar_frame(subproblems, fingerprints))}
+
+
+def _fanned_out(payload):
+    """A columnar reply's designs, one per request, in request order."""
+    return [payload["designs"][code] for code in payload["codes"]]
+
+
+def _serial_bytes(subproblems):
+    serial = solve_subproblems(subproblems, mu=1.0)
+    return {
+        subject_id: pickle.dumps(list(solution.result.contract.compensations))
+        for subject_id, solution in serial.items()
+    }
 
 
 def _call(endpoint, method, path, payload=None):
@@ -71,29 +95,37 @@ def _prometheus_samples(text):
     return samples
 
 
+def _rebuilt(subproblems):
+    """The frame's representatives after a JSON round trip."""
+    body = json.loads(json.dumps(_frame_body(subproblems)))
+    representatives, _ = subproblems_from_frame(frame_from_json(body["columnar"]))
+    return representatives
+
+
 class TestCodec:
     def test_round_trip_preserves_fingerprint(self, workload):
+        # The front end recomputes each row's fingerprint from the
+        # decoded row, so a decoded row must fingerprint as it did.
         for subproblem in workload:
-            rebuilt = subproblem_from_json(subproblem_to_json(subproblem))
+            (rebuilt,) = _rebuilt([subproblem])
             assert subproblem_fingerprint(rebuilt) == subproblem_fingerprint(
                 subproblem
             )
 
     def test_json_round_trip_preserves_float_bytes(self, workload):
-        encoded = json.loads(json.dumps(subproblem_to_json(workload[0])))
-        rebuilt = subproblem_from_json(encoded)
+        (rebuilt,) = _rebuilt(workload[:1])
         assert rebuilt.params.beta == workload[0].params.beta
         assert rebuilt.effort_function.coefficients() == (
             workload[0].effort_function.coefficients()
         )
 
-    def test_malformed_payload_raises_serving_error(self):
+    def test_malformed_payload_raises_serving_error(self, workload):
+        body = _frame_body(workload[:1])["columnar"]
         with pytest.raises(ServingError):
-            subproblem_from_json({"subject_id": "w0"})  # no effort fields
+            frame_from_json({"table": body["table"]})  # no other fields
+        bad_type = dict(body, worker_types=[99])
         with pytest.raises(ServingError):
-            subproblem_from_json(
-                {"subject_id": "w0", "r2": -0.5, "r1": 8.0, "worker_type": "nope"}
-            )
+            subproblems_from_frame(frame_from_json(bad_type))
 
     def test_design_encoding_fields(self, workload):
         solution = solve_subproblems(workload[:1], mu=1.0)
@@ -118,36 +150,50 @@ class TestEndpoints:
         assert "router" in payload and "shards" in payload
 
     def test_solve_matches_serial_bit_for_bit(self, endpoint, workload):
-        serial = solve_subproblems(workload[:1], mu=1.0)
-        expected = next(iter(serial.values())).result
+        # One design is a one-row frame.
+        expected = _serial_bytes(workload[:1])[workload[0].subject_id]
         status, payload = _call(
-            endpoint, "POST", "/solve", subproblem_to_json(workload[0])
+            endpoint, "POST", "/solve_batch", _frame_body(workload[:1])
         )
         assert status == 200
-        assert payload["subject_id"] == workload[0].subject_id
+        (design,) = _fanned_out(payload)
+        assert design["subject_id"] == workload[0].subject_id
         # JSON repr-floats round-trip doubles exactly: bit-identical.
-        assert pickle.dumps(payload["compensations"]) == pickle.dumps(
-            list(expected.contract.compensations)
-        )
+        assert pickle.dumps(design["compensations"]) == expected
 
     def test_solve_batch_preserves_order_and_reports_hits(
         self, endpoint, workload
     ):
-        body = {"subproblems": [subproblem_to_json(s) for s in workload]}
+        body = _frame_body(workload)
         status, payload = _call(endpoint, "POST", "/solve_batch", body)
         assert status == 200
-        designs = payload["designs"]
-        assert [d["subject_id"] for d in designs] == [
-            s.subject_id for s in workload
+        assert payload["codes"] == body["columnar"]["codes"]
+        designs = _fanned_out(payload)
+        assert [d["fingerprint"] for d in designs] == [
+            subproblem_fingerprint(s) for s in workload
         ]
+        expected = _serial_bytes(workload)
+        for subproblem, design in zip(workload, designs):
+            assert pickle.dumps(design["compensations"]) == (
+                expected[subproblem.subject_id]
+            )
         status, payload = _call(endpoint, "POST", "/solve_batch", body)
         assert all(d["cache_hit"] for d in payload["designs"])
+
+    def test_solve_route_and_subproblem_bodies_are_gone(self, endpoint, workload):
+        status, _ = _call(endpoint, "POST", "/solve", _frame_body(workload[:1]))
+        assert status == 404
+        status, payload = _call(
+            endpoint, "POST", "/solve_batch", {"subproblems": [{"subject_id": "w0"}]}
+        )
+        assert status == 400
+        assert "columnar" in payload["error"]
 
     def test_bad_json_is_400(self, endpoint):
         host, port = endpoint
         conn = http.client.HTTPConnection(host, port, timeout=30.0)
         try:
-            conn.request("POST", "/solve", body="{not json")
+            conn.request("POST", "/solve_batch", body="{not json")
             response = conn.getresponse()
             payload = json.loads(response.read().decode("utf-8"))
         finally:
@@ -155,8 +201,10 @@ class TestEndpoints:
         assert response.status == 400
         assert "JSON" in payload["error"]
 
-    def test_missing_fields_is_400(self, endpoint):
-        status, payload = _call(endpoint, "POST", "/solve", {"subject_id": "x"})
+    def test_missing_fields_is_400(self, endpoint, workload):
+        frame = _frame_body(workload[:1])["columnar"]
+        del frame["fingerprints"]
+        status, payload = _call(endpoint, "POST", "/solve_batch", {"columnar": frame})
         assert status == 400
         assert "error" in payload
 
@@ -167,7 +215,7 @@ class TestEndpoints:
     def test_wrong_method_is_405(self, endpoint):
         status, _ = _call(endpoint, "POST", "/healthz", {})
         assert status == 405
-        status, _ = _call(endpoint, "GET", "/solve")
+        status, _ = _call(endpoint, "GET", "/solve_batch")
         assert status == 405
 
     def test_keep_alive_serves_multiple_requests(self, endpoint, workload):
@@ -176,7 +224,7 @@ class TestEndpoints:
         try:
             for _ in range(3):
                 conn.request(
-                    "POST", "/solve", body=json.dumps(subproblem_to_json(workload[0]))
+                    "POST", "/solve_batch", body=json.dumps(_frame_body(workload[:1]))
                 )
                 response = conn.getresponse()
                 assert response.status == 200
@@ -187,8 +235,7 @@ class TestEndpoints:
     def test_stats_reports_shard_pids_hit_rate_and_totals(
         self, endpoint, workload
     ):
-        body = {"subproblems": [subproblem_to_json(s) for s in workload]}
-        _call(endpoint, "POST", "/solve_batch", body)
+        _call(endpoint, "POST", "/solve_batch", _frame_body(workload))
         status, payload = _call(endpoint, "GET", "/stats")
         assert status == 200
         assert payload["shards"]
@@ -217,6 +264,88 @@ class TestEndpoints:
                 assert payload["status"] == "degraded"
 
 
+class TestFingerprintCheck:
+    """The shards cache under the frame's fingerprints, so the front end
+    recomputes them before routing: a wrong one would poison the cache
+    for every later request that carries it honestly."""
+
+    def test_poisoned_frame_is_400_and_cache_stays_clean(self, workload):
+        fingerprints = [subproblem_fingerprint(s) for s in workload]
+        a = workload[0]
+        b = next(s for s, fp in zip(workload, fingerprints) if fp != fingerprints[0])
+        with ShardRouter(n_shards=1, supervise_interval=0.0) as router:
+            with HTTPServerThread(router) as thread:
+                poisoned = _frame_body([b], [fingerprints[0]])
+                status, payload = _call(thread.address, "POST", "/solve_batch", poisoned)
+                assert status == 400
+                assert "row 0" in payload["error"]
+                status, payload = _call(
+                    thread.address, "POST", "/solve_batch", _frame_body([a])
+                )
+        assert status == 200
+        (design,) = _fanned_out(payload)
+        assert design["cache_hit"] is False
+        assert pickle.dumps(design["compensations"]) == (
+            _serial_bytes([a])[a.subject_id]
+        )
+
+
+def _raw_request(address, head):
+    """Send raw request bytes; the status line and JSON body sent back."""
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    head_bytes, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *header_lines = head_bytes.decode("latin-1").split("\r\n")
+    assert "Connection: close" in header_lines
+    return int(status_line.split()[1]), json.loads(body)
+
+
+class TestUnreadableRequests:
+    """A request the server will not read is answered, then the
+    connection closes (the unread rest cannot be skipped reliably)."""
+
+    def test_oversized_body_is_413(self, endpoint):
+        status, payload = _raw_request(
+            endpoint,
+            b"POST /solve_batch HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+        )
+        assert status == 413
+        assert "exceeds" in payload["error"]
+
+    def test_non_integer_length_is_400(self, endpoint):
+        status, payload = _raw_request(
+            endpoint,
+            b"POST /solve_batch HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_length_is_400(self, endpoint):
+        status, payload = _raw_request(
+            endpoint,
+            b"POST /solve_batch HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_header_line_over_the_stream_limit_is_400(self, endpoint):
+        # asyncio streams refuse lines over 64 KiB by default.
+        status, payload = _raw_request(
+            endpoint,
+            b"POST /solve_batch HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert "too long" in payload["error"]
+
+
 class TestMetricsEndpoint:
     """ISSUE acceptance: /metrics during a 4-shard load is valid
     Prometheus text whose per-shard counters sum to the router totals."""
@@ -225,13 +354,13 @@ class TestMetricsEndpoint:
     def loaded_endpoint(self, workload):
         with ShardRouter(n_shards=4, supervise_interval=0.0) as router:
             with HTTPServerThread(router) as thread:
-                body = {
-                    "subproblems": [subproblem_to_json(s) for s in workload]
-                }
+                body = _frame_body(workload)
                 for _ in range(3):
                     status, _ = _call(thread.address, "POST", "/solve_batch", body)
                     assert status == 200
-                yield thread.address, len(workload) * 3
+                # The router and shards serve a frame's K rows; the
+                # client fans them out to the codes.
+                yield thread.address, len(body["columnar"]["fingerprints"]) * 3
 
     def test_metrics_is_valid_prometheus_text(self, loaded_endpoint):
         from repro.obs.aggregate import validate_prometheus_text

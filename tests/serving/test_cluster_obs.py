@@ -28,7 +28,8 @@ from repro.obs.trace import (
     set_tracer,
 )
 from repro.serving import HTTPServerThread, ShardRouter
-from repro.serving.cluster.codec import subproblem_to_json
+from repro.serving.cluster.codec import columnar_frame, frame_to_json
+from repro.serving.fingerprint import subproblem_fingerprint
 from repro.serving.workload import synthetic_subproblems
 
 
@@ -52,9 +53,10 @@ def _post_batch(address, workload, headers=None):
     host, port = address
     conn = http.client.HTTPConnection(host, port, timeout=30.0)
     try:
-        body = json.dumps(
-            {"subproblems": [subproblem_to_json(s) for s in workload]}
+        frame = columnar_frame(
+            workload, [subproblem_fingerprint(s) for s in workload]
         )
+        body = json.dumps({"columnar": frame_to_json(frame)})
         conn.request("POST", "/solve_batch", body=body, headers=headers or {})
         response = conn.getresponse()
         return response.status, json.loads(response.read().decode("utf-8"))

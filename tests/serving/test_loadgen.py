@@ -6,11 +6,15 @@ import threading
 
 import pytest
 
+from repro.core import solve_subproblems
 from repro.errors import ServingError
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
+    HTTPServerThread,
     LoadGenerator,
+    ShardRouter,
     SolverPool,
+    http_target,
     pool_target,
     synthetic_request_batches,
 )
@@ -118,3 +122,39 @@ class TestLoadGenerator:
         generator = LoadGenerator(lambda batch: None)
         with pytest.raises(ServingError):
             generator.run([])
+
+
+class TestHTTPTarget:
+    """Closed-loop frames over HTTP against a router without shards."""
+
+    @pytest.fixture()
+    def address(self):
+        with ShardRouter(n_shards=0) as router:
+            with HTTPServerThread(router) as thread:
+                yield thread.address
+
+    def test_frames_over_http_serve_without_errors(self, address, population):
+        batches = synthetic_request_batches(population, 40, batch_size=4, seed=8)
+        send = http_target(*address)
+        served = []
+
+        def target(batch):
+            served.append((batch, send(batch)))
+
+        report = LoadGenerator(target, concurrency=2).run(batches)
+        assert report.errors == 0, report.error_samples
+        assert report.requests == 40
+        serial = solve_subproblems(population, mu=1.0)
+        for batch, designs in served:
+            assert len(designs) == len(batch)
+            for subproblem, design in zip(batch, designs):
+                expected = serial[subproblem.subject_id].result.contract
+                assert design["compensations"] == list(expected.compensations)
+
+    def test_fingerprints_under_another_mu_are_refused(self, address, population):
+        batches = synthetic_request_batches(population, 8, batch_size=4, seed=9)
+        report = LoadGenerator(http_target(*address, mu=2.0), concurrency=1).run(
+            batches
+        )
+        assert report.errors == len(batches)
+        assert "HTTP 400" in report.error_samples[0]

@@ -19,6 +19,13 @@ def workload():
 
 
 @pytest.fixture(scope="module")
+def heterogeneous():
+    # One archetype per subject: nothing dedupes, so every subject is a
+    # solve and the process path dispatches many chunks.
+    return synthetic_subproblems(n_subjects=24, n_archetypes=24, seed=11)
+
+
+@pytest.fixture(scope="module")
 def serial_solutions(workload):
     return solve_subproblems(workload, mu=1.0)
 
@@ -49,12 +56,6 @@ class TestSolverPoolSerialPath:
         assert stats.requests == len(workload)
         assert stats.unique_solves == 6
         assert stats.dedup_rate == pytest.approx(1.0 - 6 / len(workload))
-
-    def test_dedupe_off_solves_every_subject(self, workload):
-        stats = ServingStats()
-        with SolverPool(n_workers=0, dedupe=False, stats=stats) as pool:
-            pool.solve(workload)
-        assert stats.unique_solves == len(workload)
 
     def test_rejects_duplicate_subject_ids(self, workload):
         with SolverPool(n_workers=0) as pool:
@@ -110,18 +111,18 @@ class TestSolverPoolProcesses:
                 serial_solutions[subject_id]
             )
 
-    def test_chunking_covers_all_inputs(self, workload):
-        with SolverPool(n_workers=2, chunk_size=2, dedupe=False) as pool:
-            solutions = pool.solve(workload)
-        assert list(solutions) == [entry.subject_id for entry in workload]
+    def test_chunking_covers_all_inputs(self, heterogeneous):
+        with SolverPool(n_workers=2, chunk_size=2) as pool:
+            solutions = pool.solve(heterogeneous)
+        assert list(solutions) == [entry.subject_id for entry in heterogeneous]
 
-    def test_timeout_raises_serving_error(self, workload):
-        with SolverPool(n_workers=1, timeout=1e-9, dedupe=False) as pool:
+    def test_timeout_raises_serving_error(self, heterogeneous):
+        with SolverPool(n_workers=1, timeout=1e-9) as pool:
             with pytest.raises(ServingError, match="timeout"):
-                pool.solve(workload)
+                pool.solve(heterogeneous)
 
     def test_solve_designs_accepts_repeated_requests(self, workload):
-        """The server path may batch the same subject twice."""
+        """A caller may batch the same subject twice."""
         repeated = [workload[0], workload[0], workload[1]]
         with SolverPool(n_workers=0) as pool:
             designs, hits = pool.solve_designs(repeated)
