@@ -47,15 +47,15 @@ def pooled_rounds() -> None:
         n_subjects=N_SUBJECTS, n_archetypes=N_ARCHETYPES, seed=42
     )
     stats = ServingStats()
-    with SolverPool(n_workers=0, cache=ContractCache(), stats=stats) as pool:
-        for round_index in range(N_ROUNDS):
-            solutions, diagnostics = pool.solve_with_diagnostics(subproblems)
-            hits = sum(1 for d in diagnostics.values() if d.cache_hit)
-            hired = sum(1 for s in solutions.values() if s.result.hired)
-            print(
-                f"round {round_index}: {hired}/{len(solutions)} hired, "
-                f"{hits} contracts served from cache"
-            )
+    pool = SolverPool(cache=ContractCache(), stats=stats)
+    for round_index in range(N_ROUNDS):
+        solutions, diagnostics = pool.solve_with_diagnostics(subproblems)
+        hits = sum(1 for d in diagnostics.values() if d.cache_hit)
+        hired = sum(1 for s in solutions.values() if s.result.hired)
+        print(
+            f"round {round_index}: {hired}/{len(solutions)} hired, "
+            f"{hits} contracts served from cache"
+        )
     print(stats.format())
     print()
 
@@ -100,8 +100,7 @@ def traced_round() -> None:
         subproblems = synthetic_subproblems(
             n_subjects=24, n_archetypes=6, seed=42
         )
-        with SolverPool(n_workers=0) as pool:
-            pool.solve(subproblems)
+        SolverPool().solve(subproblems)
     finally:
         set_tracer(previous)
     print("the same round, traced (repro.obs):")

@@ -33,7 +33,6 @@ from .base import FlowPass
 from .index import (
     FAST_KERNEL_PREFIXES,
     LEGACY_KERNEL_PREFIX,
-    PARALLEL_KERNEL_PREFIXES,
     FunctionInfo,
     ProjectIndex,
     ordered_calls,
@@ -84,8 +83,7 @@ class DrawOrderPass(FlowPass):
         "subjects consuming nothing; fast_columnar_step collapses the round\n"
         "into one standard_normal block).  A new, removed or reordered rng.*\n"
         "call shifts every later draw and silently changes all downstream\n"
-        "realizations.  Every rng-taking fast_*/vectorized_*/parallel_*/\n"
-        "legacy_* kernel\n"
+        "realizations.  Every rng-taking fast_*/vectorized_*/legacy_* kernel\n"
         "therefore has its draw sequence pinned in analysis/draw_order.toml;\n"
         "changing draw behaviour requires updating the manifest and the\n"
         "regression test it names (tests/simulation/test_rng_order.py) in\n"
@@ -293,9 +291,8 @@ def load_manifest(path: Path) -> DrawOrderManifest:
 
 
 def _draw_kernels(index: ProjectIndex) -> List[FunctionInfo]:
-    """Module-level kernels (fast, vectorized, parallel, legacy) taking
-    a generator."""
-    prefixes = (*FAST_KERNEL_PREFIXES, *PARALLEL_KERNEL_PREFIXES, LEGACY_KERNEL_PREFIX)
+    """Module-level kernels (fast, vectorized, legacy) taking a generator."""
+    prefixes = (*FAST_KERNEL_PREFIXES, LEGACY_KERNEL_PREFIX)
     return [
         fn
         for fn in index.functions()

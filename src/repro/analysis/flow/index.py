@@ -17,11 +17,7 @@ Kernel discovery follows the repository's conventions:
   the same stem in the same module (a ``fast_columnar_*`` kernel's stem
   drops ``columnar_``: its reference is the object loop);
 * batch helpers are ``*_batch`` functions (or static methods) inside
-  ``workers/`` modules;
-* sharded parallel kernels are module-level ``parallel_*`` functions —
-  held to the same draw-order and batch-purity discipline as fast
-  kernels, but exempt from the legacy-twin demand (their reference is
-  the fast kernel they shard, pinned by ``require_parallel_*_agree``).
+  ``workers/`` modules.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ __all__ = [
     "BATCH_HELPER_SUFFIX",
     "FAST_KERNEL_PREFIXES",
     "LEGACY_KERNEL_PREFIX",
-    "PARALLEL_KERNEL_PREFIXES",
     "FunctionInfo",
     "ModuleInfo",
     "ProjectIndex",
@@ -55,10 +50,6 @@ LEGACY_KERNEL_PREFIX: str = "legacy_"
 
 #: Dropped from a columnar kernel's stem to name its object-loop twin.
 COLUMNAR_INFIX: str = "columnar_"
-
-#: Module-level functions with these prefixes are sharded parallel
-#: kernels (multi-process front ends over a fast kernel).
-PARALLEL_KERNEL_PREFIXES: Tuple[str, ...] = ("parallel_",)
 
 #: Batch helpers in ``workers/`` modules end with this suffix.
 BATCH_HELPER_SUFFIX: str = "_batch"
@@ -152,14 +143,6 @@ class ProjectIndex:
             fn
             for fn in self.functions()
             if "." not in fn.qualname and fn.name.startswith(FAST_KERNEL_PREFIXES)
-        ]
-
-    def parallel_kernels(self) -> List[FunctionInfo]:
-        """Module-level ``parallel_*`` sharded kernels."""
-        return [
-            fn
-            for fn in self.functions()
-            if "." not in fn.qualname and fn.name.startswith(PARALLEL_KERNEL_PREFIXES)
         ]
 
     def legacy_kernels(self) -> List[FunctionInfo]:

@@ -28,14 +28,6 @@ psi coefficients and worker parameters through object attribute dispatch
 — both defeat the structure-of-arrays layout even when no scalar call is
 made, so the pass flags them in columnar kernels specifically.
 
-Sharded parallel kernels (``parallel_*`` functions fronting a shard
-pool over ``multiprocessing.shared_memory``) are scanned with the same
-checks plus one of their own: attaching a ``SharedMemory`` segment — or
-``.close()``/``.unlink()``-ing one — inside a loop churns one mmap
-syscall pair per element where the engine attaches once per worker
-process; the pass flags per-element segment lifecycle calls so the
-attach-once discipline survives refactors.
-
 Loops over fixed small structures (contract pieces, partitions) are
 fine; only population-shaped iteration is held to the batch discipline.
 """
@@ -86,25 +78,6 @@ _COLUMNAR_OBJECT_ATTRS: Tuple[str, ...] = (
     "params",
 )
 
-#: Constructors that attach a shared-memory segment; calling one inside
-#: a loop churns an mmap per element instead of attaching once.
-_SHARED_MEMORY_CONSTRUCTORS: Tuple[str, ...] = ("SharedMemory",)
-
-#: Segment lifecycle methods whose per-element invocation marks a
-#: detach-per-element regression.
-_SHARED_MEMORY_METHODS: Tuple[str, ...] = (
-    "close",
-    "unlink",
-)
-
-#: Substrings of a receiver that mark it as a shared-memory segment, so
-#: `segment.close()` is flagged while `file.close()` is not.
-_SHARED_MEMORY_HINTS: Tuple[str, ...] = (
-    "shm",
-    "segment",
-    "shared_memory",
-)
-
 #: Substrings of a loop iterable that mark it as population-shaped.
 _POPULATION_HINTS: Tuple[str, ...] = (
     "population",
@@ -133,19 +106,15 @@ class PurityPass(FlowPass):
         "Python dispatch.  Columnar kernels additionally must not index\n"
         "the lazy .agents/.subproblems views or read\n"
         ".effort_function/.params per element — the columns ARE that\n"
-        "data.  Sharded parallel_* kernels must not attach (SharedMemory\n"
-        "construction) or detach (.close()/.unlink()) segments inside a\n"
-        "loop — the engine attaches once per worker process.  Such work\n"
-        "belongs in the legacy kernel or a batched helper.  Deliberate\n"
-        "scalar fallbacks (e.g. one memoized solve per archetype)\n"
-        "carry `# noqa: REPRO010` with a justifying comment."
+        "data.  Such work belongs in the legacy kernel or a batched\n"
+        "helper.  Deliberate scalar fallbacks (e.g. one memoized solve per\n"
+        "archetype) carry `# noqa: REPRO010` with a justifying comment."
     )
 
     def check(self, index: ProjectIndex) -> Iterator[Diagnostic]:
-        """Scan every registered fast, parallel kernel and batch helper."""
+        """Scan every registered fast kernel and batch helper."""
         kernels: List[FunctionInfo] = [
             *index.fast_kernels(),
-            *index.parallel_kernels(),
             *index.batch_helpers(),
         ]
         for fn in kernels:
@@ -281,43 +250,6 @@ class PurityPass(FlowPass):
                     )
                 )
                 return
-        if loop_depth > 0 and (
-            (isinstance(func, ast.Name) and func.id in _SHARED_MEMORY_CONSTRUCTORS)
-            or (
-                isinstance(func, ast.Attribute)
-                and func.attr in _SHARED_MEMORY_CONSTRUCTORS
-            )
-        ):
-            out.append(
-                self.diagnostic(
-                    index,
-                    fn.relpath,
-                    call,
-                    f"kernel `{fn.qualname}` attaches a `SharedMemory` segment "
-                    "per element inside a loop; attach once per worker process "
-                    "outside the loop",
-                    context=fn.qualname,
-                )
-            )
-            return
-        if (
-            loop_depth > 0
-            and isinstance(func, ast.Attribute)
-            and func.attr in _SHARED_MEMORY_METHODS
-            and _is_shared_memory_receiver(func.value)
-        ):
-            out.append(
-                self.diagnostic(
-                    index,
-                    fn.relpath,
-                    call,
-                    f"kernel `{fn.qualname}` calls segment `.{func.attr}()` "
-                    "per element inside a loop; detach once per worker process "
-                    "outside the loop",
-                    context=fn.qualname,
-                )
-            )
-            return
         if loop_depth > 0 and isinstance(func, ast.Name) and func.id in _SCALAR_CALLS:
             out.append(
                 self.diagnostic(
@@ -345,22 +277,6 @@ class PurityPass(FlowPass):
                     context=fn.qualname,
                 )
             )
-
-
-def _is_shared_memory_receiver(receiver: ast.AST) -> bool:
-    """Whether a ``.close()``/``.unlink()`` receiver looks like a segment.
-
-    Matches on name hints (``shm``, ``segment``, ``shared_memory``)
-    anywhere in the unparsed receiver expression, so ``segment.close()``
-    and ``self._shm.unlink()`` both count while ``file.close()`` and a
-    pipe's ``conn.close()`` do not.
-    """
-    try:
-        text = ast.unparse(receiver)
-    except Exception:  # pragma: no cover - unparse is total on parsed trees
-        return False
-    lowered = text.lower()
-    return any(hint in lowered for hint in _SHARED_MEMORY_HINTS)
 
 
 def _is_population_iter(iterable: ast.AST) -> bool:

@@ -5,16 +5,14 @@ Examples::
     python -m repro list
     python -m repro run fig8b --scale small
     python -m repro run all --scale paper --seed 7
-    python -m repro run fig8c --parallel 2
-    python -m repro solve --n-subjects 200 --parallel 2 --check
-    python -m repro serve --rounds 3
+    python -m repro solve --n-subjects 200 --rounds 2 --check
+    python -m repro serve --rounds 3 --parallel 2
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from .experiments.config import ExperimentConfig
@@ -55,16 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--seed", type=int, default=7, help="trace/simulation seed (default: 7)"
     )
-    run_parser.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "serving-layer solver processes for the design solves; "
-            "0 = serial in-process path (default: 0)"
-        ),
-    )
     from .obs.cli import add_obs_arguments, add_obs_out_argument
 
     add_obs_out_argument(run_parser)
@@ -79,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", choices=["paper", "small"], default="paper"
     )
     report_parser.add_argument("--seed", type=int, default=7)
-    report_parser.add_argument("--parallel", type=int, default=0, metavar="N")
     report_parser.add_argument(
         "--no-extensions",
         action="store_true",
@@ -129,13 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_for(args: argparse.Namespace) -> ExperimentConfig:
-    parallel = getattr(args, "parallel", 0)
     if args.scale == "small":
-        config = ExperimentConfig.small(seed=args.seed)
-        if parallel:
-            config = replace(config, parallel=parallel)
-        return config
-    return ExperimentConfig(scale="paper", seed=args.seed, parallel=parallel)
+        return ExperimentConfig.small(seed=args.seed)
+    return ExperimentConfig(scale="paper", seed=args.seed)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -3,14 +3,13 @@
 Section IV-B observes that the requester's objective separates across
 non-collusive workers and collusive communities: no term couples two
 different subjects.  The bilevel program therefore decomposes into one
-small subproblem per subject, each solvable independently (and hence in
-parallel).  A *subject* is either a single non-collusive worker or a
-collusive community treated as a meta-worker.
+small subproblem per subject, each solvable independently.  A *subject*
+is either a single non-collusive worker or a collusive community treated
+as a meta-worker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -89,69 +88,40 @@ def solve_subproblems(
     subproblems: Sequence[Subproblem],
     mu: float = 1.0,
     config: Optional[DesignerConfig] = None,
-    max_workers: int = 1,
-    parallel: int = 0,
 ) -> Dict[str, SubproblemSolution]:
-    """Solve every subproblem, optionally through the serving layer.
+    """Solve every Section IV-B subproblem in-process with one designer.
 
     Args:
         subproblems: the decomposed subproblems; subject ids must be
             unique.
         mu: requester compensation weight.
         config: designer configuration shared by all subproblems.
-        max_workers: thread-pool width; ``1`` solves serially.  The
-            subproblems are embarrassingly parallel (Section IV-B), so
-            any partitioning is valid.
-        parallel: when positive, route through the
-            :mod:`repro.serving` solver pool with this many worker
-            *processes* (fingerprint dedup included); ``0`` (the
-            default) keeps the in-process path below.
 
     Returns:
         Mapping from subject id to its :class:`SubproblemSolution`,
-        in input order on every path.
+        in input order.
     """
-    if parallel < 0:
-        raise DesignError(f"parallel must be >= 0, got {parallel!r}")
     tracer = get_tracer()
-    with tracer.span(
-        "core.decomposition",
-        n_subjects=len(subproblems),
-        parallel=parallel,
-        max_workers=max_workers,
-    ) as span:
-        if parallel > 0:
-            # Imported lazily: core stays importable without the serving
-            # layer loaded, and the serving layer imports this module.
-            from ..serving.pool import solve_subproblems_parallel
-
-            return solve_subproblems_parallel(
-                subproblems, mu=mu, config=config, n_workers=parallel
-            )
+    with tracer.span("core.decomposition", n_subjects=len(subproblems)) as span:
         seen = set()
         for subproblem in subproblems:
             if subproblem.subject_id in seen:
                 raise DesignError(f"duplicate subject_id {subproblem.subject_id!r}")
             seen.add(subproblem.subject_id)
-        if max_workers < 1:
-            raise DesignError(f"max_workers must be >= 1, got {max_workers!r}")
 
         designer = ContractDesigner(mu=mu, config=config)
-
-        def _solve(subproblem: Subproblem) -> SubproblemSolution:
-            result = designer.design(
-                effort_function=subproblem.effort_function,
-                params=subproblem.params,
-                feedback_weight=subproblem.feedback_weight,
-                max_effort=subproblem.max_effort,
+        solutions = [
+            SubproblemSolution(
+                subproblem=subproblem,
+                result=designer.design(
+                    effort_function=subproblem.effort_function,
+                    params=subproblem.params,
+                    feedback_weight=subproblem.feedback_weight,
+                    max_effort=subproblem.max_effort,
+                ),
             )
-            return SubproblemSolution(subproblem=subproblem, result=result)
-
-        if max_workers == 1 or len(subproblems) <= 1:
-            solutions = [_solve(subproblem) for subproblem in subproblems]
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                solutions = list(pool.map(_solve, subproblems))
+            for subproblem in subproblems
+        ]
         span.set(
             "n_hired", sum(1 for entry in solutions if entry.result.hired)
         )

@@ -95,8 +95,6 @@ def play_round(
     subproblems: Sequence[Subproblem],
     mu: float = 1.0,
     config: Optional[DesignerConfig] = None,
-    max_workers: int = 1,
-    parallel: int = 0,
 ) -> Tuple[RoundOutcome, Dict[str, SubproblemSolution]]:
     """Play one full Stackelberg round over all subproblems.
 
@@ -109,9 +107,6 @@ def play_round(
         subproblems: the decomposed per-subject problems.
         mu: requester compensation weight.
         config: designer configuration.
-        max_workers: thread parallelism for the independent subproblems.
-        parallel: serving-layer process fan-out (0 = in-process; see
-            :func:`~repro.core.decomposition.solve_subproblems`).
 
     Returns:
         The round outcome and the underlying per-subject solutions (so
@@ -119,9 +114,7 @@ def play_round(
     """
     if mu <= 0.0:
         raise DesignError(f"mu must be positive, got {mu!r}")
-    solutions = solve_subproblems(
-        subproblems, mu=mu, config=config, max_workers=max_workers, parallel=parallel
-    )
+    solutions = solve_subproblems(subproblems, mu=mu, config=config)
     subjects: Dict[str, SubjectOutcome] = {}
     total_benefit = 0.0
     total_compensation = 0.0

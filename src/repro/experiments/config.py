@@ -41,11 +41,6 @@ class ExperimentConfig:
         fig8c_honest_sample: honest workers included in the Fig. 8c
             simulation (the full 18k population would dominate runtime
             without changing the comparison).
-        parallel: serving-layer process fan-out for the per-subject
-            design solves; ``0`` (the default) keeps the serial
-            in-process path.  Excluded from equality/hashing so cached
-            experiment contexts are shared across execution strategies —
-            the results are identical by construction.
     """
 
     scale: str = "paper"
@@ -65,13 +60,8 @@ class ExperimentConfig:
     fig8a_min_reviews: int = 20
     fig8c_rounds: int = 20
     fig8c_honest_sample: int = 800
-    parallel: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.parallel < 0:
-            raise ExperimentError(
-                f"parallel must be >= 0, got {self.parallel!r}"
-            )
         if self.scale not in ("paper", "small"):
             raise ExperimentError(
                 f"scale must be 'paper' or 'small', got {self.scale!r}"

@@ -38,9 +38,7 @@ def run(context: Optional[ExperimentContext] = None) -> ExperimentResult:
     context = context if context is not None else build_context(ExperimentConfig())
     config = context.config
     population = context.population(honest_sample=_HONEST_SAMPLE)
-    solutions = solve_subproblems(
-        population.subproblems, mu=config.mu_default, parallel=config.parallel
-    )
+    solutions = solve_subproblems(population.subproblems, mu=config.mu_default)
 
     unconstrained_pay = sum(
         solution.result.response.compensation for solution in solutions.values()

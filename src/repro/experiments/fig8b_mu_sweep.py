@@ -42,9 +42,7 @@ def run(context: Optional[ExperimentContext] = None) -> ExperimentResult:
     summaries: Dict[float, Dict[str, object]] = {}
     means: Dict[float, Dict[WorkerType, float]] = {}
     for mu in config.mu_sweep:
-        solutions = solve_subproblems(
-            population.subproblems, mu=mu, parallel=config.parallel
-        )
+        solutions = solve_subproblems(population.subproblems, mu=mu)
         summaries[mu] = {}
         means[mu] = {}
         for worker_type in WorkerType:

@@ -30,21 +30,18 @@ def run(context: Optional[ExperimentContext] = None) -> ExperimentResult:
     population = context.population(honest_sample=config.fig8c_honest_sample)
     objective = context.objective()
 
-    dynamic = DynamicContractPolicy(mu=config.mu_default, parallel=config.parallel)
-    exclusion = ExclusionPolicy(
-        inner=DynamicContractPolicy(mu=config.mu_default, parallel=config.parallel)
+    comparison = compare_policies(
+        population=population,
+        objective=objective,
+        policies={
+            "dynamic": DynamicContractPolicy(mu=config.mu_default),
+            "exclusion": ExclusionPolicy(
+                inner=DynamicContractPolicy(mu=config.mu_default)
+            ),
+        },
+        n_rounds=config.fig8c_rounds,
+        seed=config.seed,
     )
-    try:
-        comparison = compare_policies(
-            population=population,
-            objective=objective,
-            policies={"dynamic": dynamic, "exclusion": exclusion},
-            n_rounds=config.fig8c_rounds,
-            seed=config.seed,
-        )
-    finally:
-        dynamic.close()
-        exclusion.inner.close()
 
     dynamic_series = comparison.utility_series["dynamic"]
     exclusion_series = comparison.utility_series["exclusion"]

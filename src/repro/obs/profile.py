@@ -3,13 +3,13 @@
 Tracing records *where wall-clock time went*; profiling additionally
 samples the process CPU clock at span boundaries, so a span's
 ``cpu_ms`` vs ``duration_ms`` gap separates compute-bound work (the
-candidate recursion) from waiting (process-pool fan-out, shard pipe
-waits).  Sampling costs two ``time.process_time()`` calls per
-span, so it rides the same enablement as the tracer: **off unless**
-``REPRO_OBS=1`` (or :func:`repro.obs.enable` with ``cpu=True``), and
-with tracing disabled entirely the cost is the tracer's single
-``enabled`` branch — the ``benchmarks/test_bench_obs.py`` gate holds
-that disabled path under 3% of the wrapped design work.
+candidate recursion) from waiting (shard pipe waits).  Sampling
+costs two ``time.process_time()`` calls per span, so it rides the
+same enablement as the tracer: **off unless** ``REPRO_OBS=1`` (or
+:func:`repro.obs.enable` with ``cpu=True``), and with tracing disabled
+entirely the cost is the tracer's single ``enabled`` branch — the
+``benchmarks/test_bench_obs.py`` gate holds that disabled path under 3%
+of the wrapped design work.
 """
 
 from __future__ import annotations

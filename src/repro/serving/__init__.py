@@ -1,4 +1,4 @@
-"""Contract serving: batched, cached, parallel design at marketplace scale.
+"""Contract serving: batched, cached design at marketplace scale.
 
 The Section IV-B decomposition makes contract design one independent
 subproblem per worker / community; this package turns that observation
@@ -8,9 +8,8 @@ into a serving layer:
   fingerprints (the cache/batch keys).
 * :mod:`~repro.serving.cache` — a bounded LRU contract cache with
   hit/miss/eviction counters and a cached==fresh invariant.
-* :mod:`~repro.serving.pool` — fingerprint-dedup plus
-  ``concurrent.futures`` process fan-out with chunking, per-task
-  timeouts and deterministic result ordering.
+* :mod:`~repro.serving.pool` — fingerprint-dedup batch solving with an
+  optional cross-batch cache, in input order.
 * :mod:`~repro.serving.stats` — latency / throughput / cache counters.
 * :mod:`~repro.serving.workload` — synthetic subproblem populations for
   benchmarks and smoke tests.
@@ -18,7 +17,8 @@ into a serving layer:
   contracts match recomputed ones.
 * :mod:`~repro.serving.cluster` — the one serving front end: a
   consistent-hash shard router with failover and supervision (with
-  zero shards, its in-process pool serves), fronted by a stdlib
+  zero shards, its in-process pool serves; shards are the one tier that
+  solves in other processes), fronted by a stdlib
   HTTP/JSON server that takes columnar frames at ``/solve_batch``
   (plus ``/healthz``, ``/stats``, ``/metrics``).
 * :mod:`~repro.serving.loadgen` — a closed-loop load harness recording
@@ -52,7 +52,6 @@ from .pool import (
     SolveDiagnostics,
     SolverPool,
     require_redesigns_agree,
-    solve_subproblems_parallel,
 )
 from .replay import verify_ledger, verify_round
 from .stats import ServingStats
@@ -81,7 +80,6 @@ __all__ = [
     "require_redesigns_agree",
     "require_results_agree",
     "router_target",
-    "solve_subproblems_parallel",
     "subproblem_fingerprint",
     "synthetic_request_batches",
     "synthetic_subproblems",

@@ -2,14 +2,15 @@
 
 Reused by the main ``repro`` CLI::
 
-    repro solve --n-subjects 200 --parallel 2       # one pooled solve
+    repro solve --n-subjects 200                    # one pooled solve
     repro solve --rounds 5 --check                  # cached rounds + audit
     repro serve --rounds 3 --n-subjects 200         # marketplace rounds
     repro serve --rounds 3 --parallel 2             # ... over 2 shards
 
-``repro solve`` drives the :class:`~repro.serving.pool.SolverPool`
-synchronously (this is also the CI serving smoke test); ``repro serve``
-drives the same rounds through the serving tier's one front end, a
+``repro solve`` drives the in-process
+:class:`~repro.serving.pool.SolverPool` (this is also the CI serving
+smoke test); ``repro serve`` drives the same rounds through the serving
+tier's one front end, a
 :class:`~repro.serving.cluster.router.ShardRouter` (``--parallel 0``:
 no shards, the router's in-process pool serves).
 Exit status: 0 on success, 1 when ``--check`` finds a mismatch.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import pickle
 import time
-from typing import List
+from typing import Any, Dict, List
 
 from ..core.decomposition import (
     Subproblem,
@@ -31,7 +32,7 @@ from ..core.decomposition import (
 from ..errors import ServingError
 from ..obs.cli import add_obs_out_argument, obs_session
 from .cache import ContractCache
-from .cluster.cli import _registry_for
+from .cluster.cli import _registry_for, _scrape_into
 from .cluster.router import ClusterStats, ShardRouter
 from .pool import SolverPool
 from .stats import ServingStats
@@ -54,16 +55,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help="distinct worker archetypes in the population (default: 16)",
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker processes (solve: pool processes, serve: shards); "
-            "0 = in-process solving (default: 0)"
-        ),
-    )
-    parser.add_argument(
         "--rounds",
         type=int,
         default=1,
@@ -82,12 +73,6 @@ def add_solve_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``repro solve`` flags to a (sub)parser."""
     _add_workload_arguments(parser)
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-task wall-clock budget in seconds (default: none)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="verify pooled/cached designs are byte-identical to serial",
@@ -97,6 +82,13 @@ def add_solve_arguments(parser: argparse.ArgumentParser) -> None:
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``repro serve`` flags to a (sub)parser."""
     _add_workload_arguments(parser)
+    parser.add_argument(
+        "--parallel",
+        type=int,
+        default=0,
+        metavar="N",
+        help="shard processes behind the router; 0 = in-process (default: 0)",
+    )
 
 
 def _workload(args: argparse.Namespace) -> List[Subproblem]:
@@ -118,18 +110,11 @@ def run_solve(args: argparse.Namespace) -> int:
 def _run_solve(args: argparse.Namespace) -> int:
     subproblems = _workload(args)
     stats = ServingStats(registry=_registry_for(args))
-    cache = ContractCache()
-    with SolverPool(
-        n_workers=args.parallel,
-        mu=args.mu,
-        timeout=args.timeout,
-        cache=cache,
-        stats=stats,
-    ) as pool:
-        started = time.perf_counter()
-        for _ in range(args.rounds):
-            solutions = pool.solve(subproblems)
-        elapsed = time.perf_counter() - started
+    pool = SolverPool(mu=args.mu, cache=ContractCache(), stats=stats)
+    started = time.perf_counter()
+    for _ in range(args.rounds):
+        solutions = pool.solve(subproblems)
+    elapsed = time.perf_counter() - started
 
     report = decomposition_report(solutions, mu=args.mu)
     print(f"solved {len(subproblems)} subjects x {args.rounds} round(s) "
@@ -155,11 +140,16 @@ def _run_solve(args: argparse.Namespace) -> int:
 
 def run_serve(args: argparse.Namespace) -> int:
     """Serve synthetic marketplace rounds through the shard router."""
-    with obs_session(getattr(args, "obs_out", None)):
-        return _run_serve(args)
+    # As in bench-serve: shard spans scraped before the router closes
+    # join the router's own in one --obs-out dump.
+    scraped: List[Dict[str, Any]] = []
+    with obs_session(
+        getattr(args, "obs_out", None), extra_records=lambda: scraped
+    ):
+        return _run_serve(args, scraped)
 
 
-def _run_serve(args: argparse.Namespace) -> int:
+def _run_serve(args: argparse.Namespace, scraped: List[Dict[str, Any]]) -> int:
     subproblems = _workload(args)
     stats = ClusterStats(registry=_registry_for(args))
     with ShardRouter(n_shards=args.parallel, mu=args.mu, stats=stats) as router:
@@ -179,6 +169,8 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"{sum(hits)} served from cache"
             )
         snapshot = router.stats_snapshot()
+        if args.parallel and getattr(args, "obs_out", None):
+            _scrape_into(router, scraped)
     # Router counters (the in-process pool's under cluster.local.*),
     # then the shards' summed serving and cache counters.
     print(f"-- serving stats ({args.parallel} shard(s)) --")

@@ -191,7 +191,6 @@ class ShardRouter:
         # Without shards it is the only solver, so it gets a shard's
         # cache.  Its serving counters publish beside the router's.
         self._fallback_pool = SolverPool(
-            n_workers=0,
             mu=mu,
             config=config,
             cache=ContractCache(
@@ -239,7 +238,7 @@ class ShardRouter:
                 self._supervisor = supervisor
 
     def close(self) -> None:
-        """Stop the supervisor, every shard and the fallback pool."""
+        """Stop the supervisor and every shard (idempotent)."""
         with self._lock:
             if not self._started:
                 return
@@ -259,7 +258,6 @@ class ShardRouter:
             process.stop()
         if executor is not None:
             executor.shutdown(wait=True)
-        self._fallback_pool.close()
 
     def __enter__(self) -> "ShardRouter":
         self.start()

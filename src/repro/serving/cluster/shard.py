@@ -114,7 +114,6 @@ def shard_main(conn: Connection, spec: ShardSpec) -> None:
     cache = ContractCache(capacity=spec.cache_capacity)
     stats = ServingStats()
     pool = SolverPool(
-        n_workers=0,
         mu=spec.mu,
         config=spec.config,
         cache=cache,

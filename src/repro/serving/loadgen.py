@@ -13,7 +13,7 @@ Targets are plain callables taking a batch of subproblems, with
 adapters for a :class:`SolverPool` or
 :class:`~repro.serving.cluster.router.ShardRouter` in-process, or a
 cluster HTTP endpoint over the wire (columnar frames, one keep-alive
-connection per worker thread).
+connection per worker thread, closed when the thread ends).
 
 Traffic replays the synthetic-archetype population of
 :func:`repro.serving.workload.synthetic_subproblems`: requests re-ask
@@ -27,6 +27,7 @@ import http.client
 import json
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -286,6 +287,20 @@ def router_target(router: ShardRouter) -> Target:
     return send
 
 
+class _KeepAlive:
+    """One thread's keep-alive connection, closed when the thread ends.
+
+    Held in a ``threading.local``, which drops a thread's state when
+    that thread exits; the finalizer then closes the socket, so the
+    connections of a load run close as its worker threads finish
+    instead of waiting for the garbage collector.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        weakref.finalize(self, self.conn.close)
+
+
 def http_target(
     host: str, port: int, timeout: float = 30.0, mu: float = 1.0
 ) -> Target:
@@ -295,17 +310,18 @@ def http_target(
     computed under ``mu``, which must be the server's (the front end
     answers 400 to fingerprints it does not recompute).  The target
     returns the design payloads fanned back out to the batch's order.
-    Each worker thread keeps one keep-alive connection (thread-local);
-    a transport failure drops the connection so the next round-trip
-    reconnects.
+    Each worker thread keeps one keep-alive connection, closed when the
+    thread ends; a transport failure drops the connection so the next
+    round-trip reconnects.
     """
     local = threading.local()
 
     def send(batch: Sequence[Subproblem]) -> Any:
-        conn: Optional[http.client.HTTPConnection] = getattr(local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(host, port, timeout=timeout)
-            local.conn = conn
+        keep_alive: Optional[_KeepAlive] = getattr(local, "keep_alive", None)
+        if keep_alive is None:
+            keep_alive = _KeepAlive(host, port, timeout)
+            local.keep_alive = keep_alive
+        conn = keep_alive.conn
         fingerprints = [subproblem_fingerprint(item, mu=mu) for item in batch]
         body = json.dumps(
             {"columnar": frame_to_json(columnar_frame(batch, fingerprints))}
@@ -325,7 +341,7 @@ def http_target(
             response = conn.getresponse()
             payload = json.loads(response.read().decode("utf-8"))
         except (http.client.HTTPException, OSError, json.JSONDecodeError) as error:
-            local.conn = None
+            local.keep_alive = None
             try:
                 conn.close()
             except OSError:

@@ -1,20 +1,17 @@
-"""Process-pool fan-out over the decomposed design subproblems.
+"""Batched, cached solving of the decomposed design subproblems.
 
-Section IV-B makes the bilevel program embarrassingly parallel: one
-independent subproblem per non-collusive worker and per collusive
-community.  The :class:`SolverPool` exploits that two ways:
-
-* **dedup by fingerprint** — workers sharing a class-level fit, the same
-  parameters and the same Eq. (5) weight are the *same* subproblem
-  (:mod:`repro.serving.fingerprint`); each unique fingerprint is solved
-  once per batch and the result fanned out to every requesting subject.
-  This is the dominant win on real populations, where thousands of
-  workers collapse to a handful of archetypes, and it costs nothing on
-  fully heterogeneous populations.
-* **process fan-out** — the surviving unique solves are chunked and
-  dispatched across ``n_workers`` processes (``concurrent.futures``),
-  with per-chunk timeouts and results reassembled in deterministic
-  input order regardless of completion order.
+Section IV-B makes the bilevel program separable: one independent
+subproblem per non-collusive worker and per collusive community.  The
+:class:`SolverPool` exploits that by **dedup by fingerprint** — workers
+sharing a class-level fit, the same parameters and the same Eq. (5)
+weight are the *same* subproblem (:mod:`repro.serving.fingerprint`);
+each unique fingerprint is solved once per batch and the result fanned
+out to every requesting subject.  This is the dominant win on real
+populations, where thousands of workers collapse to a handful of
+archetypes, and it costs nothing on fully heterogeneous populations.
+Solving runs in-process; cluster shards
+(:mod:`repro.serving.cluster`) are the one tier that spends more
+processes on it.
 
 An optional :class:`~repro.serving.cache.ContractCache` carries solved
 designs across batches (i.e. across marketplace rounds); hits are
@@ -23,9 +20,6 @@ re-verified against fresh solves under ``REPRO_CHECK_INVARIANTS=1``.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -62,7 +56,6 @@ __all__ = [
     "SolveDiagnostics",
     "SolverPool",
     "require_redesigns_agree",
-    "solve_subproblems_parallel",
 ]
 
 #: Signature of the fresh-solve callback a :class:`ColumnarDeltaState`
@@ -354,16 +347,16 @@ class ColumnarDeltaState:
         return assignment, stats
 
 
-def _solve_chunk(
-    payload: Tuple[Tuple[Subproblem, ...], float, Optional[DesignerConfig]],
+def _solve_unique(
+    subproblems: Sequence[Subproblem], mu: float, config: Optional[DesignerConfig]
 ) -> List[DesignResult]:
-    """Solve one chunk of subproblems (runs inside a pool process).
+    """Solve subproblems in order with one shared designer.
 
-    Module-level so it pickles under every start method; each chunk gets
-    its own :class:`~repro.core.designer.ContractDesigner`, whose
-    candidate cache is shared across the chunk's subproblems.
+    The designer's candidate cache is shared across the batch, so
+    subproblems with the same psi and effort cap share one sweep.
     """
-    subproblems, mu, config = payload
+    if not subproblems:
+        return []
     designer = ContractDesigner(mu=mu, config=config)
     return [
         designer.design(
@@ -377,65 +370,26 @@ def _solve_chunk(
 
 
 class SolverPool:
-    """Batched, cached, optionally multi-process subproblem solver.
+    """Batched, cached, in-process subproblem solver.
 
     Args:
-        n_workers: pool processes; ``0`` solves in-process (still with
-            dedup and caching — the serial fallback).
         mu: the requester's compensation weight.
         config: designer configuration shared by all solves.
-        chunk_size: subproblems per dispatched task; ``None`` picks
-            ``ceil(unique / (4 * n_workers))`` so each process sees a
-            few chunks (load balancing without per-task overhead).
-        timeout: optional per-task (per-chunk) wall-clock budget in
-            seconds; exceeding it raises :class:`ServingError`.
         cache: optional cross-batch contract cache.
         stats: optional serving counters to record batches into.
     """
 
     def __init__(
         self,
-        n_workers: int = 0,
         mu: float = 1.0,
         config: Optional[DesignerConfig] = None,
-        chunk_size: Optional[int] = None,
-        timeout: Optional[float] = None,
         cache: Optional[ContractCache] = None,
         stats: Optional[ServingStats] = None,
     ) -> None:
-        if n_workers < 0:
-            raise ServingError(f"n_workers must be >= 0, got {n_workers!r}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ServingError(f"chunk_size must be >= 1, got {chunk_size!r}")
-        if timeout is not None and timeout <= 0.0:
-            raise ServingError(f"timeout must be positive, got {timeout!r}")
-        self.n_workers = n_workers
         self.mu = mu
         self.config = config
-        self.chunk_size = chunk_size
-        self.timeout = timeout
         self.cache = cache
         self.stats = stats
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    # -- lifecycle ----------------------------------------------------
-
-    def __enter__(self) -> "SolverPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the worker processes down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._executor
 
     # -- solving ------------------------------------------------------
 
@@ -451,7 +405,7 @@ class SolverPool:
 
         Returns:
             ``(solutions, diagnostics)`` — both keyed by subject id in
-            the input order, regardless of which process finished when.
+            the input order.
         """
         seen = set()
         for subproblem in subproblems:
@@ -494,7 +448,7 @@ class SolverPool:
         This is the serving core: requests may repeat fingerprints (and
         even subject ids — callers batch arbitrary request streams);
         each unique fingerprint is resolved once via cache lookup or a
-        (possibly pooled) fresh solve, then fanned back out.
+        fresh solve, then fanned back out.
 
         Returns:
             ``(designs, cache_hits)``, both parallel to ``subproblems``.
@@ -510,7 +464,6 @@ class SolverPool:
             designs, cache_hits = self._solve_designs(subproblems, fingerprints)
             span.set("n_unique", len(set(fingerprints)))
             span.set("n_hits", sum(1 for hit in cache_hits if hit))
-            span.set("n_workers", self.n_workers)
             span.set("fastpath", fastpath_enabled())
             return designs, cache_hits
 
@@ -546,7 +499,9 @@ class SolverPool:
             else:
                 misses.append((key, subproblems[first_index]))
 
-        fresh = self._solve_unique([subproblem for _, subproblem in misses])
+        fresh = _solve_unique(
+            [subproblem for _, subproblem in misses], self.mu, self.config
+        )
         for (key, _), result in zip(misses, fresh):
             results[key] = result
             if self.cache is not None:
@@ -557,8 +512,8 @@ class SolverPool:
             maybe_verify_cached(
                 key,
                 results[key],
-                lambda subproblem=representative: _solve_chunk(
-                    ((subproblem,), self.mu, self.config)
+                lambda subproblem=representative: _solve_unique(
+                    (subproblem,), self.mu, self.config
                 )[0],
                 stats=self.cache.stats if self.cache is not None else None,
             )
@@ -575,62 +530,3 @@ class SolverPool:
                 duration=self.stats.now() - started,
             )
         return designs, cache_hits
-
-    def _solve_unique(self, subproblems: List[Subproblem]) -> List[DesignResult]:
-        """Solve the unique (cache-missed) subproblems, preserving order."""
-        if not subproblems:
-            return []
-        if self.n_workers == 0 or len(subproblems) == 1:
-            return _solve_chunk((tuple(subproblems), self.mu, self.config))
-
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            chunk_size = max(
-                1, math.ceil(len(subproblems) / (4 * self.n_workers))
-            )
-        chunks = [
-            tuple(subproblems[start : start + chunk_size])
-            for start in range(0, len(subproblems), chunk_size)
-        ]
-        executor = self._ensure_executor()
-        futures: List["Future[List[DesignResult]]"] = [
-            executor.submit(_solve_chunk, (chunk, self.mu, self.config))
-            for chunk in chunks
-        ]
-        results: List[DesignResult] = []
-        for index, future in enumerate(futures):
-            try:
-                results.extend(future.result(timeout=self.timeout))
-            except FuturesTimeoutError:
-                for pending in futures[index:]:
-                    pending.cancel()
-                raise ServingError(
-                    f"solver-pool task {index + 1}/{len(futures)} exceeded "
-                    f"its {self.timeout!r}s timeout"
-                ) from None
-        return results
-
-
-def solve_subproblems_parallel(
-    subproblems: Sequence[Subproblem],
-    mu: float = 1.0,
-    config: Optional[DesignerConfig] = None,
-    n_workers: int = 2,
-    chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    cache: Optional[ContractCache] = None,
-) -> Dict[str, SubproblemSolution]:
-    """One-shot pooled solve (spawns and tears down a :class:`SolverPool`).
-
-    Call sites that solve repeatedly (policies, servers) should hold a
-    :class:`SolverPool` instead, amortizing process start-up.
-    """
-    with SolverPool(
-        n_workers=n_workers,
-        mu=mu,
-        config=config,
-        chunk_size=chunk_size,
-        timeout=timeout,
-        cache=cache,
-    ) as pool:
-        return pool.solve(subproblems)

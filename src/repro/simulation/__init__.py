@@ -11,12 +11,6 @@ from .engine import (
     require_steps_agree,
 )
 from .ledger import RoundRecord, SimulationLedger, SubjectRoundOutcome
-from .parallel import (
-    ParallelRoundEngine,
-    SharedColumnarView,
-    parallel_columnar_step,
-    require_parallel_steps_agree,
-)
 from .retention import RetentionModel, RetentionSimulation
 from .policies import (
     DynamicContractPolicy,
@@ -37,13 +31,11 @@ __all__ = [
     "EwmaDeviationTracker",
     "MarketplaceSimulation",
     "OutcomeSpill",
-    "ParallelRoundEngine",
     "RetentionModel",
     "RetentionSimulation",
     "RoundRecord",
     "SimulationLedger",
     "StepOutcomes",
-    "SharedColumnarView",
     "StreamingHistogram",
     "StreamingLedger",
     "SubjectRoundOutcome",
@@ -53,9 +45,7 @@ __all__ = [
     "PaymentPolicy",
     "fast_columnar_step",
     "legacy_step",
-    "parallel_columnar_step",
     "require_ledger_views_agree",
     "require_ledgers_agree",
-    "require_parallel_steps_agree",
     "require_steps_agree",
 ]

@@ -19,8 +19,7 @@ their feedback counted — they are outside the system.
 One population representation, one kernel, one oracle.
 :class:`MarketplaceSimulation` packs any population into a
 :class:`~repro.workers.columnar.ColumnarPopulation` once, at
-construction, and every round runs :func:`fast_columnar_step` (or its
-sharded front end, :func:`~repro.simulation.parallel.parallel_columnar_step`):
+construction, and every round runs :func:`fast_columnar_step`:
 one Eq. (30) solve per distinct (posted contract, behaviour archetype)
 pair, the whole round's noise from one structured generator draw,
 payments through each contract's stored pay function, and NumPy
@@ -42,7 +41,7 @@ consume nothing.  See docs/PERFORMANCE.md.  Pair the kernel with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple, Union, cast
+from typing import Dict, Optional, Set, Tuple, Union, cast
 
 import numpy as np
 
@@ -64,9 +63,6 @@ from ..workers.population import PopulationModel
 from .ledger import RoundRecord, SimulationLedger, SubjectRoundOutcome
 from .policies import PaymentPolicy
 from .streaming import StreamingLedger
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel -> engine)
-    from .parallel import ParallelRoundEngine
 
 __all__ = [
     "ColumnarStepResult",
@@ -534,16 +530,6 @@ class MarketplaceSimulation:
             huge populations in bounded memory — per-subject outcomes
             are then staged straight from the kernel's columns and never
             materialized.
-        round_workers: shard rounds across this many persistent worker
-            processes over shared memory
-            (:class:`~repro.simulation.parallel.ParallelRoundEngine`).
-            Bit-identical to the sequential kernel — noise is drawn by
-            the coordinator in the pinned order and sliced per shard.
-            The shards hold the behaviour columns fixed, so populations
-            with strategic (phase) rows run sequentially.  Call
-            :meth:`close` (or use the simulation as a context manager)
-            to release the shared segment promptly.  ``None`` (default)
-            stays single-process.
     """
 
     def __init__(
@@ -555,7 +541,6 @@ class MarketplaceSimulation:
         redesign_every: int = 1,
         lagged_payment: bool = False,
         ledger: Optional[Union[SimulationLedger, StreamingLedger]] = None,
-        round_workers: Optional[int] = None,
     ) -> None:
         if redesign_every < 1:
             raise SimulationError(
@@ -563,16 +548,6 @@ class MarketplaceSimulation:
             )
         if not isinstance(population, ColumnarPopulation):
             population = ColumnarPopulation.from_population(population)
-        if round_workers is not None:
-            if round_workers < 1:
-                raise SimulationError(
-                    f"round_workers must be >= 1, got {round_workers!r}"
-                )
-            if population.phases is not None:
-                raise SimulationError(
-                    "round_workers needs a population without strategic "
-                    "(phase) rows: shards hold the behaviour columns fixed"
-                )
         self.population = population
         self.objective = objective
         self.policy = policy
@@ -592,42 +567,6 @@ class MarketplaceSimulation:
         # invalidates it for free; cleared when behaviour flips).
         self._response_cache: ColumnarResponseCache = {}
         self._last_result: Optional[ColumnarStepResult] = None
-        # Parallel round state: the engine (persistent worker pool +
-        # shared-memory segment) is built lazily on the first round so
-        # sequential runs never pay for it.
-        self._round_workers = round_workers
-        self._parallel_engine: Optional["ParallelRoundEngine"] = None
-
-    def close(self) -> None:
-        """Release parallel-round resources (workers + shared memory).
-
-        Idempotent and safe to skip — the parallel engine also unlinks
-        its ``/dev/shm`` segment from a GC/atexit finalizer — but an
-        explicit close is how long-lived callers release the segment
-        promptly.  Sequential simulations are a no-op.
-        """
-        if self._parallel_engine is not None:
-            self._parallel_engine.close()
-            self._parallel_engine = None
-
-    def __enter__(self) -> "MarketplaceSimulation":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _parallel_round_engine(self) -> Optional["ParallelRoundEngine"]:
-        if self._round_workers is None:
-            return None
-        if self._parallel_engine is None:
-            # Deferred import: parallel.py wraps this module's kernel,
-            # so the dependency edge points parallel -> engine.
-            from .parallel import ParallelRoundEngine
-
-            self._parallel_engine = ParallelRoundEngine(
-                self.population, n_workers=self._round_workers
-            )
-        return self._parallel_engine
 
     def run(self, n_rounds: int) -> Union[SimulationLedger, StreamingLedger]:
         """Simulate ``n_rounds`` task rounds and return the ledger."""
@@ -682,42 +621,15 @@ class MarketplaceSimulation:
             # advancing the real one twice.
             replay_state = self._rng.bit_generator.state
             replay_feedback = self._previous_feedback.copy()
-        engine = self._parallel_round_engine()
-        if engine is not None:
-            from .parallel import parallel_columnar_step, require_parallel_steps_agree
-
-            result = parallel_columnar_step(
-                population,
-                assignment,
-                excluded_mask,
-                self._previous_feedback,
-                self.lagged_payment,
-                self._rng,
-                engine,
-            )
-            if check:
-                require_parallel_steps_agree(
-                    result,
-                    fast_columnar_step(
-                        population,
-                        assignment,
-                        excluded_mask,
-                        replay_feedback.copy(),
-                        self.lagged_payment,
-                        _generator_at(replay_state),
-                    ),
-                )
-            span.set("round_workers", engine.n_workers)
-        else:
-            result = fast_columnar_step(
-                population,
-                assignment,
-                excluded_mask,
-                self._previous_feedback,
-                self.lagged_payment,
-                self._rng,
-                response_cache=self._response_cache,
-            )
+        result = fast_columnar_step(
+            population,
+            assignment,
+            excluded_mask,
+            self._previous_feedback,
+            self.lagged_payment,
+            self._rng,
+            response_cache=self._response_cache,
+        )
 
         outcomes: Dict[str, SubjectRoundOutcome] = {}
         streaming = isinstance(self.ledger, StreamingLedger)

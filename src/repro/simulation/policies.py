@@ -118,66 +118,39 @@ class DynamicContractPolicy(PaymentPolicy):
     Args:
         mu: the requester's compensation weight.
         config: designer configuration.
-        max_workers: thread parallelism across the independent
-            subproblems on the in-process path.
-        parallel: solver-pool process fan-out; any positive value routes
-            the per-round solves through :class:`~repro.serving.pool.SolverPool`.
-        cache: an optional shared contract cache.  Supplying one (even
-            with ``parallel=0``) also routes through the serving layer so
-            repeat subproblems across rounds are deduplicated.
+        cache: an optional shared contract cache.  Supplying one routes
+            the per-round solves through a
+            :class:`~repro.serving.pool.SolverPool`, so repeat
+            subproblems across rounds are deduplicated and the ledger
+            carries each subject's design fingerprint.
     """
 
     def __init__(
         self,
         mu: float = 1.0,
         config: Optional[DesignerConfig] = None,
-        max_workers: int = 1,
-        parallel: int = 0,
         cache: Optional[ContractCache] = None,
     ) -> None:
         if mu <= 0.0:
             raise SimulationError(f"mu must be positive, got {mu!r}")
-        if parallel < 0:
-            raise SimulationError(f"parallel must be >= 0, got {parallel!r}")
         self.mu = mu
         self.config = config
-        self.max_workers = max_workers
-        self.parallel = parallel
         self.cache = cache
-        self._pool: Optional[SolverPool] = None
+        self._pool: Optional[SolverPool] = (
+            SolverPool(mu=mu, config=config, cache=cache)
+            if cache is not None
+            else None
+        )
         self._delta = ColumnarDeltaState()
         self._stats: Optional[RedesignStats] = None
         self._diagnostics: Dict[str, SolveDiagnostics] = {}
 
-    @property
-    def uses_serving(self) -> bool:
-        """Whether per-round solves route through the serving layer."""
-        return self.parallel > 0 or self.cache is not None
-
-    def _serving_pool(self) -> SolverPool:
-        if self._pool is None:
-            self._pool = SolverPool(
-                n_workers=self.parallel,
-                mu=self.mu,
-                config=self.config,
-                cache=self.cache if self.cache is not None else ContractCache(),
-            )
-            if self.cache is None:
-                self.cache = self._pool.cache
-        return self._pool
-
     def _solve_fresh(
         self, subproblems: Sequence[Subproblem]
     ) -> Tuple[Dict[str, SubproblemSolution], Dict[str, SolveDiagnostics]]:
-        if self.uses_serving:
-            return self._serving_pool().solve_with_diagnostics(subproblems)
-        solutions = solve_subproblems(
-            subproblems,
-            mu=self.mu,
-            config=self.config,
-            max_workers=self.max_workers,
-        )
-        return solutions, {}
+        if self._pool is not None:
+            return self._pool.solve_with_diagnostics(subproblems)
+        return solve_subproblems(subproblems, mu=self.mu, config=self.config), {}
 
     def contracts_columnar(
         self, population: ColumnarPopulation
@@ -205,12 +178,6 @@ class DynamicContractPolicy(PaymentPolicy):
 
     def redesign_stats(self) -> Optional[RedesignStats]:
         return self._stats
-
-    def close(self) -> None:
-        """Shut down the serving pool, if one was created."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
 
 class ExclusionPolicy(PaymentPolicy):

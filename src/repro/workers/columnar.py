@@ -608,27 +608,6 @@ class ColumnarPopulation:
             self._resp_objects[code] = objects
         return objects
 
-    def response_archetype_table(self) -> Dict[str, np.ndarray]:
-        """Packed behaviour-archetype rows (one per response code).
-
-        Everything :meth:`_response_objects` reads, gathered at the
-        representative rows: true psi coefficients, params and worker
-        type code.  Small (K rows, not n) and picklable, so a shard
-        process can rebuild identical ``(QuadraticEffort,
-        WorkerParameters)`` pairs without holding the full population.
-        """
-        self._response_archetypes()
-        assert self._resp_reps is not None
-        reps = self._resp_reps
-        return {
-            "act_r2": np.ascontiguousarray(self.act_r2[reps]),
-            "act_r1": np.ascontiguousarray(self.act_r1[reps]),
-            "act_r0": np.ascontiguousarray(self.act_r0[reps]),
-            "beta": np.ascontiguousarray(self.beta[reps]),
-            "omega": np.ascontiguousarray(self.act_omega[reps]),
-            "type_codes": np.ascontiguousarray(self.act_type_codes[reps]),
-        }
-
     def respond_unique(
         self,
         contracts: Sequence[Contract],

@@ -62,28 +62,6 @@ def test_repro010_columnar_checks_skip_plain_fast_kernels():
     assert not any("columnar" in d.message for d in findings)
 
 
-def test_repro010_sharedmem_fixture_exact_findings():
-    """Shared-memory-scoped checks: attaching a segment or calling its
-    lifecycle methods per element inside a `parallel_*` kernel's shard
-    loop is flagged (the engine attaches once per worker process)."""
-    findings = _findings("repro010_sharedmem", PurityPass())
-    assert [d.code for d in findings] == ["REPRO010"] * 3
-    assert {d.context for d in findings} == {"parallel_shard_step"}
-    assert {d.relpath for d in findings} == {"simulation/parallel.py"}
-    messages = sorted(d.message for d in findings)
-    assert "attaches a `SharedMemory` segment per element inside a loop" in messages[0]
-    assert "calls segment `.close()` per element inside a loop" in messages[1]
-    assert "calls segment `.unlink()` per element inside a loop" in messages[2]
-
-
-def test_repro010_sharedmem_checks_skip_nonsegment_receivers():
-    """`file.close()` inside a loop in a fast kernel stays clean: the
-    detach check only fires on receivers that look like segments."""
-    findings = _findings("repro010_purity", PurityPass())
-    assert not any("SharedMemory" in d.message for d in findings)
-    assert not any("segment" in d.message for d in findings)
-
-
 def test_repro011_draworder_fixture_exact_findings():
     findings = _findings("repro011_draworder", DrawOrderPass())
     assert [d.code for d in findings] == ["REPRO011"] * 2
@@ -148,7 +126,6 @@ def test_repro013_concurrency_fixture_exact_findings():
     [
         ("repro010_purity", "REPRO010"),
         ("repro010_columnar", "REPRO010"),
-        ("repro010_sharedmem", "REPRO010"),
         ("repro011_draworder", "REPRO011"),
         ("repro012_contracts", "REPRO012"),
         ("repro013_concurrency", "REPRO013"),

@@ -78,16 +78,6 @@ class TestSolve:
         with pytest.raises(DesignError):
             solve_subproblems([problem, problem], mu=1.0)
 
-    def test_parallel_matches_serial(self, psi):
-        problems = _subproblems(psi, n=8)
-        serial = solve_subproblems(problems, mu=1.0, max_workers=1)
-        parallel = solve_subproblems(problems, mu=1.0, max_workers=4)
-        for subject_id in serial:
-            assert serial[subject_id].result.requester_utility == pytest.approx(
-                parallel[subject_id].result.requester_utility
-            )
-            assert serial[subject_id].result.k_opt == parallel[subject_id].result.k_opt
-
     def test_per_member_compensation_split(self, psi):
         problems = _subproblems(psi)
         solutions = solve_subproblems(problems, mu=1.0)
@@ -109,10 +99,6 @@ class TestSolve:
         contract = solutions["w"].result.contract
         assert contract.grid.max_effort == pytest.approx(2.0)
         assert contract.grid.n_intervals == 6
-
-    def test_rejects_bad_max_workers(self, psi):
-        with pytest.raises(DesignError):
-            solve_subproblems(_subproblems(psi), mu=1.0, max_workers=0)
 
 
 class TestReport:

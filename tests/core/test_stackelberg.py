@@ -63,12 +63,3 @@ class TestPlayRound:
     def test_rejects_bad_mu(self, psi):
         with pytest.raises(DesignError):
             play_round(_problems(psi), mu=0.0)
-
-    def test_parallel_matches_serial(self, psi):
-        serial, _ = play_round(_problems(psi), mu=1.0, max_workers=1)
-        parallel, _ = play_round(_problems(psi), mu=1.0, max_workers=3)
-        assert serial.total_utility == pytest.approx(parallel.total_utility)
-        for subject_id in serial.subjects:
-            assert serial.subjects[subject_id].effort == pytest.approx(
-                parallel.subjects[subject_id].effort
-            )

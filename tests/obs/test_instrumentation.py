@@ -105,24 +105,18 @@ class TestClusteringSpan:
 class TestServingSpan:
     def test_solve_batch_traced(self, tracer):
         workload = synthetic_subproblems(n_subjects=6, n_archetypes=2, seed=11)
-        with SolverPool(n_workers=0) as pool:
-            pool.solve(workload)
+        SolverPool().solve(workload)
         (span,) = [s for s in tracer.spans() if s.name == "serving.solve_batch"]
         assert span.attributes["n_requests"] == 6
         assert span.attributes["n_unique"] == 2
-        assert span.attributes["n_workers"] == 0
 
 
 class TestSimulationRoundTrip:
     def test_round_spans_and_ledger_provenance(self, tracer, population):
-        policy = DynamicContractPolicy(mu=1.0)
         objective = RequesterObjective(RequesterParameters(mu=1.0))
-        try:
-            ledger = MarketplaceSimulation(
-                population, objective, policy, seed=3
-            ).run(2)
-        finally:
-            policy.close()
+        ledger = MarketplaceSimulation(
+            population, objective, DynamicContractPolicy(mu=1.0), seed=3
+        ).run(2)
         round_spans = [s for s in tracer.spans() if s.name == "simulation.round"]
         assert [s.attributes["round_index"] for s in round_spans] == [0, 1]
         span_ids = {s.span_id for s in round_spans}
@@ -137,14 +131,10 @@ class TestSimulationRoundTrip:
 
     def test_untraced_run_still_times_design(self, tracer, population):
         tracer.enabled = False
-        policy = DynamicContractPolicy(mu=1.0)
         objective = RequesterObjective(RequesterParameters(mu=1.0))
-        try:
-            ledger = MarketplaceSimulation(
-                population, objective, policy, seed=3
-            ).run(1)
-        finally:
-            policy.close()
+        ledger = MarketplaceSimulation(
+            population, objective, DynamicContractPolicy(mu=1.0), seed=3
+        ).run(1)
         record = ledger.records[0]
         assert record.span_id is None
         assert record.design_ms is not None

@@ -54,12 +54,12 @@ def test_cached_equals_fresh_and_bounds_hold(
     )
     cache = ContractCache()
     config = DesignerConfig()
-    with SolverPool(n_workers=0, mu=mu, config=config, cache=cache) as pool:
-        cold, cold_diag = pool.solve_with_diagnostics(subproblems)
-        # The warm round serves every subject from the cache; with
-        # invariants on, maybe_verify_cached re-solves each hit and
-        # raises if the cached design drifted from a fresh solve.
-        warm, warm_diag = pool.solve_with_diagnostics(subproblems)
+    pool = SolverPool(mu=mu, config=config, cache=cache)
+    cold, cold_diag = pool.solve_with_diagnostics(subproblems)
+    # The warm round serves every subject from the cache; with
+    # invariants on, maybe_verify_cached re-solves each hit and
+    # raises if the cached design drifted from a fresh solve.
+    warm, warm_diag = pool.solve_with_diagnostics(subproblems)
 
     assert not any(d.cache_hit for d in cold_diag.values())
     assert all(d.cache_hit for d in warm_diag.values())

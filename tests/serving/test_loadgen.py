@@ -48,9 +48,8 @@ class TestBatches:
 class TestLoadGenerator:
     def test_report_counts_and_quantiles(self, population):
         batches = synthetic_request_batches(population, 24, batch_size=4, seed=1)
-        with SolverPool(n_workers=0) as pool:
-            generator = LoadGenerator(pool_target(pool), concurrency=3)
-            report = generator.run(batches)
+        generator = LoadGenerator(pool_target(SolverPool()), concurrency=3)
+        report = generator.run(batches)
         assert report.requests == 24
         assert report.batches == len(batches)
         assert report.errors == 0
@@ -78,25 +77,23 @@ class TestLoadGenerator:
     def test_checkpoints_fire_once_at_threshold(self, population):
         fired = []
         batches = synthetic_request_batches(population, 20, batch_size=2, seed=4)
-        with SolverPool(n_workers=0) as pool:
-            generator = LoadGenerator(pool_target(pool), concurrency=2)
-            generator.run(
-                batches,
-                checkpoints={
-                    6: lambda: fired.append(6),
-                    12: lambda: fired.append(12),
-                },
-            )
+        generator = LoadGenerator(pool_target(SolverPool()), concurrency=2)
+        generator.run(
+            batches,
+            checkpoints={
+                6: lambda: fired.append(6),
+                12: lambda: fired.append(12),
+            },
+        )
         assert sorted(fired) == [6, 12]
 
     def test_metrics_publish_into_injected_registry(self, population):
         registry = MetricsRegistry()
         batches = synthetic_request_batches(population, 6, batch_size=2, seed=5)
-        with SolverPool(n_workers=0) as pool:
-            generator = LoadGenerator(
-                pool_target(pool), concurrency=1, registry=registry
-            )
-            generator.run(batches)
+        generator = LoadGenerator(
+            pool_target(SolverPool()), concurrency=1, registry=registry
+        )
+        generator.run(batches)
         snapshot = registry.snapshot()
         assert snapshot["loadgen.requests"]["value"] == 6.0
         assert snapshot["loadgen.request_latency_s"]["count"] == 3.0

@@ -1,4 +1,4 @@
-"""Tests for the batched/cached/parallel solver pool."""
+"""Tests for the batched, cached solver pool."""
 
 from __future__ import annotations
 
@@ -9,20 +9,12 @@ import pytest
 from repro.core import solve_subproblems
 from repro.errors import ServingError
 from repro.serving import ContractCache, ServingStats, SolverPool
-from repro.serving.pool import solve_subproblems_parallel
 from repro.serving.workload import synthetic_subproblems
 
 
 @pytest.fixture(scope="module")
 def workload():
     return synthetic_subproblems(n_subjects=24, n_archetypes=6, seed=11)
-
-
-@pytest.fixture(scope="module")
-def heterogeneous():
-    # One archetype per subject: nothing dedupes, so every subject is a
-    # solve and the process path dispatches many chunks.
-    return synthetic_subproblems(n_subjects=24, n_archetypes=24, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +28,7 @@ def _compensation_bytes(solution):
 
 class TestSolverPoolSerialPath:
     def test_matches_serial_byte_identically(self, workload, serial_solutions):
-        with SolverPool(n_workers=0) as pool:
-            pooled = pool.solve(workload)
+        pooled = SolverPool().solve(workload)
         assert list(pooled) == list(serial_solutions)
         for subject_id in serial_solutions:
             assert _compensation_bytes(pooled[subject_id]) == _compensation_bytes(
@@ -45,49 +36,55 @@ class TestSolverPoolSerialPath:
             )
 
     def test_results_in_input_order(self, workload):
-        with SolverPool(n_workers=0) as pool:
-            solutions = pool.solve(workload)
+        solutions = SolverPool().solve(workload)
         assert list(solutions) == [entry.subject_id for entry in workload]
 
     def test_dedupe_solves_each_archetype_once(self, workload):
         stats = ServingStats()
-        with SolverPool(n_workers=0, stats=stats) as pool:
-            pool.solve(workload)
+        SolverPool(stats=stats).solve(workload)
         assert stats.requests == len(workload)
         assert stats.unique_solves == 6
         assert stats.dedup_rate == pytest.approx(1.0 - 6 / len(workload))
 
     def test_rejects_duplicate_subject_ids(self, workload):
-        with SolverPool(n_workers=0) as pool:
-            with pytest.raises(ServingError):
-                pool.solve([workload[0], workload[0]])
+        pool = SolverPool()
+        with pytest.raises(ServingError):
+            pool.solve([workload[0], workload[0]])
+
+    def test_solve_designs_accepts_repeated_requests(self, workload):
+        """A caller may batch the same subject twice."""
+        repeated = [workload[0], workload[0], workload[1]]
+        designs, hits = SolverPool().solve_designs(repeated)
+        assert len(designs) == 3
+        assert designs[0] is designs[1]
+        assert hits == [False, False, False]
 
 
 class TestSolverPoolCache:
     def test_warm_rounds_hit_the_cache(self, workload):
         cache = ContractCache()
         stats = ServingStats()
-        with SolverPool(n_workers=0, cache=cache, stats=stats) as pool:
-            _, cold = pool.solve_with_diagnostics(workload)
-            _, warm = pool.solve_with_diagnostics(workload)
+        pool = SolverPool(cache=cache, stats=stats)
+        _, cold = pool.solve_with_diagnostics(workload)
+        _, warm = pool.solve_with_diagnostics(workload)
         assert not any(d.cache_hit for d in cold.values())
         assert all(d.cache_hit for d in warm.values())
         assert stats.cache_hits == 6
         assert cache.stats.hits == 6
 
     def test_cached_round_matches_serial(self, workload, serial_solutions):
-        with SolverPool(n_workers=0, cache=ContractCache()) as pool:
-            pool.solve(workload)
-            warm = pool.solve(workload)
+        pool = SolverPool(cache=ContractCache())
+        pool.solve(workload)
+        warm = pool.solve(workload)
         for subject_id in serial_solutions:
             assert _compensation_bytes(warm[subject_id]) == _compensation_bytes(
                 serial_solutions[subject_id]
             )
 
     def test_diagnostics_fingerprints_align(self, workload):
-        with SolverPool(n_workers=0) as pool:
-            fingerprints = pool.fingerprints(workload)
-            _, diagnostics = pool.solve_with_diagnostics(workload)
+        pool = SolverPool()
+        fingerprints = pool.fingerprints(workload)
+        _, diagnostics = pool.solve_with_diagnostics(workload)
         assert [
             diagnostics[entry.subject_id].fingerprint for entry in workload
         ] == fingerprints
@@ -97,64 +94,17 @@ class TestSolverPoolCache:
     ):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         cache = ContractCache()
-        with SolverPool(n_workers=0, cache=cache) as pool:
-            pool.solve(workload)
-            pool.solve(workload)
+        pool = SolverPool(cache=cache)
+        pool.solve(workload)
+        pool.solve(workload)
         assert cache.stats.verifications == 6
 
 
-class TestSolverPoolProcesses:
-    def test_process_path_matches_serial(self, workload, serial_solutions):
-        pooled = solve_subproblems_parallel(workload, mu=1.0, n_workers=2)
-        for subject_id in serial_solutions:
-            assert _compensation_bytes(pooled[subject_id]) == _compensation_bytes(
-                serial_solutions[subject_id]
-            )
-
-    def test_chunking_covers_all_inputs(self, heterogeneous):
-        with SolverPool(n_workers=2, chunk_size=2) as pool:
-            solutions = pool.solve(heterogeneous)
-        assert list(solutions) == [entry.subject_id for entry in heterogeneous]
-
-    def test_timeout_raises_serving_error(self, heterogeneous):
-        with SolverPool(n_workers=1, timeout=1e-9) as pool:
-            with pytest.raises(ServingError, match="timeout"):
-                pool.solve(heterogeneous)
-
-    def test_solve_designs_accepts_repeated_requests(self, workload):
-        """A caller may batch the same subject twice."""
-        repeated = [workload[0], workload[0], workload[1]]
-        with SolverPool(n_workers=0) as pool:
-            designs, hits = pool.solve_designs(repeated)
-        assert len(designs) == 3
-        assert designs[0] is designs[1]
-        assert hits == [False, False, False]
-
-
 class TestSolverPoolValidation:
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ServingError):
-            SolverPool(n_workers=-1)
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ServingError):
-            SolverPool(chunk_size=0)
-
-    def test_rejects_bad_timeout(self):
-        with pytest.raises(ServingError):
-            SolverPool(timeout=0.0)
-
     def test_fingerprint_count_mismatch(self, workload):
-        with SolverPool(n_workers=0) as pool:
-            with pytest.raises(ServingError):
-                pool.solve_designs(workload, fingerprints=["cd1:00"])
-
-    def test_parallel_param_of_solve_subproblems(self, workload, serial_solutions):
-        routed = solve_subproblems(workload, mu=1.0, parallel=1)
-        for subject_id in serial_solutions:
-            assert _compensation_bytes(routed[subject_id]) == _compensation_bytes(
-                serial_solutions[subject_id]
-            )
+        pool = SolverPool()
+        with pytest.raises(ServingError):
+            pool.solve_designs(workload, fingerprints=["cd1:00"])
 
 
 class TestWorkload:
@@ -169,6 +119,5 @@ class TestWorkload:
 
     def test_archetype_count_bounds_unique_fingerprints(self):
         subproblems = synthetic_subproblems(n_subjects=30, n_archetypes=5, seed=2)
-        with SolverPool(n_workers=0) as pool:
-            unique = set(pool.fingerprints(subproblems))
+        unique = set(SolverPool().fingerprints(subproblems))
         assert len(unique) == 5

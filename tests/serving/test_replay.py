@@ -26,14 +26,9 @@ def population(context):
 
 
 def _run_simulation(context, population, policy, n_rounds=3):
-    simulation = MarketplaceSimulation(
+    return MarketplaceSimulation(
         population, context.objective(), policy, seed=3
-    )
-    try:
-        return simulation.run(n_rounds)
-    finally:
-        if isinstance(policy, DynamicContractPolicy):
-            policy.close()
+    ).run(n_rounds)
 
 
 class TestLedgerProvenance:
@@ -81,7 +76,6 @@ class TestLedgerProvenance:
             for outcome in record.outcomes.values()
             if not outcome.excluded
         ]
-        inner.close()
         assert served
         assert all(outcome.fingerprint is not None for outcome in served)
 

@@ -7,7 +7,7 @@ feedback-noise draw first, then its rating-deviation draw; agents with a
 zero noise scale consume nothing for that draw, and excluded subjects
 consume nothing at all.  These tests replay the stream with a fresh
 generator and reconstruct every realized value — for the columnar
-kernel, its sharded front end, and with the oracle replay switched on.
+kernel, and with the oracle replay switched on.
 """
 
 from __future__ import annotations
@@ -86,20 +86,15 @@ def _mixed_population() -> PopulationModel:
     )
 
 
-def _run(population, policy, invariants=False, round_workers=None, n_rounds=3):
+def _run(population, policy, invariants=False, n_rounds=3):
     """A run; ``invariants`` also replays each round through the oracle
     from a cloned generator, which must leave the real stream alone."""
     with pytest.MonkeyPatch.context() as patch:
         if invariants:
             patch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        with MarketplaceSimulation(
-            population,
-            RequesterObjective(),
-            policy,
-            seed=SEED,
-            round_workers=round_workers,
-        ) as simulation:
-            return simulation.run(n_rounds)
+        return MarketplaceSimulation(
+            population, RequesterObjective(), policy, seed=SEED
+        ).run(n_rounds)
 
 
 def _replay_and_check(population, ledger, excluded=frozenset()):
@@ -150,38 +145,16 @@ def test_excluded_subjects_consume_no_draws(invariants):
     _replay_and_check(population, ledger, excluded={"s3", "s4"})
 
 
-def test_same_seed_same_ledger_across_kernels():
-    """The sequential and the sharded kernel consume the identical
-    stream: equal seeds, equal bits."""
-    sequential = _run(_mixed_population(), DynamicContractPolicy(mu=1.0))
-    sharded = _run(
-        _mixed_population(), DynamicContractPolicy(mu=1.0), round_workers=2
-    )
-    for produced, reference in zip(sharded.records, sequential.records):
-        assert produced.outcomes == reference.outcomes
-        assert produced.benefit == reference.benefit
-        assert produced.total_compensation == reference.total_compensation
-
-
-@pytest.mark.parametrize("sharded", [False, True])
-def test_columnar_kernels_consume_pinned_stream(sharded):
-    """Both columnar kernels replay the identical pinned draw order.
-
-    ``fast_columnar_step`` lays out draw slots from the noise columns;
-    ``parallel_columnar_step`` draws the same block in the coordinator
-    and slices it per shard.  Both must reconstruct from a fresh
-    generator exactly like the reference loop does, whether the
-    population was packed up front or by the simulation.
-    """
+def test_columnar_kernel_consumes_pinned_stream():
+    """``fast_columnar_step`` lays out draw slots from the noise columns
+    and must reconstruct from a fresh generator exactly like the
+    reference loop does when the population was packed up front (the
+    other tests let the simulation pack it)."""
     from repro.workers.columnar import ColumnarPopulation
 
     population = _mixed_population()
     columnar = ColumnarPopulation.from_population(_mixed_population())
-    ledger = _run(
-        columnar,
-        DynamicContractPolicy(mu=1.0),
-        round_workers=2 if sharded else None,
-    )
+    ledger = _run(columnar, DynamicContractPolicy(mu=1.0))
     _replay_and_check(population, ledger)
 
 
@@ -201,7 +174,6 @@ def test_draw_order_manifest_matches_kernels():
     import repro.analysis as analysis_pkg
     from repro.analysis.flow import extract_draw_order, load_manifest
     from repro.simulation.engine import fast_columnar_step, legacy_step
-    from repro.simulation.parallel import parallel_columnar_step
 
     manifest = load_manifest(
         Path(analysis_pkg.__file__).parent / "draw_order.toml"
@@ -211,7 +183,6 @@ def test_draw_order_manifest_matches_kernels():
     kernels = [
         (legacy_step, "simulation/engine.py::legacy_step"),
         (fast_columnar_step, "simulation/engine.py::fast_columnar_step"),
-        (parallel_columnar_step, "simulation/parallel.py::parallel_columnar_step"),
     ]
     assert set(manifest.kernels) == {key for _, key in kernels}
     for kernel, key in kernels:
@@ -227,10 +198,5 @@ def test_draw_order_manifest_matches_kernels():
         "rating_deviation",
     )
     assert manifest.kernels["simulation/engine.py::fast_columnar_step"] == (
-        "standard_normal",
-    )
-    # The sharded front end draws the same single block in the
-    # coordinator; shards consume pre-drawn slices, never a generator.
-    assert manifest.kernels["simulation/parallel.py::parallel_columnar_step"] == (
         "standard_normal",
     )
