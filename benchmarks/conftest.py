@@ -8,61 +8,12 @@ generator itself is additionally benchmarked at full paper scale.
 
 from __future__ import annotations
 
-import os
-import platform
-import time
-from typing import Callable, Dict, Mapping, Optional
-
 import pytest
 
 from repro.core import QuadraticEffort
 from repro.core.utility import RequesterObjective
 from repro.experiments import ExperimentConfig, build_context
-from repro.obs.bench_history import HISTORY_ENV, BenchRecord, append_history
 from repro.types import DiscretizationGrid, RequesterParameters, WorkerParameters
-
-#: The signature gate tests use to log their headline numbers.
-HistoryRecorder = Callable[..., None]
-
-
-@pytest.fixture(scope="session")
-def bench_history() -> HistoryRecorder:
-    """A recorder appending gate results to the benchmark trajectory.
-
-    Gates call ``bench_history(gate, metrics, directions=...)`` after
-    their assertions pass; each call appends one schema-validated
-    record to the file named by ``REPRO_BENCH_HISTORY``.  With the
-    variable unset (local runs) the recorder is a no-op, so gates can
-    log unconditionally.
-    """
-
-    def record(
-        gate: str,
-        metrics: Mapping[str, float],
-        directions: Optional[Mapping[str, str]] = None,
-        meta: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        path = os.environ.get(HISTORY_ENV)
-        if not path:
-            return
-        annotations: Dict[str, str] = {"python": platform.python_version()}
-        sha = os.environ.get("GITHUB_SHA")
-        if sha:
-            annotations["sha"] = sha
-        annotations.update(dict(meta or {}))
-        append_history(
-            path,
-            BenchRecord(
-                gate=gate,
-                metrics={k: float(v) for k, v in metrics.items()},
-                recorded_unix=time.time(),
-                directions=dict(directions or {}),
-                meta=annotations,
-            ),
-        )
-
-    return record
-
 
 @pytest.fixture(scope="session")
 def context():

@@ -88,7 +88,7 @@ def test_bench_columnar_rounds(benchmark):
     assert ledger.n_rounds == _N_ROUNDS
 
 
-def test_columnar_speedup_gate(bench_history):
+def test_columnar_speedup_gate():
     """Bit-identical streamed and eager runs at 100k subjects, and the
     1M-subject RSS ceiling.
 
@@ -130,11 +130,6 @@ def test_columnar_speedup_gate(bench_history):
     out_path = os.environ.get("REPRO_BENCH_OUT", "BENCH_columnar.json")
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
-    bench_history(
-        "columnar",
-        {"million_subject_rss_mb": rss_mb},
-        directions={"million_subject_rss_mb": "lower"},
-    )
 
 
 _RSS_SCRIPT = """

@@ -75,7 +75,7 @@ def _solve_time_s(psi, honest_params) -> float:
     return best / 20
 
 
-def test_disabled_overhead_under_budget(psi, honest_params, bench_history):
+def test_disabled_overhead_under_budget(psi, honest_params):
     """Projected disabled-tracing cost of a solve stays under 3%."""
     per_span = _disabled_span_cost_s()
     n_spans = _spans_per_solve(psi, honest_params)
@@ -87,11 +87,6 @@ def test_disabled_overhead_under_budget(psi, honest_params, bench_history):
         f"disabled tracing projects to {ratio:.2%} of a solve "
         f"({per_span * 1e9:.0f} ns/span x {n_spans} spans vs "
         f"{solve * 1e3:.2f} ms solve); budget is {OVERHEAD_BUDGET:.0%}"
-    )
-    bench_history(
-        "obs_overhead",
-        {"overhead_ratio": ratio, "ns_per_span": per_span * 1e9},
-        directions={"overhead_ratio": "lower", "ns_per_span": "lower"},
     )
 
 

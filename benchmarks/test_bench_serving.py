@@ -161,9 +161,7 @@ def cluster_workload():
     )
 
 
-def test_cluster_throughput_latency_and_equivalence(
-    cluster_workload, bench_history
-):
+def test_cluster_throughput_latency_and_equivalence(cluster_workload):
     """The ISSUE cluster gate: 4 shards >= 2x one process, p99 via obs.
 
     Both sides replay the *same* pre-drawn request batches through the
@@ -245,21 +243,6 @@ def test_cluster_throughput_latency_and_equivalence(
     out_path = os.environ.get("REPRO_BENCH_OUT", "BENCH_cluster.json")
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
-    bench_history(
-        "cluster",
-        {
-            "speedup": speedup,
-            "throughput_rps": cluster.throughput_rps,
-            "p50_s": cluster.p50_s,
-            "p99_s": cluster.p99_s,
-        },
-        directions={
-            "speedup": "higher",
-            "throughput_rps": "higher",
-            "p50_s": "lower",
-            "p99_s": "lower",
-        },
-    )
 
 
 def _update_artifact(update: dict) -> None:
@@ -276,7 +259,7 @@ def _update_artifact(update: dict) -> None:
     out_path.write_text(json.dumps(artifact, indent=2), encoding="utf-8")
 
 
-def test_parallel_payload_gate(bench_history):
+def test_parallel_payload_gate():
     """Frame payloads are >= 5x smaller than pickled object batches.
 
     Measures the actual bytes a shard pipe (pickle) and the HTTP hop
@@ -325,12 +308,4 @@ def test_parallel_payload_gate(bench_history):
             "frame_json_bytes": frame_json,
             "gates": {"payload_shrink": _GATE_PAYLOAD_SHRINK},
         }
-    )
-    bench_history(
-        "parallel",
-        {"payload_shrink": shrink, "frame_payload_bytes": frame_payload},
-        directions={
-            "payload_shrink": "higher",
-            "frame_payload_bytes": "lower",
-        },
     )

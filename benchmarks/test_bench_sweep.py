@@ -9,7 +9,8 @@ asserted, not just reported:
   two orders of magnitude; the gate is deliberately conservative for
   noisy CI runners),
 * a cold-cache end-to-end design pass over a synthetic population is
-  >= 1.5x faster with the fast path on than forced off,
+  >= 1.5x faster than the same pass with the designer's sweep swapped
+  for the legacy one,
 * both paths agree to :mod:`repro.numerics` tolerance on everything the
   gate measures (equivalence is re-asserted here so a speedup can never
   be bought with a wrong answer).
@@ -60,7 +61,7 @@ def test_bench_sweep_vectorized(benchmark, psi, honest_params):
     """Time the vectorized sweep at the gate size."""
     grid = _gate_grid(psi, _GATE_K)
     pairs, stats = benchmark(vectorized_sweep, psi, grid, honest_params)
-    assert stats.fastpath
+    assert stats.n_vectorized > 0
     assert len(pairs) == _GATE_K
 
 
@@ -68,7 +69,7 @@ def test_bench_sweep_legacy(benchmark, psi, honest_params):
     """Time the legacy per-candidate sweep at the gate size."""
     grid = _gate_grid(psi, _GATE_K)
     pairs, stats = benchmark(legacy_sweep, psi, grid, honest_params)
-    assert not stats.fastpath
+    assert stats.n_vectorized == 0
     assert len(pairs) == _GATE_K
 
 
@@ -78,7 +79,7 @@ def test_bench_sweep_vectorized_k20(benchmark, psi, grid, honest_params):
     assert len(pairs) == grid.n_intervals
 
 
-def test_sweep_speedup_gates(psi, honest_params, monkeypatch, bench_history):
+def test_sweep_speedup_gates(psi, honest_params, monkeypatch):
     """The ISSUE acceptance gates, asserted on one measured run."""
     grid = _gate_grid(psi, _GATE_K)
 
@@ -105,14 +106,13 @@ def test_sweep_speedup_gates(psi, honest_params, monkeypatch, bench_history):
     def solve_all() -> None:
         solve_subproblems(workload, mu=1.0)
 
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
     e2e_fast = _best_of(solve_all)
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    monkeypatch.setattr("repro.core.designer.sweep_candidates_with_stats", legacy_sweep)
     e2e_legacy = _best_of(solve_all)
     e2e_speedup = e2e_legacy / e2e_fast
     assert e2e_speedup >= _E2E_SPEEDUP, (
         f"end-to-end cold-cache design pass only {e2e_speedup:.2f}x faster "
-        f"with the fast path; gate is {_E2E_SPEEDUP}x"
+        f"than with the legacy sweep; gate is {_E2E_SPEEDUP}x"
     )
 
     artifact = {
@@ -129,8 +129,3 @@ def test_sweep_speedup_gates(psi, honest_params, monkeypatch, bench_history):
     out_path = os.environ.get("REPRO_BENCH_OUT", "BENCH_sweep.json")
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
-    bench_history(
-        "sweep",
-        {"sweep_speedup": sweep_speedup, "e2e_speedup": e2e_speedup},
-        directions={"sweep_speedup": "higher", "e2e_speedup": "higher"},
-    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
 
 from ..errors import DataError
 from .clustering import CollusionClusters

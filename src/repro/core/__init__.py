@@ -8,7 +8,7 @@ Public surface of the core algorithm:
 * :func:`~repro.core.best_response.solve_best_response` — follower side.
 * :func:`~repro.core.candidate.build_candidate` — candidate contracts.
 * :mod:`~repro.core.sweep` — the vectorized shared-prefix candidate
-  sweep (the designer hot path; ``REPRO_FASTPATH`` toggles it).
+  sweep (the designer hot path).
 * :class:`~repro.core.designer.ContractDesigner` — the full algorithm.
 * :mod:`~repro.core.bounds` — Lemma 4.2/4.3 and Theorem 4.1 certificates.
 * :func:`~repro.core.decomposition.solve_subproblems` — BiP decomposition.
@@ -47,7 +47,6 @@ from .stackelberg import RoundOutcome, SubjectOutcome, play_round
 from .sweep import (
     PrefixTables,
     SweepStats,
-    fastpath_enabled,
     legacy_sweep,
     prefix_tables,
     sweep_candidates,
@@ -98,7 +97,6 @@ __all__ = [
     "play_round",
     "PrefixTables",
     "SweepStats",
-    "fastpath_enabled",
     "legacy_sweep",
     "prefix_tables",
     "sweep_candidates",

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import DesignError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import (no runtime cycle)
-    from ..serving.cache import ContractCache
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..types import DiscretizationGrid, WorkerParameters
@@ -46,6 +43,10 @@ __all__ = ["DesignerConfig", "CandidateEvaluation", "DesignResult", "ContractDes
 #: auto-built grid.  Staying strictly inside the range keeps psi' > 0 at
 #: the last edge, which Lemma 4.1 requires.
 _DEFAULT_COVERAGE = 0.95
+
+#: Bound on each designer's candidate-sweep LRU: one entry per unique
+#: ``(psi, params, grid, base_pay)`` combination.
+CANDIDATE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -192,33 +193,17 @@ class ContractDesigner:
     Args:
         mu: the requester's compensation weight.
         config: designer configuration (grid resolution, base pay...).
-        design_cache: optional serving-layer contract cache
-            (:class:`~repro.serving.cache.ContractCache`).  When set,
-            finished designs are keyed by their
-            :func:`~repro.serving.fingerprint.design_fingerprint` and
-            reused across calls — and across designers sharing the
-            cache; cache hits are re-verified against fresh solves under
-            ``REPRO_CHECK_INVARIANTS=1``.  The default ``None`` keeps
-            the original solve-every-call serial path.
-        candidate_cache_size: bound on the designer's internal
-            candidate-sweep LRU (one entry per unique
-            ``(psi, params, grid, base_pay)`` combination); evictions
-            are counted in the shared metrics registry under
-            ``designer.candidate_cache.evictions``.
     """
 
     def __init__(
         self,
         mu: float = 1.0,
         config: Optional[DesignerConfig] = None,
-        design_cache: Optional["ContractCache"] = None,
-        candidate_cache_size: int = 256,
     ) -> None:
         if mu <= 0.0:
             raise DesignError(f"mu must be positive, got {mu!r}")
         self.mu = mu
         self.config = config if config is not None else DesignerConfig()
-        self.design_cache = design_cache
         # Candidate contracts and best responses depend only on
         # (psi, params, grid, base_pay) — not on the feedback weight or
         # mu — so a population sharing class-level effort functions
@@ -230,7 +215,7 @@ class ContractDesigner:
         from ..serving.cache import LRUCache
 
         self._candidate_cache = LRUCache(
-            capacity=candidate_cache_size,
+            capacity=CANDIDATE_CACHE_SIZE,
             eviction_counter=get_registry().counter(
                 "designer.candidate_cache.evictions",
                 help="candidate sweeps evicted from designer LRU caches",
@@ -261,23 +246,18 @@ class ContractDesigner:
         grid = self.config.grid_for(effort_function, max_effort=max_effort)
         tracer = get_tracer()
         if not tracer.enabled:
-            result, _ = self._design_routed(
-                effort_function, params, feedback_weight, grid
-            )
-            return result
+            return self._design_on_grid(effort_function, params, feedback_weight, grid)
         with tracer.span(
             "core.design",
             archetype=params.worker_type.value,
             K=grid.n_intervals,
             mu=self.mu,
         ) as span:
-            result, cache_hit = self._design_routed(
+            result = self._design_on_grid(
                 effort_function, params, feedback_weight, grid
             )
             span.set("k_opt", result.k_opt)
             span.set("hired", result.hired)
-            if cache_hit is not None:
-                span.set("cache_hit", cache_hit)
             if result.bounds is not None:
                 # Theorem 4.1 certificate slack: how far the achieved
                 # utility sits from the Lemma 4.2/4.3 bracket edges.
@@ -288,54 +268,6 @@ class ContractDesigner:
                     "slack_upper", result.bounds.upper - result.requester_utility
                 )
             return result
-
-    def _design_routed(
-        self,
-        effort_function: QuadraticEffort,
-        params: WorkerParameters,
-        feedback_weight: float,
-        grid: DiscretizationGrid,
-    ) -> Tuple[DesignResult, Optional[bool]]:
-        """Design on a resolved grid, via the cache when one is wired.
-
-        Returns:
-            ``(result, cache_hit)`` — ``cache_hit`` is ``None`` on the
-            plain serial path (no cache attached).
-        """
-        if self.design_cache is None:
-            return (
-                self._design_on_grid(effort_function, params, feedback_weight, grid),
-                None,
-            )
-
-        # Serving-layer route: identical design instances (same psi,
-        # params, grid, weight, mu) share one solve through the cache.
-        from ..serving.cache import maybe_verify_cached
-        from ..serving.fingerprint import design_fingerprint
-
-        fingerprint = design_fingerprint(
-            effort_function,
-            params,
-            grid,
-            base_pay=self.config.base_pay,
-            min_utility=self.config.min_utility,
-            mu=self.mu,
-            feedback_weight=feedback_weight,
-        )
-        cached = self.design_cache.get_design(fingerprint)
-        if cached is not None:
-            maybe_verify_cached(
-                fingerprint,
-                cached,
-                lambda: self._design_on_grid(
-                    effort_function, params, feedback_weight, grid
-                ),
-                stats=self.design_cache.stats,
-            )
-            return cached, True
-        result = self._design_on_grid(effort_function, params, feedback_weight, grid)
-        self.design_cache.put_design(fingerprint, result)
-        return result, False
 
     def _design_on_grid(
         self,
@@ -359,7 +291,6 @@ class ContractDesigner:
                     effort_function, grid, params
                 )
                 sweep_span.set("n_candidates", len(sweep))
-                sweep_span.set("fastpath", sweep_stats.fastpath)
                 sweep_span.set("n_vectorized", sweep_stats.n_vectorized)
         evaluations = []
         for candidate, response in sweep:
@@ -423,8 +354,8 @@ class ContractDesigner:
     ) -> Tuple[list, SweepStats]:
         """All candidate contracts with their best responses (cached).
 
-        Routed through :mod:`repro.core.sweep`: the vectorized
-        shared-prefix engine unless ``REPRO_FASTPATH=0``.
+        Computed by :mod:`repro.core.sweep`'s vectorized shared-prefix
+        engine.
         """
         key = (
             effort_function.coefficients(),

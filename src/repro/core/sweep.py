@@ -28,13 +28,11 @@ The fast path returns :class:`~repro.core.candidate.CandidateContract`
 and :class:`~repro.core.best_response.BestResponse` objects equivalent
 to the legacy per-candidate path within :mod:`repro.numerics`
 tolerances.  Under ``REPRO_CHECK_INVARIANTS=1`` every fast sweep is
-cross-verified against a freshly-solved legacy sweep, and
-``REPRO_FASTPATH=0`` routes callers back to the legacy path entirely.
+cross-verified against a freshly-solved legacy sweep.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -57,10 +55,8 @@ from .effort import QuadraticEffort
 from .piecewise import batch_locate
 
 __all__ = [
-    "ENV_FASTPATH",
     "PrefixTables",
     "SweepStats",
-    "fastpath_enabled",
     "prefix_tables",
     "vectorized_sweep",
     "legacy_sweep",
@@ -68,12 +64,6 @@ __all__ = [
     "sweep_candidates_with_stats",
     "require_sweeps_agree",
 ]
-
-#: Environment variable gating the vectorized fast path.  The fast path
-#: is **on** by default; set ``REPRO_FASTPATH=0`` (or ``false/no/off``)
-#: to force the legacy per-candidate sweep everywhere.
-ENV_FASTPATH = "REPRO_FASTPATH"
-_FALSY = frozenset({"0", "false", "no", "off"})
 
 #: One (candidate, best-response) pair per target piece, ordered by piece.
 SweepPairs = List[Tuple[CandidateContract, BestResponse]]
@@ -85,21 +75,11 @@ _CASE_BY_CODE = (
 )
 
 
-def fastpath_enabled() -> bool:
-    """Whether the vectorized Section IV-C sweep is switched on.
-
-    Controlled by the ``REPRO_FASTPATH`` environment variable; anything
-    other than an explicit falsy value (``0/false/no/off``) enables it.
-    """
-    return os.environ.get(ENV_FASTPATH, "").strip().lower() not in _FALSY
-
-
 @dataclass(frozen=True)
 class SweepStats:
     """How one candidate sweep was computed (obs span attributes).
 
     Attributes:
-        fastpath: whether the vectorized engine produced the sweep.
         n_candidates: number of candidate contracts (the grid size ``K``).
         n_efforts: shared Eq. (30) candidate efforts enumerated (0 on
             the legacy path, which re-enumerates per candidate).
@@ -107,7 +87,6 @@ class SweepStats:
             in the single vectorized pass (0 on the legacy path).
     """
 
-    fastpath: bool
     n_candidates: int
     n_efforts: int
     n_vectorized: int
@@ -482,7 +461,6 @@ def vectorized_sweep(
         pairs.append((candidate, response))
 
     stats = SweepStats(
-        fastpath=True,
         n_candidates=n_pieces,
         n_efforts=len(efforts),
         n_vectorized=n_pieces * len(efforts),
@@ -515,7 +493,6 @@ def legacy_sweep(
         response = solve_best_response(candidate.contract, params)
         pairs.append((candidate, response))
     stats = SweepStats(
-        fastpath=False,
         n_candidates=grid.n_intervals,
         n_efforts=0,
         n_vectorized=0,
@@ -590,15 +567,12 @@ def sweep_candidates_with_stats(
     params: WorkerParameters,
     base_pay: float = 0.0,
 ) -> Tuple[SweepPairs, SweepStats]:
-    """Route one Section IV-C candidate sweep through the fast path.
+    """One Section IV-C candidate sweep through the vectorized engine.
 
-    The vectorized engine runs unless ``REPRO_FASTPATH=0``; under
-    ``REPRO_CHECK_INVARIANTS=1`` the fast result is additionally
+    Under ``REPRO_CHECK_INVARIANTS=1`` the result is additionally
     cross-verified against a fresh legacy sweep (Lemma 4.2/4.3 checks
     included on both sides).
     """
-    if not fastpath_enabled():
-        return legacy_sweep(effort_function, grid, params, base_pay=base_pay)
     pairs, stats = vectorized_sweep(
         effort_function, grid, params, base_pay=base_pay
     )

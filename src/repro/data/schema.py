@@ -11,7 +11,7 @@ study obtained from crawled ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import DataError

@@ -14,8 +14,6 @@ One dependency-free observability layer across the whole pipeline:
   ``REPRO_OBS=1``, near-zero overhead when disabled.
 * :mod:`repro.obs.aggregate` — cluster-wide metrics federation: shard
   exports merged into one registry, live ``/metrics`` exposition.
-* :mod:`repro.obs.bench_history` — benchmark-gate trajectory records
-  (``BENCH_history.jsonl``) with regression detection.
 * :mod:`repro.obs.dashboard` — the ``repro obs top`` terminal view.
 
 Everything is **off by default**; turn it on with :func:`enable`, the
@@ -35,14 +33,6 @@ from .aggregate import (
     local_export,
     metric_samples,
     validate_prometheus_text,
-)
-from .bench_history import (
-    BenchRecord,
-    Regression,
-    append_history,
-    detect_regressions,
-    load_history,
-    render_trajectory,
 )
 from .dashboard import ClusterTop, TopFrame, render_frame, snapshot_frame
 from .export import (
@@ -115,12 +105,6 @@ __all__ = [
     "local_export",
     "metric_samples",
     "validate_prometheus_text",
-    "BenchRecord",
-    "Regression",
-    "append_history",
-    "detect_regressions",
-    "load_history",
-    "render_trajectory",
     "ClusterTop",
     "TopFrame",
     "render_frame",

@@ -7,14 +7,14 @@ Reused by the main ``repro`` CLI::
     repro obs validate /tmp/spans.jsonl     # JSON-schema check (CI gate)
     repro obs schema                        # print the span schema
     repro obs top http://127.0.0.1:8787     # live cluster dashboard
-    repro obs bench BENCH_history.jsonl     # gate trajectory + regressions
     repro run fig7 --obs-out /tmp/spans.jsonl
     repro solve --obs-out /tmp/spans.jsonl
     repro serve --rounds 2 --obs-out /tmp/spans.jsonl
 
 ``obs_session`` is the ``--obs-out`` implementation: it enables the
-global tracer for the duration of a command and dumps spans plus the
-global metrics registry to the requested path on the way out.
+global tracer for the duration of a command and dumps the spans recorded
+meanwhile plus the global metrics registry to the requested path on the
+way out.
 
 Exit status: 0 on success, 1 when ``validate`` finds schema problems,
 2 on usage/IO errors.
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..errors import ObservabilityError
-from .bench_history import load_history, render_trajectory
 from .dashboard import ClusterTop
 from .export import (
     SPAN_SCHEMA,
@@ -106,28 +105,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="frames to render before exiting; 0 = until interrupted",
     )
 
-    bench = actions.add_parser(
-        "bench", help="benchmark-gate trajectory + regression check"
-    )
-    bench.add_argument(
-        "path", help="BENCH_history.jsonl file (see REPRO_BENCH_HISTORY)"
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="fractional worsening vs trailing median to flag (default: 0.10)",
-    )
-    bench.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="trailing runs the median baseline covers (default: 5)",
-    )
-    bench.add_argument(
-        "--gate", default=None, help="restrict the report to one gate"
-    )
-
 
 def add_obs_out_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--obs-out PATH`` flag to a command parser."""
@@ -150,9 +127,6 @@ def run_obs(args: argparse.Namespace) -> int:
 
     if args.obs_command == "top":
         return _run_top(args)
-
-    if args.obs_command == "bench":
-        return _run_bench(args)
 
     if args.obs_command == "report":
         records: List[Dict[str, Any]] = []
@@ -227,27 +201,6 @@ def _run_top(args: argparse.Namespace) -> int:
     return 0 if successes else 2
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """``repro obs bench PATH`` — trajectory report, exit 1 on regression."""
-    try:
-        history = load_history(args.path)
-    except (OSError, ObservabilityError) as exc:
-        print(f"error: {exc}")
-        return 2
-    try:
-        report, regressions = render_trajectory(
-            history,
-            tolerance=args.tolerance,
-            window=args.window,
-            gate=args.gate,
-        )
-    except ObservabilityError as exc:
-        print(f"error: {exc}")
-        return 2
-    print(report, end="")
-    return 1 if regressions else 0
-
-
 def _metrics_from_records(records: list) -> str:
     """Re-render dumped metric records as Prometheus text.
 
@@ -282,8 +235,10 @@ def obs_session(
 ) -> Iterator[None]:
     """Enable tracing for one CLI command and dump on exit.
 
-    A ``None`` path is a no-op (the command runs untraced), so call
-    sites can wrap unconditionally::
+    The dump holds only the spans finished during the session, and the
+    session takes them out of the global tracer, so spans never leak
+    from one session into the next.  A ``None`` path is a no-op (the
+    command runs untraced), so call sites can wrap unconditionally::
 
         with obs_session(args.obs_out):
             run_command(args)
@@ -300,15 +255,17 @@ def obs_session(
         return
     tracer = get_tracer()
     was_enabled = tracer.enabled
+    earlier = tracer.swap_spans()
     tracer.enabled = True
     try:
         yield
     finally:
         tracer.enabled = was_enabled
+        recorded = tracer.swap_spans(earlier)
         merged = list(extra_records()) if extra_records is not None else None
         n_records = write_jsonl(
             Path(path),
-            tracer=tracer,
+            tracer=recorded,
             registry=get_registry(),
             extra_records=merged,
         )

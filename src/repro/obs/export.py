@@ -90,12 +90,13 @@ def metric_records(registry: MetricsRegistry) -> List[Dict[str, Any]]:
 
 def write_jsonl(
     path: Union[str, Path],
-    tracer: Optional[Tracer] = None,
+    tracer: Optional[Union[Tracer, Sequence[Span]]] = None,
     registry: Optional[MetricsRegistry] = None,
     extra_records: Optional[Iterable[Dict[str, Any]]] = None,
 ) -> int:
     """Write spans (and optionally metrics) as JSON lines.
 
+    ``tracer`` is a tracer or a span sequence (see :func:`span_records`).
     Returns the number of records written.
     """
     records: List[Dict[str, Any]] = []

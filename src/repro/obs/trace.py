@@ -547,6 +547,13 @@ class Tracer:
         with self._lock:
             self._finished.clear()
 
+    def swap_spans(self, spans: Tuple[Span, ...] = ()) -> Tuple[Span, ...]:
+        """Replace the finished spans with ``spans``; returns the old ones."""
+        with self._lock:
+            previous = tuple(self._finished)
+            self._finished = list(spans)
+        return previous
+
 
 # -- global tracer ----------------------------------------------------
 

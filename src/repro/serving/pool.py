@@ -38,7 +38,6 @@ from ..analysis.invariants import InvariantViolation, invariants_enabled
 from ..core.contract import Contract
 from ..core.decomposition import Subproblem, SubproblemSolution
 from ..core.designer import ContractDesigner, DesignerConfig, DesignResult
-from ..core.sweep import fastpath_enabled
 from ..errors import ServingError
 from ..numerics import close
 from ..obs.trace import get_tracer
@@ -464,7 +463,6 @@ class SolverPool:
             designs, cache_hits = self._solve_designs(subproblems, fingerprints)
             span.set("n_unique", len(set(fingerprints)))
             span.set("n_hits", sum(1 for hit in cache_hits if hit))
-            span.set("fastpath", fastpath_enabled())
             return designs, cache_hits
 
     def _solve_designs(

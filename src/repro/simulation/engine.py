@@ -47,7 +47,6 @@ import numpy as np
 
 from ..analysis.invariants import InvariantViolation, invariants_enabled
 from ..core.contract import Contract
-from ..core.sweep import fastpath_enabled
 from ..core.utility import RequesterObjective
 from ..errors import SimulationError
 from ..numerics import ABS_TOL
@@ -604,9 +603,6 @@ class MarketplaceSimulation:
             self._assignment = self.policy.contracts_columnar(population)
             self._policy_excluded = self.policy.excluded_mask(population)
             design_ms = (tracer.clock() - design_start) * 1e3
-            # Which Section IV-C sweep engine priced this round's
-            # contracts (REPRO_FASTPATH routing, see repro.core.sweep).
-            span.set("fastpath", fastpath_enabled())
             stats = self.policy.redesign_stats()
             if stats is not None:
                 span.set("n_dirty", stats.n_dirty)

@@ -22,7 +22,7 @@ __all__ = [
 
 
 def fastpath_enabled() -> bool:
-    """Fixture stand-in for the REPRO_FASTPATH gate."""
+    """Fixture stand-in for an environment switch picking the fast path."""
     return True
 
 

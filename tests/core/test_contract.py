@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Contract, QuadraticEffort
+from repro.core import Contract
 from repro.errors import ContractError
 from repro.types import DiscretizationGrid
 

@@ -6,13 +6,12 @@ import pytest
 
 from repro.core import (
     DesignerConfig,
-    QuadraticEffort,
     Subproblem,
     decomposition_report,
     solve_subproblems,
 )
 from repro.errors import DesignError
-from repro.types import WorkerParameters, WorkerType
+from repro.types import WorkerParameters
 
 
 def _subproblems(psi, n=5):

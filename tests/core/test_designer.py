@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import continuum_optimal_utility, grid_search_contract
 from repro.core import ContractDesigner, DesignerConfig, QuadraticEffort
+from repro.core.designer import CANDIDATE_CACHE_SIZE
 from repro.errors import DesignError
 from repro.types import DiscretizationGrid, WorkerParameters
 
@@ -112,20 +112,16 @@ class TestDesign:
         designer.design(other, honest_params, feedback_weight=1.0)
         assert len(designer._candidate_cache) == 2
 
-    def test_candidate_cache_is_bounded(self, psi, honest_params):
+    def test_candidate_cache_is_bounded(self, psi):
         """A long-lived designer facing many betas cannot grow unboundedly."""
-        designer = ContractDesigner(
-            mu=1.0,
-            config=DesignerConfig(n_intervals=4),
-            candidate_cache_size=3,
-        )
-        for beta in (0.5, 1.0, 1.5, 2.0, 2.5):
+        designer = ContractDesigner(mu=1.0, config=DesignerConfig(n_intervals=2))
+        for index in range(CANDIDATE_CACHE_SIZE + 2):
             designer.design(
                 psi,
-                WorkerParameters.honest(beta=beta),
+                WorkerParameters.honest(beta=0.5 + 0.01 * index),
                 feedback_weight=1.0,
             )
-        assert len(designer._candidate_cache) == 3
+        assert len(designer._candidate_cache) == CANDIDATE_CACHE_SIZE
         assert designer._candidate_cache.stats.evictions == 2
 
     def test_rejects_bad_mu(self):

@@ -7,7 +7,6 @@ must uphold its structural guarantees.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    QuadraticEffort,
     misfit_sweep,
     perturbed_effort_function,
     robust_design,
 )
 from repro.errors import DesignError
-from repro.types import WorkerParameters
 
 
 class TestPerturbation:

@@ -6,7 +6,7 @@ the legacy per-candidate construction: same compensations, same Lemma
 equivalence contract behind the Theorem 4.1 certificate.  These tests
 pin that down on the reference effort function, including the
 clamped-slope (large ``omega``) branch, the ``base_pay`` offset, the
-``REPRO_FASTPATH`` routing, and the cross-check machinery itself.
+designer entry point's routing, and the cross-check machinery itself.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from repro.analysis.invariants import InvariantViolation
 from repro.core import (
     QuadraticEffort,
     build_candidate,
-    fastpath_enabled,
     legacy_sweep,
     prefix_tables,
     solve_best_response,
-    sweep_candidates,
     sweep_candidates_with_stats,
     vectorized_sweep,
 )
-from repro.core.sweep import ENV_FASTPATH, SweepStats, require_sweeps_agree
+from repro.core.sweep import SweepStats, require_sweeps_agree
 from repro.errors import DesignError, EffortFunctionError
 from repro.types import DiscretizationGrid, WorkerParameters
 
@@ -47,22 +45,6 @@ def _grid(psi: QuadraticEffort, n_intervals: int) -> DiscretizationGrid:
     return DiscretizationGrid.for_max_effort(
         0.9 * psi.max_increasing_effort, n_intervals
     )
-
-
-class TestFastpathToggle:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(ENV_FASTPATH, raising=False)
-        assert fastpath_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "NO", " off "])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_FASTPATH, value)
-        assert not fastpath_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "anything"])
-    def test_other_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_FASTPATH, value)
-        assert fastpath_enabled()
 
 
 class TestPrefixTables:
@@ -117,7 +99,6 @@ class TestVectorizedEquivalence:
         fast, stats = vectorized_sweep(psi, grid, params)
         reference, _ = legacy_sweep(psi, grid, params)
         require_sweeps_agree(fast, reference)
-        assert stats.fastpath
         assert stats.n_candidates == n_intervals
         for (fc, fr), (rc, rr) in zip(fast, reference):
             assert fc.contract.compensations == rc.contract.compensations
@@ -155,39 +136,49 @@ class TestVectorizedEquivalence:
 
 
 class TestRouting:
-    def test_fastpath_stats(self, psi, honest_params, monkeypatch):
-        monkeypatch.delenv(ENV_FASTPATH, raising=False)
-        _, stats = sweep_candidates_with_stats(psi, _grid(psi, 5), honest_params)
-        assert stats.fastpath
+    def test_fastpath_stats(self, psi, honest_params):
+        _, stats = vectorized_sweep(psi, _grid(psi, 5), honest_params)
         assert stats.n_efforts > 0
         assert stats.n_vectorized == stats.n_candidates * stats.n_efforts
 
-    def test_legacy_escape_hatch(self, psi, honest_params, monkeypatch):
-        monkeypatch.setenv(ENV_FASTPATH, "0")
-        pairs, stats = sweep_candidates_with_stats(
-            psi, _grid(psi, 5), honest_params
-        )
-        assert not stats.fastpath
+    def test_legacy_stats(self, psi, honest_params):
+        pairs, stats = legacy_sweep(psi, _grid(psi, 5), honest_params)
+        assert stats.n_efforts == 0
         assert stats.n_vectorized == 0
         assert len(pairs) == 5
 
-    def test_both_routes_agree(self, psi, monkeypatch):
+    def test_both_routes_agree(self, psi):
         grid = _grid(psi, 8)
         params = WorkerParameters.malicious(beta=1.0, omega=0.6)
-        monkeypatch.setenv(ENV_FASTPATH, "0")
-        slow = sweep_candidates(psi, grid, params)
-        monkeypatch.setenv(ENV_FASTPATH, "1")
-        fast = sweep_candidates(psi, grid, params)
+        slow, _ = legacy_sweep(psi, grid, params)
+        fast, _ = vectorized_sweep(psi, grid, params)
         require_sweeps_agree(fast, slow)
 
+    def test_entry_point_runs_vectorized_sweep(self, psi, honest_params, monkeypatch):
+        """REPRO_FASTPATH=0 in the environment leaves the vectorized sweep on."""
+        grid = _grid(psi, 6)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        expected, _ = sweep_candidates_with_stats(psi, grid, honest_params)
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        pairs, stats = sweep_candidates_with_stats(psi, grid, honest_params)
+        assert stats.n_vectorized > 0
+        assert pairs == expected
+
     def test_cross_check_runs_under_invariants(self, psi, honest_params, monkeypatch):
-        monkeypatch.setenv(ENV_FASTPATH, "1")
+        calls = []
+
+        def counting_legacy(*args, **kwargs):
+            calls.append(args)
+            return legacy_sweep(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.sweep.legacy_sweep", counting_legacy)
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         pairs, stats = sweep_candidates_with_stats(
             psi, _grid(psi, 6), honest_params
         )
-        assert stats.fastpath
+        assert stats.n_vectorized > 0
         assert len(pairs) == 6
+        assert len(calls) == 1
 
 
 class TestRequireSweepsAgree:
@@ -211,4 +202,4 @@ class TestRequireSweepsAgree:
 class TestSweepStats:
     def test_rejects_negative_counts(self):
         with pytest.raises(DesignError):
-            SweepStats(fastpath=True, n_candidates=-1, n_efforts=0, n_vectorized=0)
+            SweepStats(n_candidates=-1, n_efforts=0, n_vectorized=0)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import QuadraticEffort
 from repro.data import EndorsementModel, ExpertPanel
 from repro.errors import DataError
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.data import (
     AmazonTraceGenerator,
     Product,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentConfig
 from repro.experiments.report import render_markdown, write_report
 from repro.experiments import table2_communities
 

@@ -8,9 +8,7 @@ import pytest
 
 from repro import (
     ContractDesigner,
-    DesignerConfig,
     WorkerParameters,
-    solve_best_response,
     solve_subproblems,
 )
 from repro.baselines import compare_policies

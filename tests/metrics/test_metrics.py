@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.metrics import ComparisonTable, DistributionSummary, summarize
+from repro.metrics import ComparisonTable, summarize
 
 
 class TestSummarize:

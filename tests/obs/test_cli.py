@@ -105,6 +105,26 @@ class TestObsSession:
         (record,) = [json.loads(line) for line in path.read_text().splitlines()]
         assert record["name"] == "traced"
 
+    def test_sessions_do_not_leak_spans(self, tmp_path, tracer, registry):
+        """Each dump holds only its own session's spans, and the global
+        tracer keeps none of them (only what it held before)."""
+        with tracer.span("before"):
+            pass
+        first, second = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
+        with obs_session(str(first)):
+            with tracer.span("first"):
+                pass
+        with obs_session(str(second)):
+            with tracer.span("second"):
+                pass
+
+        def names(path):
+            return [json.loads(line)["name"] for line in path.read_text().splitlines()]
+
+        assert names(first) == ["first"]
+        assert names(second) == ["second"]
+        assert [span.name for span in tracer.spans()] == ["before"]
+
     def test_dumps_even_when_body_raises(self, tmp_path, tracer, registry):
         path = tmp_path / "out.jsonl"
         with pytest.raises(RuntimeError):
@@ -162,52 +182,15 @@ class TestTop:
         assert code == 2
 
 
-class TestBench:
-    def _history(self, tmp_path, values):
-        from repro.obs.bench_history import BenchRecord, append_history
+class TestRemovedBench:
+    def test_bench_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        """``repro obs bench`` is gone; argparse rejects it with exit 2."""
+        from repro.cli import main
 
-        path = tmp_path / "BENCH_history.jsonl"
-        for at, value in enumerate(values):
-            append_history(
-                path,
-                BenchRecord(
-                    gate="sweep",
-                    metrics={"speedup": value},
-                    recorded_unix=float(at),
-                    directions={"speedup": "higher"},
-                ),
-            )
-        return path
-
-    def test_clean_history_exits_0(self, tmp_path, capsys):
-        path = self._history(tmp_path, [10.0, 10.5, 10.2])
-        assert run_obs(_parse(["bench", str(path)])) == 0
-        out = capsys.readouterr().out
-        assert "-- benchmark trajectory --" in out
-        assert "no regressions" in out
-
-    def test_regression_exits_1(self, tmp_path, capsys):
-        path = self._history(tmp_path, [10.0, 10.0, 10.0, 6.0])
-        assert run_obs(_parse(["bench", str(path)])) == 1
-        assert "-- regressions" in capsys.readouterr().out
-
-    def test_missing_history_exits_0_with_empty_report(self, tmp_path, capsys):
-        path = tmp_path / "absent.jsonl"
-        assert run_obs(_parse(["bench", str(path)])) == 0
-        assert "no bench-history records" in capsys.readouterr().out
-
-    def test_corrupt_history_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        assert run_obs(_parse(["bench", str(path)])) == 2
-        assert "error:" in capsys.readouterr().out
-
-    def test_gate_filter_flag(self, tmp_path, capsys):
-        path = self._history(tmp_path, [10.0, 10.0])
-        assert run_obs(_parse(["bench", str(path), "--gate", "other"])) == 0
-        assert "no bench-history records for gate 'other'" in (
-            capsys.readouterr().out
-        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "bench", str(tmp_path / "history.jsonl")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestObsSessionExtraRecords:

@@ -100,33 +100,3 @@ def test_cached_equals_fresh_and_bounds_hold(
                     omega=params.omega,
                 )
                 assert pay >= floor - _SLACK * max(1.0, abs(floor))
-
-
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    mu=st.floats(min_value=0.5, max_value=2.0),
-)
-def test_designer_cache_path_matches_uncached_designer(
-    seed: int, mu: float
-) -> None:
-    """The serial designer with a design cache equals the bare designer."""
-    from repro.core import ContractDesigner
-
-    subproblems = synthetic_subproblems(n_subjects=6, n_archetypes=2, seed=seed)
-    bare = ContractDesigner(mu=mu)
-    cached = ContractDesigner(mu=mu, design_cache=ContractCache())
-    for subproblem in subproblems:
-        kwargs = dict(
-            effort_function=subproblem.effort_function,
-            params=subproblem.params,
-            feedback_weight=subproblem.feedback_weight,
-            max_effort=subproblem.max_effort,
-        )
-        expected = bare.design(**kwargs)
-        for _ in range(2):  # second pass is a guaranteed cache hit
-            result = cached.design(**kwargs)
-            assert pickle.dumps(result.contract.compensations) == pickle.dumps(
-                expected.contract.compensations
-            )
-            assert result.k_opt == expected.k_opt

@@ -117,15 +117,6 @@ def test_round_span_reports_dirty_set_and_reuse(population):
         assert span.attributes["reuse_rate"] == 1.0
 
 
-def test_fastpath_env_leaves_delta_redesign_on(population, monkeypatch):
-    """REPRO_FASTPATH selects only the Section IV-C sweep engine."""
-    for fastpath in ("0", "1"):
-        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-        ledger = _run(population, DynamicContractPolicy(mu=1.0), n_rounds=2)
-        assert ledger.records[0].n_dirty == N_SUBJECTS
-        assert ledger.records[1].n_dirty == 0
-
-
 def test_reuse_is_cross_verified_under_invariants(population, monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     ledger = _run(population, DynamicContractPolicy(mu=1.0))
