@@ -9,9 +9,7 @@ ignores that members coordinate their total effort.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core import ContractDesigner, DesignerConfig
 from repro.core.decomposition import Subproblem, solve_subproblems
 from repro.types import WorkerParameters
 

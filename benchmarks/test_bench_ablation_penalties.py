@@ -16,7 +16,6 @@ import pytest
 from repro.core.decomposition import solve_subproblems
 from repro.core.utility import RequesterObjective
 from repro.types import FeedbackWeightParameters, RequesterParameters, WorkerType
-from repro.workers import build_population
 
 
 def _mean_pay_by_type(population, solutions):

@@ -9,8 +9,6 @@ robust design is one extra designer call plus a replay grid).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import misfit_sweep, robust_design
 
 _CURVATURES = (0.8, 0.9, 1.0, 1.1, 1.2)

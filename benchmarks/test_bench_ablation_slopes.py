@@ -27,7 +27,6 @@ from repro.core import (
     solve_best_response,
 )
 from repro.core.utility import per_worker_utility
-from repro.types import WorkerParameters
 
 
 def _naive_slopes(psi, grid, params, target):

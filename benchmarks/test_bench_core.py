@@ -7,8 +7,6 @@ O(m^2); trace generation is linear in reviews.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import build_candidate, solve_best_response
 from repro.data import AmazonTraceGenerator, TraceConfig
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.budget import budgeted_selection
 from repro.core.decomposition import solve_subproblems
 from repro.experiments import ext_budget

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import ext_adaptive, ext_camouflage, ext_labeling
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import timeit
 
-import pytest
 
 from repro.core import ContractDesigner, DesignerConfig
 from repro.obs.trace import Tracer

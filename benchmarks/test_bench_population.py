@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.utility import RequesterObjective
 from repro.types import RequesterParameters, WorkerType
 from repro.workers import build_population

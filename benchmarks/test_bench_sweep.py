@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 
-import pytest
+import numpy as np
 
 from repro.core import solve_subproblems
 from repro.core.sweep import legacy_sweep, require_sweeps_agree, vectorized_sweep
@@ -125,6 +126,14 @@ def test_sweep_speedup_gates(psi, honest_params, monkeypatch):
         "e2e_legacy_seconds": e2e_legacy,
         "e2e_speedup": e2e_speedup,
         "gates": {"sweep": _GATE_SPEEDUP, "end_to_end": _E2E_SPEEDUP},
+        # The figures docs/PERFORMANCE.md quotes are only comparable
+        # with the host and library versions that produced them.
+        "host": {
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     out_path = os.environ.get("REPRO_BENCH_OUT", "BENCH_sweep.json")
     with open(out_path, "w", encoding="utf-8") as handle:

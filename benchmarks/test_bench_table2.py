@@ -7,8 +7,6 @@ synthetic target map with the exact Table II community structure.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.collusion import cluster_collusive_workers, community_size_table
 from repro.data.synthetic import PAPER_COMMUNITY_SIZES
 from repro.experiments import table2_communities

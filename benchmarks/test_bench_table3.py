@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import table3_fitting
 from repro.fitting import sweep_orders
 from repro.types import WorkerType

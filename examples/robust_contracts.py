@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.core import (
     QuadraticEffort,
     misfit_sweep,
-    perturbed_effort_function,
     robust_design,
     solve_best_response,
 )

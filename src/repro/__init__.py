@@ -26,11 +26,9 @@ from .core import (
     DesignResult,
     PiecewiseLinear,
     QuadraticEffort,
-    RoundOutcome,
     Subproblem,
     UtilityBounds,
     build_candidate,
-    play_round,
     solve_best_response,
     solve_subproblems,
 )
@@ -61,11 +59,9 @@ __all__ = [
     "DesignResult",
     "PiecewiseLinear",
     "QuadraticEffort",
-    "RoundOutcome",
     "Subproblem",
     "UtilityBounds",
     "build_candidate",
-    "play_round",
     "solve_best_response",
     "solve_subproblems",
     "ReproError",

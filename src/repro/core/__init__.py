@@ -12,7 +12,6 @@ Public surface of the core algorithm:
 * :class:`~repro.core.designer.ContractDesigner` — the full algorithm.
 * :mod:`~repro.core.bounds` — Lemma 4.2/4.3 and Theorem 4.1 certificates.
 * :func:`~repro.core.decomposition.solve_subproblems` — BiP decomposition.
-* :func:`~repro.core.stackelberg.play_round` — one leader/follower round.
 """
 
 from .best_response import BestResponse, solve_best_response, worker_utility
@@ -43,7 +42,6 @@ from .sensitivity import (
     perturbed_effort_function,
     robust_design,
 )
-from .stackelberg import RoundOutcome, SubjectOutcome, play_round
 from .sweep import (
     PrefixTables,
     SweepStats,
@@ -92,9 +90,6 @@ __all__ = [
     "misfit_sweep",
     "perturbed_effort_function",
     "robust_design",
-    "RoundOutcome",
-    "SubjectOutcome",
-    "play_round",
     "PrefixTables",
     "SweepStats",
     "legacy_sweep",

@@ -155,7 +155,18 @@ def verify_ledger(
 
     Returns:
         Total outcomes verified across the selected rounds.
+
+    Raises:
+        ServingError: if the ledger keeps no per-subject outcomes (a
+            :class:`~repro.simulation.streaming.StreamingLedger`), so
+            there is nothing to replay, or on any failed round.
     """
+    if not ledger.retains_outcomes:
+        raise ServingError(
+            f"a {type(ledger).__name__} keeps no per-subject outcomes, so "
+            "its payouts cannot be replayed; record the run on a "
+            "SimulationLedger to verify it"
+        )
     selected = set(rounds) if rounds is not None else None
     verified = 0
     for record in ledger.records:

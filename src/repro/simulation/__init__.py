@@ -10,7 +10,13 @@ from .engine import (
     require_ledgers_agree,
     require_steps_agree,
 )
-from .ledger import RoundRecord, SimulationLedger, SubjectRoundOutcome
+from .ledger import (
+    PostedProvenance,
+    RoundOutcomes,
+    RoundRecord,
+    SimulationLedger,
+    SubjectRoundOutcome,
+)
 from .retention import RetentionModel, RetentionSimulation
 from .policies import (
     DynamicContractPolicy,
@@ -18,12 +24,7 @@ from .policies import (
     FixedPaymentPolicy,
     PaymentPolicy,
 )
-from .streaming import (
-    OutcomeSpill,
-    StreamingHistogram,
-    StreamingLedger,
-    require_ledger_views_agree,
-)
+from .streaming import OutcomeSpill, StreamingHistogram, StreamingLedger
 
 __all__ = [
     "AdaptiveDynamicPolicy",
@@ -31,8 +32,10 @@ __all__ = [
     "EwmaDeviationTracker",
     "MarketplaceSimulation",
     "OutcomeSpill",
+    "PostedProvenance",
     "RetentionModel",
     "RetentionSimulation",
+    "RoundOutcomes",
     "RoundRecord",
     "SimulationLedger",
     "StepOutcomes",
@@ -45,7 +48,6 @@ __all__ = [
     "PaymentPolicy",
     "fast_columnar_step",
     "legacy_step",
-    "require_ledger_views_agree",
     "require_ledgers_agree",
     "require_steps_agree",
 ]

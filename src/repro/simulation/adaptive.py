@@ -244,6 +244,10 @@ class AdaptiveDynamicPolicy(PaymentPolicy):
     def redesign_stats(self) -> Optional[RedesignStats]:
         return self._stats
 
+    def posted_weights(self) -> Optional[np.ndarray]:
+        """The online Eq. (5) weights the latest contracts were designed on."""
+        return self._weights
+
     def current_weights(
         self, population: Union[PopulationModel, ColumnarPopulation]
     ) -> Dict[str, float]:

@@ -33,15 +33,21 @@ loop from the same generator state and compared bit for bit.
 The RNG draw order is pinned (and regression-tested): subjects in
 population row order; per subject, the feedback-noise draw comes first,
 then the rating-deviation draw; zero-noise agents and excluded subjects
-consume nothing.  See docs/PERFORMANCE.md.  Pair the kernel with a
-:class:`~repro.simulation.streaming.StreamingLedger` and a
-10M-subject round runs in bounded memory.
+consume nothing.  See docs/PERFORMANCE.md.
+
+Each round's columns go to the ledger inside the round's record, as a
+:class:`~repro.simulation.ledger.RoundOutcomes` view that builds outcome
+objects only when read; the invariants replay compares that same view
+against the oracle.  Pair the kernel with a
+:class:`~repro.simulation.streaming.StreamingLedger`, which drops the
+columns after folding them in, and a 10M-subject round runs in bounded
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple, Union, cast
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple, Union, cast
 
 import numpy as np
 
@@ -53,15 +59,16 @@ from ..numerics import ABS_TOL
 from ..obs.trace import get_tracer
 from ..serving.pool import ContractAssignment
 from ..workers.base import WorkerAgent
-from ..workers.columnar import (
-    WORKER_TYPE_ORDER,
-    ColumnarPopulation,
-    ColumnarResponseCache,
-)
+from ..workers.columnar import ColumnarPopulation, ColumnarResponseCache
 from ..workers.population import PopulationModel
-from .ledger import RoundRecord, SimulationLedger, SubjectRoundOutcome
+from .ledger import (
+    PostedProvenance,
+    RoundOutcomes,
+    RoundRecord,
+    SimulationLedger,
+    SubjectRoundOutcome,
+)
 from .policies import PaymentPolicy
-from .streaming import StreamingLedger
 
 __all__ = [
     "ColumnarStepResult",
@@ -85,7 +92,7 @@ class StepOutcomes:
         total_compensation: total pay over active subjects.
     """
 
-    outcomes: Dict[str, SubjectRoundOutcome]
+    outcomes: Mapping[str, SubjectRoundOutcome]
     benefit: float
     total_compensation: float
 
@@ -94,8 +101,7 @@ def legacy_step(
     population: PopulationModel,
     contracts: Dict[str, Contract],
     excluded_ids: Set[str],
-    policy: PaymentPolicy,
-    policy_weights: Optional[Dict[str, float]],
+    provenance: PostedProvenance,
     previous_feedback: Dict[str, float],
     lagged_payment: bool,
     rng: np.random.Generator,
@@ -106,23 +112,20 @@ def legacy_step(
     payment, utility booking.  This is the oracle the columnar kernel is
     verified against (over a packed population's lazy views); it
     consumes generator draws in the pinned order documented at module
-    level.
+    level.  ``provenance`` (what the policy posted) is indexed by
+    population row, as the ledger's outcome view indexes it.
     """
     outcomes: Dict[str, SubjectRoundOutcome] = {}
     benefit = 0.0
     total_compensation = 0.0
-    for subproblem in population.subproblems:
+    for row, subproblem in enumerate(population.subproblems):
         subject_id = subproblem.subject_id
         agent = population.agents[subject_id]
         # Utility is always booked with the reference (population)
         # weight; the policy's belief is recorded for diagnostics
         # but cannot inflate the score.
         evaluation_weight = population.weights[subject_id]
-        believed = (
-            policy_weights.get(subject_id)
-            if policy_weights is not None
-            else None
-        )
+        believed = provenance.policy_weight(row)
         if subject_id in excluded_ids or subject_id not in contracts:
             outcomes[subject_id] = SubjectRoundOutcome(
                 subject_id=subject_id,
@@ -136,7 +139,7 @@ def legacy_step(
                 policy_weight=believed,
             )
             continue
-        diagnostics = policy.solve_diagnostics(subject_id)
+        diagnostics = provenance.diagnostic(row)
         contract = contracts[subject_id]
         response = agent.respond(contract)
         realized = agent.realize_feedback(response.effort, rng=rng)
@@ -365,68 +368,6 @@ def fast_columnar_step(
     )
 
 
-def _materialize_outcomes(
-    population: ColumnarPopulation,
-    result: ColumnarStepResult,
-    policy: PaymentPolicy,
-    policy_weights: Optional[Dict[str, float]],
-) -> StepOutcomes:
-    """Expand a columnar round back to per-subject outcome objects.
-
-    Off the hot path: used when the engine feeds an eager
-    :class:`SimulationLedger` (small populations) and by the
-    ``REPRO_CHECK_INVARIANTS`` cross-verification, where the outcomes
-    must compare bit-for-bit against the legacy loop's.
-    """
-    outcomes: Dict[str, SubjectRoundOutcome] = {}
-    for row in range(population.n_subjects):
-        subject_id = population.subject_id(row)
-        worker_type = WORKER_TYPE_ORDER[int(population.type_codes[row])]
-        believed = (
-            policy_weights.get(subject_id)
-            if policy_weights is not None
-            else None
-        )
-        if not result.active[row]:
-            outcomes[subject_id] = SubjectRoundOutcome(
-                subject_id=subject_id,
-                worker_type=worker_type,
-                effort=0.0,
-                feedback=0.0,
-                compensation=0.0,
-                feedback_weight=float(population.eval_weight[row]),
-                excluded=True,
-                n_members=int(population.n_members[row]),
-                policy_weight=believed,
-            )
-            continue
-        diagnostics = policy.solve_diagnostics(subject_id)
-        outcomes[subject_id] = SubjectRoundOutcome(
-            subject_id=subject_id,
-            worker_type=worker_type,
-            effort=float(result.efforts[row]),
-            feedback=float(result.feedback[row]),
-            compensation=float(result.compensation[row]),
-            feedback_weight=float(population.eval_weight[row]),
-            excluded=False,
-            n_members=int(population.n_members[row]),
-            rating_deviation=float(result.rating_deviation[row]),
-            policy_weight=believed,
-            worker_utility=float(result.worker_utility[row]),
-            fingerprint=(
-                diagnostics.fingerprint if diagnostics is not None else None
-            ),
-            cache_hit=(
-                diagnostics.cache_hit if diagnostics is not None else None
-            ),
-        )
-    return StepOutcomes(
-        outcomes=outcomes,
-        benefit=result.benefit,
-        total_compensation=result.total_compensation,
-    )
-
-
 def require_steps_agree(fast: StepOutcomes, legacy: StepOutcomes) -> None:
     """Assert the columnar kernel reproduced the legacy loop bit for bit.
 
@@ -461,25 +402,32 @@ def require_steps_agree(fast: StepOutcomes, legacy: StepOutcomes) -> None:
         )
 
 
-def require_ledgers_agree(
-    fast: SimulationLedger, legacy: SimulationLedger
-) -> None:
-    """Assert two simulation ledgers recorded bit-identical rounds.
+RoundsLike = Union[SimulationLedger, Sequence[RoundRecord]]
 
-    Compares everything the marketplace *realized* — per-subject
-    outcomes, benefit, compensation, utility — and ignores the
-    timing/provenance fields (``design_ms``, ``span_id``, ``n_dirty``,
-    ``reuse_rate``), which legitimately differ between engine routings.
+
+def require_ledgers_agree(fast: RoundsLike, legacy: RoundsLike) -> None:
+    """Assert two runs recorded bit-identical rounds.
+
+    Each side is a ledger or its records in round order (the oracle's
+    ``legacy_step`` rounds need no ledger).  Compares everything the
+    marketplace *realized* — per-subject outcomes, benefit,
+    compensation, utility — and ignores the timing/provenance fields
+    (``design_ms``, ``span_id``, ``n_dirty``, ``reuse_rate``), which
+    legitimately differ between engine routings.
 
     Raises:
         InvariantViolation: on the first disagreement.
     """
-    if fast.n_rounds != legacy.n_rounds:
+    fast_records = fast.records if isinstance(fast, SimulationLedger) else fast
+    legacy_records = (
+        legacy.records if isinstance(legacy, SimulationLedger) else legacy
+    )
+    if len(fast_records) != len(legacy_records):
         raise InvariantViolation(
-            f"ledgers cover different horizons: {fast.n_rounds} rounds != "
-            f"{legacy.n_rounds} rounds"
+            f"ledgers cover different horizons: {len(fast_records)} rounds "
+            f"!= {len(legacy_records)} rounds"
         )
-    for produced, reference in zip(fast.records, legacy.records):
+    for produced, reference in zip(fast_records, legacy_records):
         try:
             require_steps_agree(
                 StepOutcomes(
@@ -523,12 +471,12 @@ class MarketplaceSimulation:
             (Eq. 1).  Round 0 pays the contract's zero-feedback value.
             The default (False) settles each round on its own feedback,
             which has the same steady state and simpler accounting.
-        ledger: the round sink; default a fresh eager
-            :class:`SimulationLedger`.  Pass a
+        ledger: the round sink; default a fresh
+            :class:`SimulationLedger`, whose records keep each round's
+            per-subject columns.  Pass a
             :class:`~repro.simulation.streaming.StreamingLedger` to run
-            huge populations in bounded memory — per-subject outcomes
-            are then staged straight from the kernel's columns and never
-            materialized.
+            huge populations in bounded memory — it folds each round's
+            columns into its views and drops them.
     """
 
     def __init__(
@@ -539,7 +487,7 @@ class MarketplaceSimulation:
         seed: int = 0,
         redesign_every: int = 1,
         lagged_payment: bool = False,
-        ledger: Optional[Union[SimulationLedger, StreamingLedger]] = None,
+        ledger: Optional[SimulationLedger] = None,
     ) -> None:
         if redesign_every < 1:
             raise SimulationError(
@@ -553,10 +501,9 @@ class MarketplaceSimulation:
         self.redesign_every = redesign_every
         self.lagged_payment = lagged_payment
         self._rng = np.random.default_rng(seed)
-        self.ledger: Union[SimulationLedger, StreamingLedger] = (
-            ledger if ledger is not None else SimulationLedger()
-        )
+        self.ledger = ledger if ledger is not None else SimulationLedger()
         self._assignment: Optional[ContractAssignment] = None
+        self._provenance: Optional[PostedProvenance] = None
         self._policy_excluded = np.zeros(population.n_subjects, dtype=bool)
         # Subjects that have left the marketplace for good (set by
         # retention-aware subclasses; the base engine never adds here).
@@ -567,7 +514,7 @@ class MarketplaceSimulation:
         self._response_cache: ColumnarResponseCache = {}
         self._last_result: Optional[ColumnarStepResult] = None
 
-    def run(self, n_rounds: int) -> Union[SimulationLedger, StreamingLedger]:
+    def run(self, n_rounds: int) -> SimulationLedger:
         """Simulate ``n_rounds`` task rounds and return the ledger."""
         if n_rounds < 1:
             raise SimulationError(f"n_rounds must be >= 1, got {n_rounds!r}")
@@ -576,12 +523,14 @@ class MarketplaceSimulation:
         return self.ledger
 
     def step(self) -> RoundRecord:
-        """Simulate one round and return its record."""
+        """Simulate one round and return its record as the ledger keeps
+        it (a :class:`~repro.simulation.streaming.StreamingLedger`
+        keeps no per-subject outcomes)."""
         tracer = get_tracer()
         round_index = self.ledger.n_rounds
         with tracer.span("simulation.round", round_index=round_index) as span:
             record, result = self._step_traced(round_index, tracer, span)
-        self.ledger.append(record)
+        record = self.ledger.append(record)
         self._last_result = result
         self.policy.observe(result)
         return record
@@ -603,11 +552,17 @@ class MarketplaceSimulation:
             self._assignment = self.policy.contracts_columnar(population)
             self._policy_excluded = self.policy.excluded_mask(population)
             design_ms = (tracer.clock() - design_start) * 1e3
+            self._provenance = PostedProvenance(
+                codes=self._assignment.codes,
+                diagnostics=self.policy.solve_diagnostics(),
+                policy_weights=self.policy.posted_weights(),
+            )
             stats = self.policy.redesign_stats()
             if stats is not None:
                 span.set("n_dirty", stats.n_dirty)
                 span.set("reuse_rate", stats.reuse_rate)
         assignment = self._assignment
+        provenance = self._provenance
         excluded_mask = self._policy_excluded | self._departed | population.excluded
 
         check = invariants_enabled()
@@ -627,13 +582,7 @@ class MarketplaceSimulation:
             response_cache=self._response_cache,
         )
 
-        outcomes: Dict[str, SubjectRoundOutcome] = {}
-        streaming = isinstance(self.ledger, StreamingLedger)
-        if check or not streaming:
-            policy_weights = self.policy.current_weights(population)
-            outcomes = _materialize_outcomes(
-                population, result, self.policy, policy_weights
-            ).outcomes
+        outcomes = RoundOutcomes(population, result, provenance)
         if check:
             excluded_ids = {
                 population.subject_id(int(row))
@@ -643,8 +592,7 @@ class MarketplaceSimulation:
                 cast(PopulationModel, population),
                 assignment.to_mapping(population),
                 excluded_ids,
-                self.policy,
-                policy_weights,
+                provenance,
                 {
                     population.subject_id(row): value
                     for row, value in enumerate(replay_feedback.tolist())
@@ -656,18 +604,6 @@ class MarketplaceSimulation:
                 StepOutcomes(outcomes, result.benefit, result.total_compensation),
                 reference,
             )
-        if streaming:
-            cast(StreamingLedger, self.ledger).stage_arrays(
-                type_codes=population.type_codes,
-                n_members=population.n_members,
-                excluded=~result.active,
-                efforts=result.efforts,
-                feedback=result.feedback,
-                compensation=result.compensation,
-                rating_deviation=result.rating_deviation,
-                worker_utility=result.worker_utility,
-            )
-            outcomes = {}
 
         record = RoundRecord(
             round_index=round_index,

@@ -75,6 +75,16 @@ class PaymentPolicy(abc.ABC):
         """
         return None
 
+    def posted_weights(self) -> Optional[np.ndarray]:
+        """The per-subject Eq. (5) weights the latest design believed,
+        in population row order.
+
+        ``None`` (the default) means the design used the population's
+        weights.  The engine records this column with every round under
+        the design (``policy_weight`` in the ledger).
+        """
+        return None
+
     def observe(self, result: "ColumnarStepResult") -> None:
         """Feed one realized round back into the policy (no-op here).
 
@@ -82,16 +92,17 @@ class PaymentPolicy(abc.ABC):
         the round's result columns (population row order).
         """
 
-    def solve_diagnostics(self, subject_id: str) -> Optional[SolveDiagnostics]:
-        """Serving provenance of the subject's current contract.
+    def solve_diagnostics(self) -> Tuple[Optional[SolveDiagnostics], ...]:
+        """Serving provenance per code of the latest posted contract table.
 
-        ``None`` (the default) means the contract did not come through
-        the serving layer; policies routed through a
-        :class:`~repro.serving.pool.SolverPool` report the design
-        fingerprint and cache-hit flag, which the engine writes into the
-        round ledger for replay verification.
+        Empty (the default) when the contracts did not come through the
+        serving layer; policies routed through a
+        :class:`~repro.serving.pool.SolverPool` report each archetype's
+        design fingerprint and cache-hit flag, which the ledger records
+        for every subject through the posted codes, for replay
+        verification.
         """
-        return None
+        return ()
 
     def redesign_stats(self) -> Optional[RedesignStats]:
         """Dirty-set accounting of the most recent design call.
@@ -143,7 +154,6 @@ class DynamicContractPolicy(PaymentPolicy):
         )
         self._delta = ColumnarDeltaState()
         self._stats: Optional[RedesignStats] = None
-        self._diagnostics: Dict[str, SolveDiagnostics] = {}
 
     def _solve_fresh(
         self, subproblems: Sequence[Subproblem]
@@ -155,26 +165,14 @@ class DynamicContractPolicy(PaymentPolicy):
     def contracts_columnar(
         self, population: ColumnarPopulation
     ) -> ContractAssignment:
-        """Design one contract per archetype; fan out by code.
-
-        Serving-routed solves report per-archetype provenance, which is
-        fanned out to every subject of the archetype so the ledger
-        carries each subject's design fingerprint.
-        """
+        """Design one contract per archetype; fan out by code."""
         assignment, self._stats = self._delta.resolve(
             population, solve=self._solve_fresh
         )
-        per_archetype = self._delta.last_diagnostics
-        self._diagnostics = {}
-        if any(diagnostic is not None for diagnostic in per_archetype):
-            for row, code in enumerate(assignment.codes.tolist()):
-                diagnostic = per_archetype[code]
-                if diagnostic is not None:
-                    self._diagnostics[population.subject_id(row)] = diagnostic
         return assignment
 
-    def solve_diagnostics(self, subject_id: str) -> Optional[SolveDiagnostics]:
-        return self._diagnostics.get(subject_id)
+    def solve_diagnostics(self) -> Tuple[Optional[SolveDiagnostics], ...]:
+        return self._delta.last_diagnostics
 
     def redesign_stats(self) -> Optional[RedesignStats]:
         return self._stats
@@ -221,11 +219,14 @@ class ExclusionPolicy(PaymentPolicy):
     ) -> Optional[Dict[str, float]]:
         return self.inner.current_weights(population)
 
+    def posted_weights(self) -> Optional[np.ndarray]:
+        return self.inner.posted_weights()
+
     def observe(self, result: "ColumnarStepResult") -> None:
         self.inner.observe(result)
 
-    def solve_diagnostics(self, subject_id: str) -> Optional[SolveDiagnostics]:
-        return self.inner.solve_diagnostics(subject_id)
+    def solve_diagnostics(self) -> Tuple[Optional[SolveDiagnostics], ...]:
+        return self.inner.solve_diagnostics()
 
     def redesign_stats(self) -> Optional[RedesignStats]:
         return self.inner.redesign_stats()

@@ -28,7 +28,6 @@ from ..workers.population import PopulationModel
 from .engine import MarketplaceSimulation
 from .ledger import RoundRecord, SimulationLedger
 from .policies import PaymentPolicy
-from .streaming import StreamingLedger
 
 __all__ = ["RetentionModel", "RetentionSimulation"]
 
@@ -79,7 +78,7 @@ class RetentionSimulation(MarketplaceSimulation):
         retention: Optional[RetentionModel] = None,
         seed: int = 0,
         redesign_every: int = 1,
-        ledger: Optional[Union[SimulationLedger, StreamingLedger]] = None,
+        ledger: Optional[SimulationLedger] = None,
     ) -> None:
         super().__init__(
             population=population,

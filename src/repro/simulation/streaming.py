@@ -1,636 +1,44 @@
 """Bounded-memory round accounting for very large populations.
 
-The eager :class:`~repro.simulation.ledger.SimulationLedger` keeps one
-:class:`~repro.simulation.ledger.SubjectRoundOutcome` object per subject
-per round — perfect for the paper-scale experiments, hopeless at 10M
-subjects (a 100-round run would materialize a billion objects).  The
-:class:`StreamingLedger` keeps the same *aggregate* views while holding
-only O(rounds) Python state:
-
-* per-round scalars (utility, benefit, compensation, design time,
-  dirty-set provenance) are kept verbatim;
-* per-type compensation series are reduced to one mean per round per
-  class, computed over the full per-member compensation column — the
-  same value sequence the eager ledger feeds ``np.mean``, so the series
-  are bit-identical;
-* run-level effort means keep running (sum, count) accumulators per
-  class — or are recomputed exactly from the spill file when one is
-  attached;
-* per-member compensation quantiles come from a fixed-width
-  :class:`StreamingHistogram` (approximate, error bounded by one bin
-  width) or exactly from the spill.
-
-An optional :class:`OutcomeSpill` writes each round's per-subject
-outcome columns to a chunked binary file and reads them back as a
-``(n_rounds, n_subjects)`` memory map — per-subject history without
-per-subject memory.
-
-:func:`require_ledger_views_agree` is the executable contract tying the
-streamed views to the eager ledger's (exercised by the hypothesis
-property tests and the ``columnar-smoke`` CI job).
+:class:`StreamingLedger` is the one ledger with retention off: each
+round's per-subject columns are folded into the views on append and
+dropped, so it holds O(rounds) Python state at any population size.
+Its series, per-class compensation means and ``cache_hit_rate`` equal a
+retaining ledger's; run-level effort means come from running sums and
+compensation quantiles from a :class:`StreamingHistogram`, unless an
+:class:`OutcomeSpill` writes the columns to disk, which makes both
+exact.  Its records carry no per-subject outcomes.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional
 
-import numpy as np
-
-from ..analysis.invariants import InvariantViolation
-from ..errors import SimulationError
-from ..numerics import close
-from ..types import WorkerType
-from ..workers.columnar import WORKER_TYPE_CODES
-from .ledger import RoundRecord, SimulationLedger
+from .ledger import (
+    SPILL_DTYPE,
+    OutcomeSpill,
+    SimulationLedger,
+    StreamingHistogram,
+)
 
 __all__ = [
     "SPILL_DTYPE",
     "OutcomeSpill",
     "StreamingHistogram",
     "StreamingLedger",
-    "require_ledger_views_agree",
 ]
 
-#: On-disk record layout of one subject-round in the spill file.
-SPILL_DTYPE = np.dtype(
-    [
-        ("effort", "f8"),
-        ("feedback", "f8"),
-        ("compensation", "f8"),
-        ("rating_deviation", "f8"),
-        ("worker_utility", "f8"),
-        ("excluded", "?"),
-    ]
-)
 
-
-class OutcomeSpill:
-    """Chunked binary spill of per-subject round outcomes.
-
-    Rounds are buffered and appended to ``path`` in :data:`SPILL_DTYPE`
-    layout, ``buffer_rounds`` at a time; :meth:`as_array` maps the whole
-    file back read-only as ``(n_rounds, n_subjects)`` without loading
-    it.  The file format is self-describing given the dtype and the
-    (constant) population size.
-
-    Args:
-        path: spill file location (created/truncated).
-        buffer_rounds: rounds held in memory between writes.
-    """
-
-    def __init__(self, path: Union[str, Path], buffer_rounds: int = 4) -> None:
-        if buffer_rounds < 1:
-            raise SimulationError(
-                f"buffer_rounds must be >= 1, got {buffer_rounds!r}"
-            )
-        self.path = Path(path)
-        self.buffer_rounds = buffer_rounds
-        self._handle: Optional[BinaryIO] = open(self.path, "wb")
-        self._buffer: List[np.ndarray] = []
-        self._n_rounds = 0
-        self._n_subjects: Optional[int] = None
-
-    @property
-    def n_rounds(self) -> int:
-        """Rounds appended so far (buffered or written)."""
-        return self._n_rounds
-
-    @property
-    def n_subjects(self) -> Optional[int]:
-        """Population size, fixed by the first appended round."""
-        return self._n_subjects
-
-    def append_round(self, rows: np.ndarray) -> None:
-        """Buffer one round's per-subject rows (``SPILL_DTYPE``, (n,))."""
-        if self._handle is None:
-            raise SimulationError("spill file is closed")
-        rows = np.ascontiguousarray(rows, dtype=SPILL_DTYPE)
-        if rows.ndim != 1:
-            raise SimulationError(
-                f"spill rows must be one-dimensional, got shape {rows.shape!r}"
-            )
-        if self._n_subjects is None:
-            self._n_subjects = int(rows.shape[0])
-        elif rows.shape[0] != self._n_subjects:
-            raise SimulationError(
-                f"spill rounds must have {self._n_subjects} subjects, "
-                f"got {rows.shape[0]}"
-            )
-        self._buffer.append(rows)
-        self._n_rounds += 1
-        if len(self._buffer) >= self.buffer_rounds:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write all buffered rounds to disk."""
-        if self._handle is None:
-            raise SimulationError("spill file is closed")
-        for rows in self._buffer:
-            self._handle.write(rows.tobytes())
-        self._buffer.clear()
-        self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the spill file (idempotent)."""
-        if self._handle is not None:
-            self.flush()
-            self._handle.close()
-            self._handle = None
-
-    def as_array(self) -> np.ndarray:
-        """The spilled history as a read-only ``(rounds, subjects)`` map.
-
-        Flushes pending rounds first; the returned array is backed by
-        the file (``np.memmap``), so element access pages in on demand
-        instead of loading the run into memory.
-        """
-        if self._n_subjects is None:
-            raise SimulationError("spill holds no rounds yet")
-        if self._handle is not None:
-            self.flush()
-        # np.memmap silently maps whatever bytes exist; a truncated or
-        # partially-written file must fail loudly, not return a map
-        # that reads past EOF (or short rounds) as garbage.
-        expected = (
-            self._n_rounds * self._n_subjects * SPILL_DTYPE.itemsize
-        )
-        actual = self.path.stat().st_size
-        if actual != expected:
-            raise SimulationError(
-                f"spill file {self.path} holds {actual} bytes but "
-                f"{self._n_rounds} rounds x {self._n_subjects} subjects "
-                f"requires exactly {expected}; the file is truncated or "
-                "was written by another spill"
-            )
-        if expected == 0:
-            # mmap rejects empty files; an empty-population (or
-            # zero-round) spill is still a valid, empty history.
-            return np.zeros(
-                (self._n_rounds, self._n_subjects), dtype=SPILL_DTYPE
-            )
-        return np.memmap(
-            self.path,
-            dtype=SPILL_DTYPE,
-            mode="r",
-            shape=(self._n_rounds, self._n_subjects),
-        )
-
-    def round_outcomes(self, round_index: int) -> np.ndarray:
-        """One round's rows, copied out of the map."""
-        if not 0 <= round_index < self._n_rounds:
-            raise SimulationError(
-                f"round_index must lie in [0, {self._n_rounds}), "
-                f"got {round_index!r}"
-            )
-        return np.array(self.as_array()[round_index])
-
-
-class StreamingHistogram:
-    """Uniform-bin running histogram with quantile queries.
-
-    Bin edges are pinned by the first observed batch (the low edge is
-    anchored at 0 for the non-negative compensation domain); when a
-    later batch overflows the top edge, the range *doubles* by merging
-    adjacent bin pairs — so no mass is ever clamped above and quantile
-    answers stay within one (final) bin width.  Values below the low
-    edge (impossible for compensations) clamp into the first bin.  The
-    spill file is the exact fallback.
-    """
-
-    def __init__(self, n_bins: int = 64) -> None:
-        if n_bins < 2 or n_bins % 2:
-            raise SimulationError(
-                f"n_bins must be even and >= 2 (range doubling merges bin "
-                f"pairs), got {n_bins!r}"
-            )
-        self.n_bins = n_bins
-        self.edges: Optional[np.ndarray] = None
-        self.counts = np.zeros(n_bins, dtype=np.int64)
-        self.total = 0
-
-    def observe(self, values: np.ndarray) -> None:
-        """Fold one batch of values into the histogram."""
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size == 0:
-            return
-        if self.edges is None:
-            low = min(0.0, float(values.min()))
-            high = float(values.max())
-            if high <= low:
-                high = low + max(1.0, abs(low))
-            self.edges = np.linspace(low, high, self.n_bins + 1)
-        assert self.edges is not None
-        batch_max = float(values.max())
-        while batch_max > float(self.edges[-1]):
-            low = float(self.edges[0])
-            span = float(self.edges[-1]) - low
-            half = self.n_bins // 2
-            merged = self.counts[0::2] + self.counts[1::2]
-            self.counts = np.zeros(self.n_bins, dtype=np.int64)
-            self.counts[:half] = merged
-            self.edges = np.linspace(low, low + 2.0 * span, self.n_bins + 1)
-        slots = np.clip(
-            np.searchsorted(self.edges, values, side="right") - 1,
-            0,
-            self.n_bins - 1,
-        )
-        self.counts += np.bincount(slots, minlength=self.n_bins)
-        self.total += int(values.size)
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (linear within the hit bin).
-
-        Within one bin width of the empirical inverted-CDF quantile
-        (the order statistic itself).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise SimulationError(f"q must lie in [0, 1], got {q!r}")
-        if self.edges is None or self.total == 0:
-            raise SimulationError("histogram is empty")
-        target = q * self.total
-        cumulative = np.cumsum(self.counts)
-        slot = int(np.searchsorted(cumulative, target, side="left"))
-        slot = min(slot, self.n_bins - 1)
-        left = cumulative[slot - 1] if slot > 0 else 0
-        in_bin = self.counts[slot]
-        fraction = float((target - left) / in_bin) if in_bin else 0.0
-        width = self.edges[slot + 1] - self.edges[slot]
-        return float(self.edges[slot] + min(max(fraction, 0.0), 1.0) * width)
-
-    @property
-    def bin_width(self) -> float:
-        """Width of one bin (the quantile error bound)."""
-        if self.edges is None:
-            raise SimulationError("histogram is empty")
-        return float(self.edges[1] - self.edges[0])
-
-
-class StreamingLedger:
-    """A ledger that aggregates rounds instead of retaining them.
-
-    Drop-in for :class:`SimulationLedger` where the experiments consume
-    aggregate views (``utility_series``, ``compensation_by_type``,
-    ``mean_effort_by_type``, ``summary`` …): the engine appends the
-    same :class:`RoundRecord` objects, and the views answer with the
-    same numbers — but per-subject outcomes are reduced on arrival
-    (columnar engines stage raw columns via :meth:`stage_arrays`;
-    object-path records are absorbed from their ``outcomes`` dict), so
-    memory is O(rounds), not O(rounds x subjects).
+class StreamingLedger(SimulationLedger):
+    """A :class:`SimulationLedger` that keeps no per-subject columns.
 
     Args:
         spill: optional per-subject outcome spill (exact history and
             exact run-level views at file-system cost).
-        quantile_bins: resolution of the running compensation histogram.
     """
 
-    def __init__(
-        self,
-        spill: Optional[OutcomeSpill] = None,
-        quantile_bins: int = 64,
-    ) -> None:
+    retains_outcomes = False
+
+    def __init__(self, spill: Optional[OutcomeSpill] = None) -> None:
+        super().__init__()
         self.spill = spill
-        self._histogram = StreamingHistogram(n_bins=quantile_bins)
-        self._utilities: List[float] = []
-        self._benefits: List[float] = []
-        self._compensations: List[float] = []
-        self._design_ms: List[Optional[float]] = []
-        self._n_dirty: List[Optional[int]] = []
-        self._reuse_rates: List[Optional[float]] = []
-        self._type_codes: Optional[np.ndarray] = None
-        self._n_members: Optional[np.ndarray] = None
-        self._type_masks: Dict[WorkerType, np.ndarray] = {}
-        self._comp_series: Dict[WorkerType, List[float]] = {
-            worker_type: [] for worker_type in WorkerType
-        }
-        self._effort_sums: Dict[WorkerType, float] = {
-            worker_type: 0.0 for worker_type in WorkerType
-        }
-        self._effort_counts: Dict[WorkerType, int] = {
-            worker_type: 0 for worker_type in WorkerType
-        }
-        self._staged: Optional[Tuple[np.ndarray, ...]] = None
-
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-
-    @property
-    def n_rounds(self) -> int:
-        """Rounds absorbed so far."""
-        return len(self._utilities)
-
-    def stage_arrays(
-        self,
-        type_codes: np.ndarray,
-        n_members: np.ndarray,
-        excluded: np.ndarray,
-        efforts: np.ndarray,
-        feedback: np.ndarray,
-        compensation: np.ndarray,
-        rating_deviation: np.ndarray,
-        worker_utility: np.ndarray,
-    ) -> None:
-        """Hand the next round's per-subject columns to the ledger.
-
-        Called by the columnar engine *before* :meth:`append`; the
-        subsequent append consumes these columns instead of the record's
-        (empty) outcome dict.  Arrays are in subject (subproblem) order,
-        matching the eager ledger's outcome iteration order.
-        """
-        if self._staged is not None:
-            raise SimulationError(
-                "a staged round is already pending; append it first"
-            )
-        self._staged = (
-            np.asarray(type_codes, dtype=np.int64),
-            np.asarray(n_members, dtype=np.int64),
-            np.asarray(excluded, dtype=bool),
-            np.asarray(efforts, dtype=np.float64),
-            np.asarray(feedback, dtype=np.float64),
-            np.asarray(compensation, dtype=np.float64),
-            np.asarray(rating_deviation, dtype=np.float64),
-            np.asarray(worker_utility, dtype=np.float64),
-        )
-
-    def _arrays_from_record(self, record: RoundRecord) -> Tuple[np.ndarray, ...]:
-        outcomes = list(record.outcomes.values())
-        return (
-            np.array(
-                [WORKER_TYPE_CODES[o.worker_type] for o in outcomes],
-                dtype=np.int64,
-            ),
-            np.array([o.n_members for o in outcomes], dtype=np.int64),
-            np.array([o.excluded for o in outcomes], dtype=bool),
-            np.array([o.effort for o in outcomes], dtype=np.float64),
-            np.array([o.feedback for o in outcomes], dtype=np.float64),
-            np.array([o.compensation for o in outcomes], dtype=np.float64),
-            np.array([o.rating_deviation for o in outcomes], dtype=np.float64),
-            np.array([o.worker_utility for o in outcomes], dtype=np.float64),
-        )
-
-    def append(self, record: RoundRecord) -> None:
-        """Absorb the next round (in order) into the running aggregates."""
-        expected = self.n_rounds
-        if record.round_index != expected:
-            raise SimulationError(
-                f"expected round {expected}, got {record.round_index}"
-            )
-        staged = self._staged
-        self._staged = None
-        if staged is None:
-            staged = self._arrays_from_record(record)
-        (
-            type_codes,
-            n_members,
-            excluded,
-            efforts,
-            feedback,
-            compensation,
-            rating_deviation,
-            worker_utility,
-        ) = staged
-
-        if self._type_codes is None:
-            self._type_codes = type_codes
-            self._n_members = n_members
-            self._type_masks = {
-                worker_type: type_codes == code
-                for worker_type, code in WORKER_TYPE_CODES.items()
-            }
-        elif type_codes.shape != self._type_codes.shape:
-            raise SimulationError(
-                "population size changed mid-run: "
-                f"{type_codes.shape[0]} != {self._type_codes.shape[0]}"
-            )
-
-        self._utilities.append(record.utility)
-        self._benefits.append(record.benefit)
-        self._compensations.append(record.total_compensation)
-        self._design_ms.append(record.design_ms)
-        self._n_dirty.append(record.n_dirty)
-        self._reuse_rates.append(record.reuse_rate)
-
-        assert self._n_members is not None
-        per_member = compensation / self._n_members
-        effort_per_member = efforts / self._n_members
-        for worker_type, mask in self._type_masks.items():
-            if mask.any():
-                self._comp_series[worker_type].append(
-                    float(np.mean(per_member[mask]))
-                )
-                self._effort_sums[worker_type] += float(
-                    np.sum(effort_per_member[mask])
-                )
-                self._effort_counts[worker_type] += int(
-                    np.count_nonzero(mask)
-                )
-            else:
-                self._comp_series[worker_type].append(0.0)
-        self._histogram.observe(per_member)
-
-        if self.spill is not None:
-            rows = np.empty(per_member.shape[0], dtype=SPILL_DTYPE)
-            rows["effort"] = efforts
-            rows["feedback"] = feedback
-            rows["compensation"] = compensation
-            rows["rating_deviation"] = rating_deviation
-            rows["worker_utility"] = worker_utility
-            rows["excluded"] = excluded
-            self.spill.append_round(rows)
-
-    # ------------------------------------------------------------------
-    # aggregate views (mirroring SimulationLedger)
-    # ------------------------------------------------------------------
-
-    def utility_series(self) -> np.ndarray:
-        """Per-round requester utility (the Fig. 8c series)."""
-        return np.array(self._utilities)
-
-    def benefit_series(self) -> np.ndarray:
-        """Per-round realized benefit."""
-        return np.array(self._benefits)
-
-    def compensation_series(self) -> np.ndarray:
-        """Per-round total compensation."""
-        return np.array(self._compensations)
-
-    def cumulative_utility(self) -> np.ndarray:
-        """Cumulative requester utility over rounds."""
-        return np.cumsum(self.utility_series())
-
-    def total_utility(self) -> float:
-        """Total requester utility over the whole run."""
-        return float(self.utility_series().sum()) if self._utilities else 0.0
-
-    def compensation_by_type(
-        self, worker_type: Optional[WorkerType] = None
-    ) -> Dict[WorkerType, np.ndarray]:
-        """Per-round mean per-member compensation for each class."""
-        selected = (
-            [worker_type] if worker_type is not None else list(WorkerType)
-        )
-        return {wt: np.array(self._comp_series[wt]) for wt in selected}
-
-    def mean_effort_by_type(self) -> Dict[WorkerType, float]:
-        """Run-level mean per-member effort for each class.
-
-        Exact (recomputed from the spill, in the eager ledger's value
-        order) when a spill is attached; otherwise from the running
-        (sum, count) accumulators, equal to the eager value up to
-        summation-order rounding.
-        """
-        if self.spill is not None and self.spill.n_rounds:
-            history = self.spill.as_array()
-            assert self._n_members is not None
-            effort_per_member = history["effort"] / self._n_members[None, :]
-            result = {}
-            for worker_type, mask in self._type_masks.items():
-                values = effort_per_member[:, mask].reshape(-1)
-                result[worker_type] = (
-                    float(np.mean(values)) if values.size else 0.0
-                )
-            return result
-        return {
-            worker_type: (
-                self._effort_sums[worker_type] / self._effort_counts[worker_type]
-                if self._effort_counts[worker_type]
-                else 0.0
-            )
-            for worker_type in WorkerType
-        }
-
-    def compensation_quantile(self, q: float) -> float:
-        """``q``-quantile of per-member compensation over all
-        subject-rounds — exact via the spill, else histogram-approximate
-        (error bounded by :attr:`StreamingHistogram.bin_width`)."""
-        if self.spill is not None and self.spill.n_rounds:
-            history = self.spill.as_array()
-            assert self._n_members is not None
-            per_member = (
-                history["compensation"] / self._n_members[None, :]
-            ).reshape(-1)
-            return float(np.quantile(per_member, q))
-        return self._histogram.quantile(q)
-
-    def total_design_ms(self) -> float:
-        """Total wall-clock design time booked across all rounds."""
-        return sum(ms for ms in self._design_ms if ms is not None)
-
-    def mean_reuse_rate(self) -> Optional[float]:
-        """Mean delta-redesign reuse rate across redesign rounds."""
-        rates = [rate for rate in self._reuse_rates if rate is not None]
-        if not rates:
-            return None
-        return float(np.mean(rates))
-
-    def cache_hit_rate(self) -> Optional[float]:
-        """Always ``None``: per-subject serving provenance is not
-        retained on the streaming path."""
-        return None
-
-    def summary(self) -> Dict[str, float]:
-        """Headline totals for quick comparisons."""
-        if not self._utilities:
-            return {
-                "n_rounds": 0.0,
-                "total_utility": 0.0,
-                "mean_round_utility": 0.0,
-                "total_compensation": 0.0,
-            }
-        utilities = self.utility_series()
-        return {
-            "n_rounds": float(self.n_rounds),
-            "total_utility": float(utilities.sum()),
-            "mean_round_utility": float(utilities.mean()),
-            "total_compensation": float(sum(self._compensations)),
-        }
-
-    def close(self) -> None:
-        """Close the spill file, if any."""
-        if self.spill is not None:
-            self.spill.close()
-
-
-def require_ledger_views_agree(
-    streaming: StreamingLedger,
-    eager: SimulationLedger,
-    quantiles: Sequence[float] = (),
-) -> None:
-    """Assert the streamed aggregates equal the eager ledger's.
-
-    Per-round series (utility, benefit, compensation, per-type
-    compensation means) must match bit for bit — they are computed from
-    identical value sequences.  Run-level effort means are checked at
-    :mod:`repro.numerics` tolerance (the running accumulators legally
-    reassociate the sum); with a spill attached they too are exact.
-    Optional ``quantiles`` are checked against the eager outcomes within
-    one histogram bin width (exact with a spill).  Timing/provenance
-    views (``total_design_ms``, ``mean_reuse_rate``) are *not* part of
-    the contract, for the same reason ``require_ledgers_agree`` ignores
-    those fields: they legitimately differ between engine routings.
-
-    Raises:
-        InvariantViolation: on the first disagreement.
-    """
-    if streaming.n_rounds != eager.n_rounds:
-        raise InvariantViolation(
-            f"ledgers cover different horizons: {streaming.n_rounds} != "
-            f"{eager.n_rounds} rounds"
-        )
-    for index, record in enumerate(eager.records):
-        if (
-            streaming._utilities[index] != record.utility  # noqa: REPRO001 - bit-identity
-            or streaming._benefits[index] != record.benefit  # noqa: REPRO001
-            or streaming._compensations[index] != record.total_compensation  # noqa: REPRO001
-        ):
-            raise InvariantViolation(
-                f"round {record.round_index}: streamed scalars diverge from "
-                "the eager record"
-            )
-    streamed_comp = streaming.compensation_by_type()
-    eager_comp = eager.compensation_by_type()
-    for worker_type in WorkerType:
-        if not np.array_equal(
-            streamed_comp[worker_type], eager_comp[worker_type]
-        ):
-            raise InvariantViolation(
-                f"per-type compensation series diverge for {worker_type!r}: "
-                f"{streamed_comp[worker_type]!r} != {eager_comp[worker_type]!r}"
-            )
-    streamed_effort = streaming.mean_effort_by_type()
-    eager_effort = eager.mean_effort_by_type()
-    for worker_type in WorkerType:
-        if not close(streamed_effort[worker_type], eager_effort[worker_type]):
-            raise InvariantViolation(
-                f"mean effort diverges for {worker_type!r}: "
-                f"{streamed_effort[worker_type]!r} != "
-                f"{eager_effort[worker_type]!r}"
-            )
-    if quantiles:
-        values = np.array(
-            [
-                outcome.per_member_compensation
-                for record in eager.records
-                for outcome in record.outcomes.values()
-            ]
-        )
-        # The histogram's one-bin-width bound is stated against the
-        # empirical inverted CDF (the order statistic itself); NumPy's
-        # default linear interpolation can land far from any sample on
-        # sparse data.  With a spill the streamed answer *is* the linear
-        # quantile, bit for bit.
-        if streaming.spill is not None:
-            tolerance = 0.0
-            method = "linear"
-        else:
-            tolerance = streaming._histogram.bin_width
-            method = "inverted_cdf"
-        for q in quantiles:
-            streamed = streaming.compensation_quantile(q)
-            reference = float(np.quantile(values, q, method=method))
-            if abs(streamed - reference) > tolerance + 1e-12:
-                raise InvariantViolation(
-                    f"q={q} compensation quantile diverges: {streamed!r} vs "
-                    f"{reference!r} (tolerance {tolerance!r})"
-                )

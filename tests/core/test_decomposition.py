@@ -37,6 +37,30 @@ def _subproblems(psi, n=5):
     return problems
 
 
+def _weighted_subproblems(psi):
+    """An honest, a low-weight malicious and a negative-weight subject."""
+    return [
+        Subproblem(
+            subject_id="honest",
+            effort_function=psi,
+            params=WorkerParameters.honest(beta=1.0),
+            feedback_weight=1.2,
+        ),
+        Subproblem(
+            subject_id="sneaky",
+            effort_function=psi,
+            params=WorkerParameters.malicious(beta=1.0, omega=0.3),
+            feedback_weight=0.4,
+        ),
+        Subproblem(
+            subject_id="polluter",
+            effort_function=psi,
+            params=WorkerParameters.malicious(beta=1.0, omega=0.6),
+            feedback_weight=-0.2,
+        ),
+    ]
+
+
 class TestSubproblem:
     def test_defaults_member_to_self(self, psi):
         subproblem = Subproblem(
@@ -102,14 +126,22 @@ class TestSolve:
 
 class TestReport:
     def test_report_totals_consistent(self, psi):
-        problems = _subproblems(psi)
-        solutions = solve_subproblems(problems, mu=1.0)
+        for problems in (_subproblems(psi), _weighted_subproblems(psi)):
+            solutions = solve_subproblems(problems, mu=1.0)
+            report = decomposition_report(solutions, mu=1.0)
+            assert report["n_subjects"] == len(problems)
+            assert report["total_utility"] == pytest.approx(
+                report["total_benefit"] - report["total_compensation"]
+            )
+            assert 0 <= report["n_hired"] <= report["n_subjects"]
+
+    def test_negative_weight_subject_not_hired(self, psi):
+        solutions = solve_subproblems(_weighted_subproblems(psi), mu=1.0)
         report = decomposition_report(solutions, mu=1.0)
-        assert report["n_subjects"] == len(problems)
-        assert report["total_utility"] == pytest.approx(
-            report["total_benefit"] - report["total_compensation"]
-        )
-        assert 0 <= report["n_hired"] <= report["n_subjects"]
+        polluter = solutions["polluter"].result
+        assert not polluter.hired
+        assert polluter.response.compensation == pytest.approx(0.0)
+        assert report["n_hired"] == 2
 
     def test_report_rejects_bad_mu(self, psi):
         solutions = solve_subproblems(_subproblems(psi), mu=1.0)

@@ -13,6 +13,7 @@ from repro.serving import ContractCache
 from repro.serving.replay import verify_ledger, verify_round
 from repro.simulation.engine import MarketplaceSimulation
 from repro.simulation.policies import DynamicContractPolicy, ExclusionPolicy
+from repro.simulation.streaming import StreamingLedger
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,21 @@ class TestLedgerProvenance:
         # Round 0 misses, rounds 1-3 are pure re-posts: 3/4 hits.
         assert ledger.cache_hit_rate() == pytest.approx(0.75)
 
+    def test_streaming_ledger_counts_cache_hits(self, context, population):
+        """A bounded ledger counts serving cache hits on append, so it
+        reports the retaining ledger's rate."""
+        policy = DynamicContractPolicy(
+            mu=context.config.mu_default, cache=ContractCache()
+        )
+        ledger = MarketplaceSimulation(
+            population,
+            context.objective(),
+            policy,
+            seed=3,
+            ledger=StreamingLedger(),
+        ).run(4)
+        assert ledger.cache_hit_rate() == pytest.approx(0.75)
+
     def test_exclusion_policy_delegates_provenance(self, context, population):
         inner = DynamicContractPolicy(
             mu=context.config.mu_default, cache=ContractCache()
@@ -112,6 +128,22 @@ class TestReplayVerification:
             ledger, population.subproblems, mu=context.config.mu_default
         )
         assert verified == active > 0
+
+    def test_bounded_ledger_cannot_be_replayed(self, context, population):
+        policy = DynamicContractPolicy(
+            mu=context.config.mu_default, cache=ContractCache()
+        )
+        ledger = MarketplaceSimulation(
+            population,
+            context.objective(),
+            policy,
+            seed=3,
+            ledger=StreamingLedger(),
+        ).run(2)
+        with pytest.raises(ServingError, match="no per-subject outcomes"):
+            verify_ledger(
+                ledger, population.subproblems, mu=context.config.mu_default
+            )
 
     def test_round_subset_selection(self, context, population):
         policy = DynamicContractPolicy(

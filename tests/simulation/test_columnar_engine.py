@@ -22,6 +22,7 @@ from repro.simulation import (
     ExclusionPolicy,
     FixedPaymentPolicy,
     MarketplaceSimulation,
+    PostedProvenance,
     RetentionModel,
     RetentionSimulation,
     SimulationLedger,
@@ -287,8 +288,7 @@ def test_kernel_signatures_cover_escape_hatch():
         columnar,
         assignment.to_mapping(columnar),
         {columnar.subject_id(2)},
-        policy,
-        None,
+        PostedProvenance(assignment.codes),
         {},
         False,
         rng_legacy,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulation import OutcomeSpill
+from repro.simulation.ledger import SPILL_BUFFER_ROUNDS
 from repro.simulation.streaming import SPILL_DTYPE
 
 
@@ -44,11 +45,12 @@ def test_no_rounds_yet_raises(tmp_path):
 
 
 def test_chunk_boundary_exact_counts(tmp_path):
-    """Appending an exact multiple of buffer_rounds flushes everything
-    with no stragglers: file size, shape and values all line up."""
-    buffer_rounds = 3
+    """Appending an exact multiple of SPILL_BUFFER_ROUNDS flushes
+    everything with no stragglers: file size, shape and values all line
+    up."""
+    buffer_rounds = SPILL_BUFFER_ROUNDS
     n_subjects = 5
-    spill = OutcomeSpill(tmp_path / "exact.bin", buffer_rounds=buffer_rounds)
+    spill = OutcomeSpill(tmp_path / "exact.bin")
     for index in range(2 * buffer_rounds):
         spill.append_round(_round(n_subjects, float(index)))
     # The buffer drained exactly at the boundary; nothing pending.
@@ -64,19 +66,20 @@ def test_chunk_boundary_exact_counts(tmp_path):
 
 
 def test_one_round_past_boundary_flushes_on_read(tmp_path):
-    spill = OutcomeSpill(tmp_path / "partial.bin", buffer_rounds=4)
-    for index in range(5):
+    spill = OutcomeSpill(tmp_path / "partial.bin")
+    n_rounds = SPILL_BUFFER_ROUNDS + 1
+    for index in range(n_rounds):
         spill.append_round(_round(3, float(index)))
     history = spill.as_array()
-    assert history.shape == (5, 3)
-    assert np.all(history[4]["effort"] == 4.0)
+    assert history.shape == (n_rounds, 3)
+    assert np.all(history[-1]["effort"] == float(n_rounds - 1))
     spill.close()
 
 
 def test_truncated_file_fails_loudly(tmp_path):
     """A spill whose file lost bytes must raise, not memmap garbage."""
     path = tmp_path / "truncated.bin"
-    spill = OutcomeSpill(path, buffer_rounds=1)
+    spill = OutcomeSpill(path)
     for index in range(3):
         spill.append_round(_round(4, float(index)))
     spill.flush()
@@ -90,7 +93,7 @@ def test_truncated_file_fails_loudly(tmp_path):
 def test_foreign_overwrite_fails_loudly(tmp_path):
     """Extra bytes (another spill's writes) are as fatal as missing ones."""
     path = tmp_path / "foreign.bin"
-    spill = OutcomeSpill(path, buffer_rounds=1)
+    spill = OutcomeSpill(path)
     spill.append_round(_round(2, 1.0))
     spill.flush()
     with open(path, "ab") as handle:
