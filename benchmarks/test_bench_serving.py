@@ -50,8 +50,9 @@ _SEED = 11
 
 # Cluster gate: the workload's unique-archetype count deliberately
 # exceeds one process's cache capacity, so a single process thrashes
-# its LRU while four shards, each owning ~1/4 of the fingerprints via
-# consistent hashing, together hold the whole working set warm.  That
+# its LRU while four shards, owning 29/26/22/19 of the 96 fingerprints
+# by SHA-256 modulo 4 (each slice within its 32-entry cache), together
+# hold the whole working set warm.  That
 # partitioned-aggregate-cache effect is the cluster's honest win on a
 # single-core runner, where raw process fan-out adds no CPU.  The
 # finer design grid (n_intervals=80) prices a cache miss at a few

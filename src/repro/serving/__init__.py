@@ -16,7 +16,7 @@ into a serving layer:
 * :mod:`~repro.serving.replay` — ledger-level verification that cached
   contracts match recomputed ones.
 * :mod:`~repro.serving.cluster` — the one serving front end: a
-  consistent-hash shard router with failover and supervision (with
+  fixed-size shard router with failover and supervision (with
   zero shards, its in-process pool serves; shards are the one tier that
   solves in other processes), fronted by a stdlib
   HTTP/JSON server that takes columnar frames at ``/solve_batch``
@@ -32,7 +32,6 @@ from .cache import CacheStats, ContractCache, LRUCache, require_results_agree
 from .cluster import (
     ClusterHTTPServer,
     ClusterStats,
-    HashRing,
     HTTPServerThread,
     ShardProcess,
     ShardRouter,
@@ -63,7 +62,6 @@ __all__ = [
     "ClusterStats",
     "ContractCache",
     "HTTPServerThread",
-    "HashRing",
     "LRUCache",
     "LoadGenerator",
     "LoadReport",

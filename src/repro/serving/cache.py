@@ -176,10 +176,6 @@ class ContractCache(LRUCache):
         """Insert (or refresh) one solved design, evicting LRU overflow."""
         self.put(fingerprint, result)
 
-    def fingerprints(self) -> Tuple[str, ...]:
-        """Cached fingerprints from least to most recently used."""
-        return tuple(str(key) for key in self.keys())
-
 
 def require_results_agree(
     fingerprint: str, cached: DesignResult, fresh: DesignResult

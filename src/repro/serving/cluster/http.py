@@ -192,7 +192,9 @@ class ClusterHTTPServer:
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            raise _RequestError(
+                400, f"malformed request line {request_line.strip()!r}"
+            )
         method, raw_path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:

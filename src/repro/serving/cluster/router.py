@@ -1,26 +1,28 @@
 """Fingerprint routing, failover and supervision over shard processes.
 
-The :class:`ShardRouter` is the cluster's brain: it owns the consistent
-hash ring (:class:`~repro.serving.cluster.ring.HashRing`), one
-:class:`~repro.serving.cluster.shard.ShardProcess` per shard, and the
-request path that ties them together:
+The :class:`ShardRouter` is the cluster's brain: it boots a fixed set of
+shard processes (:class:`~repro.serving.cluster.shard.ShardProcess`),
+``shard-0`` ... ``shard-{n-1}``, keeps exactly that membership until it
+closes, and runs the request path that ties them together:
 
-1. **route** — each request's design fingerprint maps through the ring
-   to its owner shard, so repeats of the same subproblem always hit the
-   same warm cache;
+1. **route** — a batch is deduplicated to one row per design
+   fingerprint, and each row goes to its owner shard,
+   ``_hash64(fingerprint) % n_shards``, so repeats of the same
+   subproblem always hit the same warm cache.  Section IV-B makes every
+   design a pure function of its fingerprint, so the owner decides only
+   which cache is warm, never which contract is served;
 2. **retry / failover** — a shard that stops answering (transport
    failure, not an application error) is retried with linear backoff on
-   the ring successors, bounded by ``max_retries``;
+   the following shards by index, at most :data:`MAX_RETRIES` times;
 3. **degrade, never drop** — when every shard attempt is exhausted the
    router solves locally in-process (its own small
    :class:`~repro.serving.pool.SolverPool`), so a request can slow down
    but never be lost.  A router built with ``n_shards=0`` serves every
    batch from that pool: the single-process deployment of the same
    request path;
-4. **supervise** — a daemon thread restarts dead shards and re-warms
-   them from the surviving peers' caches (the peers served the dead
-   shard's keys during the outage, so the handoff restores affinity
-   without re-solving anything).
+4. **supervise** — a daemon thread restarts dead shards in place.  A
+   revived shard starts with a cold cache; its first requests are
+   misses, solved again to the same contracts.
 
 Routing, retries and lifecycle transitions are all visible through
 :mod:`repro.obs`: counters/histograms on :class:`ClusterStats` and
@@ -30,6 +32,7 @@ is enabled.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
@@ -47,10 +50,26 @@ from ..fingerprint import subproblem_fingerprint
 from ..pool import SolverPool
 from ..stats import ServingStats
 from .codec import columnar_frame, expand_frame_results
-from .ring import DEFAULT_REPLICAS, HashRing
 from .shard import ShardProcess, ShardSpec, ShardTransportError
 
 __all__ = ["ClusterStats", "ShardRouter"]
+
+#: Seconds one shard attempt may take before it counts as a transport
+#: failure.
+REQUEST_TIMEOUT = 30.0
+
+#: Shard attempts after the first before the local fallback pool takes
+#: the group.
+MAX_RETRIES = 2
+
+#: Base seconds of the linear backoff between shard attempts.
+BACKOFF = 0.05
+
+
+def _hash64(payload: str) -> int:
+    """A platform-stable 64-bit hash: the first 8 bytes of SHA-256."""
+    digest = hashlib.sha256(payload.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class ClusterStats:
@@ -64,7 +83,8 @@ class ClusterStats:
         registry: the backing :class:`MetricsRegistry` (private unless
             one is injected — pass :func:`repro.obs.metrics.get_registry`
             to publish next to the rest of the process).
-        requests: requests routed through the cluster.
+        requests: distinct design rows routed through the cluster (a
+            batch counts one row per fingerprint, whoever sent it).
         batches: solve batches the router has served.
         routed: per-shard group dispatches (one per owner per batch).
         failovers: dispatches that landed on a non-owner shard.
@@ -72,7 +92,6 @@ class ClusterStats:
         transport_errors: shard attempts that died in transport.
         local_fallbacks: groups solved by the router's in-process pool.
         restarts: shard processes revived by the supervisor.
-        handoff_entries: cached designs shipped in warm handoffs.
         request_latency: end-to-end seconds per routed group dispatch.
 
     The router's in-process pool (the fallback, or with zero shards the
@@ -89,7 +108,7 @@ class ClusterStats:
         self.namespace = namespace
         prefix = f"{namespace}." if namespace else ""
         self.requests: Counter = self.registry.counter(
-            prefix + "requests", "requests routed through the cluster"
+            prefix + "requests", "distinct design rows routed through the cluster"
         )
         self.batches: Counter = self.registry.counter(
             prefix + "batches", "solve batches served by the router"
@@ -112,9 +131,6 @@ class ClusterStats:
         self.restarts: Counter = self.registry.counter(
             prefix + "restarts", "shards revived by the supervisor"
         )
-        self.handoff_entries: Counter = self.registry.counter(
-            prefix + "handoff_entries", "cached designs shipped in warm handoffs"
-        )
         self.request_latency: Histogram = self.registry.histogram(
             prefix + "group_latency_s", "seconds per routed group dispatch"
         )
@@ -125,23 +141,18 @@ class ClusterStats:
 
 
 class ShardRouter:
-    """Consistent-hash request router over shard processes.
+    """Fingerprint router over a fixed set of shard processes.
 
     Args:
-        n_shards: shards to boot (ids ``shard-0`` ... ``shard-{n-1}``);
-            ``0`` serves every batch from the router's in-process pool.
+        n_shards: shards to boot at every :meth:`start` (ids ``shard-0``
+            ... ``shard-{n-1}``); ``0`` serves every batch from the
+            router's in-process pool.
         mu: the requester's compensation weight (shared by all shards).
         config: designer configuration shared by all shards.
         cache_capacity: per-shard contract-cache bound (the in-process
             pool's, when ``n_shards=0``).
-        replicas: ring virtual nodes per shard.
-        request_timeout: seconds one shard attempt may take.
-        max_retries: shard attempts after the first before the local
-            fallback pool takes the group.
-        backoff: base seconds of the linear inter-attempt backoff.
         supervise_interval: seconds between supervisor liveness sweeps
             (``0`` disables the supervisor thread).
-        start_method: :mod:`multiprocessing` start method for shards.
         stats: cluster counters; a private one is created when ``None``.
     """
 
@@ -151,38 +162,23 @@ class ShardRouter:
         mu: float = 1.0,
         config: Optional[DesignerConfig] = None,
         cache_capacity: int = 4096,
-        replicas: int = DEFAULT_REPLICAS,
-        request_timeout: Optional[float] = 30.0,
-        max_retries: int = 2,
-        backoff: float = 0.05,
         supervise_interval: float = 0.5,
-        start_method: Optional[str] = None,
         stats: Optional[ClusterStats] = None,
     ) -> None:
         if n_shards < 0:
             raise ServingError(f"n_shards must be >= 0, got {n_shards!r}")
-        if max_retries < 0:
-            raise ServingError(f"max_retries must be >= 0, got {max_retries!r}")
-        if backoff < 0.0:
-            raise ServingError(f"backoff must be >= 0, got {backoff!r}")
         if supervise_interval < 0.0:
             raise ServingError(
                 f"supervise_interval must be >= 0, got {supervise_interval!r}"
             )
+        self._n_shards = n_shards
         self.mu = mu
         self.config = config
         self.cache_capacity = cache_capacity
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.supervise_interval = supervise_interval
         self.stats = stats if stats is not None else ClusterStats()
-        self._start_method = start_method
-        self._initial_shards = n_shards
         self._lock = threading.RLock()
-        self._ring = HashRing(replicas=replicas)
-        self._shards: Dict[str, ShardProcess] = {}
-        self._next_index = 0
+        self._shards: Tuple[ShardProcess, ...] = ()
         self._started = False
         self._stop_event = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
@@ -212,25 +208,45 @@ class ShardRouter:
 
     @property
     def shard_ids(self) -> Tuple[str, ...]:
-        """Current shard ids, sorted."""
+        """The running shards' ids, in index order."""
         with self._lock:
-            return self._ring.shard_ids
+            return tuple(process.shard_id for process in self._shards)
 
     def start(self) -> None:
-        """Boot the initial shards and the supervisor (idempotent)."""
+        """Boot ``shard-0`` ... ``shard-{n-1}`` and the supervisor.
+
+        Idempotent while running; after :meth:`close` it boots the same
+        shard ids again, with cold caches.
+        """
         with self._lock:
             if self._started:
                 return
             self._started = True
             self._executor = ThreadPoolExecutor(
-                max_workers=max(2, self._initial_shards),
+                max_workers=max(2, self._n_shards),
                 thread_name_prefix="repro-cluster",
             )
-            for _ in range(self._initial_shards):
-                self.add_shard()
+            obs = get_tracer().enabled
+            self._shards = tuple(
+                ShardProcess(
+                    ShardSpec(
+                        shard_id=f"shard-{index}",
+                        mu=self.mu,
+                        config=self.config,
+                        cache_capacity=self.cache_capacity,
+                        obs=obs,
+                    )
+                )
+                for index in range(self._n_shards)
+            )
+            for process in self._shards:
+                process.start()
             if self.supervise_interval > 0.0:
+                # A fresh event per run: the last run's is set for good.
+                self._stop_event = threading.Event()
                 supervisor = threading.Thread(
                     target=self._supervise_loop,
+                    args=(self._stop_event,),
                     name="repro-cluster-supervisor",
                     daemon=True,
                 )
@@ -249,9 +265,8 @@ class ShardRouter:
         if supervisor is not None:
             supervisor.join(timeout=10.0)
         with self._lock:
-            processes = list(self._shards.values())
-            self._shards.clear()
-            self._ring = HashRing(replicas=self._ring.replicas)
+            processes = self._shards
+            self._shards = ()
             executor = self._executor
             self._executor = None
         for process in processes:
@@ -266,120 +281,32 @@ class ShardRouter:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- membership ---------------------------------------------------
-
-    def add_shard(self, shard_id: Optional[str] = None) -> str:
-        """Join one shard, warming its cache from the surviving peers.
-
-        The handoff ships only the entries the *new* ring assigns to the
-        joining shard — the ~1/N sliver that just moved — so affinity is
-        restored without re-solving anything.
-
-        Returns:
-            The joined shard's id.
-        """
-        with self._lock:
-            if shard_id is None:
-                shard_id = f"shard-{self._next_index}"
-                self._next_index += 1
-            if shard_id in self._ring:
-                raise ServingError(f"shard {shard_id!r} already in the cluster")
-            spec = ShardSpec(
-                shard_id=shard_id,
-                mu=self.mu,
-                config=self.config,
-                cache_capacity=self.cache_capacity,
-                obs=get_tracer().enabled,
-            )
-            process = ShardProcess(spec, start_method=self._start_method)
-            process.start()
-            exported = self._export_peer_caches(exclude=shard_id)
-            self._ring.add(shard_id)
-            self._shards[shard_id] = process
-            owned = [
-                (fingerprint, design)
-                for fingerprint, design in exported
-                if self._ring.assign(fingerprint) == shard_id
-            ]
-            self._import_entries(process, owned)
-            return shard_id
-
-    def remove_shard(self, shard_id: str) -> None:
-        """Gracefully leave one shard, handing its cache to successors."""
-        with self._lock:
-            process = self._shards.get(shard_id)
-            if process is None:
-                raise ServingError(f"shard {shard_id!r} not in the cluster")
-            if len(self._shards) <= 1:
-                raise ServingError("cannot remove the last shard")
-            exported: List[Tuple[str, DesignResult]] = []
-            if process.alive:
-                try:
-                    exported = process.cache_export(timeout=self.request_timeout)
-                except ServingError:
-                    exported = []
-            self._ring.remove(shard_id)
-            del self._shards[shard_id]
-            by_owner: Dict[str, List[Tuple[str, DesignResult]]] = {}
-            for fingerprint, design in exported:
-                owner = self._ring.assign(fingerprint)
-                by_owner.setdefault(owner, []).append((fingerprint, design))
-            for owner, entries in by_owner.items():
-                peer = self._shards.get(owner)
-                if peer is not None:
-                    self._import_entries(peer, entries)
-        process.stop()
-
     def kill_shard(self, shard_id: str) -> None:
-        """SIGKILL one shard without touching the ring (fault injection).
+        """SIGKILL one shard (fault injection).
 
-        In-flight requests fail over to ring successors; the supervisor
-        revives the shard on its next sweep.
+        In-flight requests fail over to the following shards; the
+        supervisor revives the shard on its next sweep.
         """
         with self._lock:
-            process = self._shards.get(shard_id)
+            process = next(
+                (p for p in self._shards if p.shard_id == shard_id), None
+            )
         if process is None:
             raise ServingError(f"shard {shard_id!r} not in the cluster")
         process.kill()
 
-    def _export_peer_caches(
-        self, exclude: Optional[str] = None
-    ) -> List[Tuple[str, DesignResult]]:
-        """Every live peer's cached entries (best-effort, under lock)."""
-        exported: List[Tuple[str, DesignResult]] = []
-        for peer_id, peer in self._shards.items():
-            if peer_id == exclude or not peer.alive:
-                continue
-            try:
-                exported.extend(peer.cache_export(timeout=self.request_timeout))
-            except ServingError:
-                continue
-        return exported
-
-    def _import_entries(
-        self, process: ShardProcess, entries: List[Tuple[str, DesignResult]]
-    ) -> None:
-        """Best-effort warm-cache import into one shard."""
-        if not entries:
-            return
-        try:
-            imported = process.cache_import(entries, timeout=self.request_timeout)
-        except ServingError:
-            return
-        self.stats.handoff_entries.inc(imported)
-
     # -- supervision --------------------------------------------------
 
-    def _supervise_loop(self) -> None:
-        """Daemon body: revive dead shards until the router closes."""
-        while not self._stop_event.wait(self.supervise_interval):
+    def _supervise_loop(self, stop: threading.Event) -> None:
+        """Daemon body: revive dead shards until ``stop`` is set."""
+        while not stop.wait(self.supervise_interval):
             try:
                 self.revive_dead_shards()
             except ServingError:
                 continue
 
     def revive_dead_shards(self) -> Tuple[str, ...]:
-        """Restart every dead shard, re-warming it from live peers.
+        """Restart every dead shard in place, with a cold cache.
 
         Returns:
             Ids of the shards revived in this sweep (empty when all
@@ -390,19 +317,12 @@ class ShardRouter:
         with self._lock:
             if not self._started:
                 return ()
-            for shard_id, process in self._shards.items():
+            for process in self._shards:
                 if process.alive:
                     continue
                 process.start()
                 self.stats.restarts.inc()
-                revived.append(shard_id)
-                exported = self._export_peer_caches(exclude=shard_id)
-                owned = [
-                    (fingerprint, design)
-                    for fingerprint, design in exported
-                    if self._ring.assign(fingerprint) == shard_id
-                ]
-                self._import_entries(process, owned)
+                revived.append(process.shard_id)
         return tuple(revived)
 
     # -- request path -------------------------------------------------
@@ -441,11 +361,11 @@ class ShardRouter:
     ) -> Tuple[List[DesignResult], List[bool]]:
         """Route one batch through the cluster.
 
-        Requests are grouped by owner shard (ring assignment of each
-        design fingerprint) and the groups dispatched concurrently; the
-        returned designs and cache-hit flags align with the input order
-        regardless of which shard answered when.  A zero-shard router
-        solves the batch in its in-process pool.
+        The batch is cut to one row per distinct fingerprint, the rows
+        are grouped by owner shard and the groups dispatched
+        concurrently; the returned designs and cache-hit flags align
+        with the input order regardless of which shard answered when.
+        A zero-shard router solves the rows in its in-process pool.
 
         ``trace_context`` parents the ``cluster.solve_batch`` span under
         a caller's span from another thread or process (the HTTP front
@@ -483,25 +403,48 @@ class ShardRouter:
         if not subproblems:
             return [], []
 
+        # One row per distinct fingerprint, from its first request: the
+        # shards and the local pool see, and count, rows only.
+        slots: Dict[str, int] = {}
+        rows: List[Subproblem] = []
+        for subproblem, fingerprint in zip(subproblems, fingerprints):
+            if fingerprint not in slots:
+                slots[fingerprint] = len(rows)
+                rows.append(subproblem)
+        row_fingerprints = list(slots)
+
         with self._lock:
-            owners = [self._ring.assign(fp) for fp in fingerprints] if len(self._ring) else []
+            shards = self._shards
             executor = self._executor
-        if not owners:
+        if shards:
+            row_designs, row_hits = self._route(
+                shards, executor, rows, row_fingerprints
+            )
+        else:
             # A router without shards serves from its own pool; that is
             # its serving path, not a fallback.
-            designs, cache_hits = self._fallback_pool.solve_designs(
-                subproblems, fingerprints
+            row_designs, row_hits = self._fallback_pool.solve_designs(
+                rows, row_fingerprints
             )
-            self.stats.requests.inc(len(subproblems))
-            self.stats.batches.inc()
-            return designs, cache_hits
+        self.stats.requests.inc(len(rows))
+        self.stats.batches.inc()
+        codes = [slots[fingerprint] for fingerprint in fingerprints]
+        return [row_designs[code] for code in codes], [
+            row_hits[code] for code in codes
+        ]
 
-        groups: Dict[str, List[int]] = {}
-        for index, owner in enumerate(owners):
-            groups.setdefault(owner, []).append(index)
-
-        designs: List[Optional[DesignResult]] = [None] * len(subproblems)
-        cache_hits: List[bool] = [False] * len(subproblems)
+    def _route(
+        self,
+        shards: Tuple[ShardProcess, ...],
+        executor: Optional[ThreadPoolExecutor],
+        rows: List[Subproblem],
+        fingerprints: List[str],
+    ) -> Tuple[List[DesignResult], List[bool]]:
+        """Solve distinct rows on their owner shards, in row order."""
+        groups: Dict[int, List[int]] = {}
+        for position, fingerprint in enumerate(fingerprints):
+            owner = _hash64(fingerprint) % len(shards)
+            groups.setdefault(owner, []).append(position)
 
         # Executor threads don't inherit this thread's contextvars, so
         # the batch span's context rides along explicitly and each group
@@ -511,71 +454,77 @@ class ShardRouter:
         )
 
         def serve_group(
-            owner: str, indices: List[int]
+            owner: int, positions: List[int]
         ) -> Tuple[List[DesignResult], List[bool]]:
             return self._solve_group(
+                shards,
                 owner,
-                [subproblems[i] for i in indices],
-                [fingerprints[i] for i in indices],
+                [rows[p] for p in positions],
+                [fingerprints[p] for p in positions],
                 trace_context=batch_context,
             )
 
         ordered = sorted(groups.items())
         if len(ordered) == 1 or executor is None:
-            outcomes = [serve_group(owner, idx) for owner, idx in ordered]
+            outcomes = [serve_group(owner, positions) for owner, positions in ordered]
         else:
             futures: List["Future[Tuple[List[DesignResult], List[bool]]]"] = [
-                executor.submit(serve_group, owner, idx)
-                for owner, idx in ordered
+                executor.submit(serve_group, owner, positions)
+                for owner, positions in ordered
             ]
             outcomes = [future.result() for future in futures]
 
-        for (owner, indices), (group_designs, group_hits) in zip(
+        designs: List[Optional[DesignResult]] = [None] * len(rows)
+        cache_hits: List[bool] = [False] * len(rows)
+        for (_, positions), (group_designs, group_hits) in zip(
             ordered, outcomes
         ):
-            for position, index in enumerate(indices):
-                designs[index] = group_designs[position]
-                cache_hits[index] = group_hits[position]
-
-        self.stats.requests.inc(len(subproblems))
-        self.stats.batches.inc()
+            for index, position in enumerate(positions):
+                designs[position] = group_designs[index]
+                cache_hits[position] = group_hits[index]
         return [design for design in designs if design is not None], cache_hits
 
     def _solve_group(
         self,
-        owner: str,
-        subproblems: List[Subproblem],
+        shards: Tuple[ShardProcess, ...],
+        owner: int,
+        rows: List[Subproblem],
         fingerprints: List[str],
         trace_context: Optional[SpanContext] = None,
     ) -> Tuple[List[DesignResult], List[bool]]:
-        """One owner group: owner shard, then ring successors, then local.
+        """One owner group: the owner, then the following shards, then local.
 
-        Transport failures walk the failover chain with linear backoff;
-        application errors propagate immediately (retrying a bad request
-        elsewhere cannot fix it).  The local fallback pool is the
-        guaranteed last resort — a group can degrade but never fail for
-        lack of shards.
+        Transport failures walk the shards after the owner, by index,
+        with linear backoff; application errors propagate immediately
+        (retrying a bad request elsewhere cannot fix it).  The local
+        fallback pool is the guaranteed last resort — a group can
+        degrade but never fail for lack of shards.
 
-        When tracing, the whole chain walk runs inside one
+        When tracing, the whole walk runs inside one
         ``cluster.solve_group`` span (parented under ``trace_context``,
         the batch span) whose context travels to the serving shard in
         the pipe envelope.
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._solve_group_inner(owner, subproblems, fingerprints, NULL_SPAN)
+            return self._solve_group_inner(
+                shards, owner, rows, fingerprints, NULL_SPAN
+            )
         with tracer.attach(trace_context):
             with tracer.span(
-                "cluster.solve_group", owner=owner, n_requests=len(subproblems)
+                "cluster.solve_group",
+                owner=shards[owner].shard_id,
+                n_requests=len(rows),
             ) as span:
                 return self._solve_group_inner(
-                    owner, subproblems, fingerprints, span
+                    shards, owner, rows, fingerprints, span
                 )
 
     def _solve_group_inner(
         self,
-        owner: str,
-        subproblems: List[Subproblem],
+        shards: Tuple[ShardProcess, ...],
+        owner: int,
+        rows: List[Subproblem],
         fingerprints: List[str],
         span: Any,
     ) -> Tuple[List[DesignResult], List[bool]]:
@@ -583,31 +532,24 @@ class ShardRouter:
         tracer = get_tracer()
         group_context = Tracer.current_context() if tracer.enabled else None
         # Encode once per group: every retry/failover attempt ships the
-        # same packed archetype frame (O(K) floats), never O(n) pickled
-        # Subproblem objects.
-        frame = columnar_frame(subproblems, fingerprints)
-        with self._lock:
-            chain = self._ring.preference(fingerprints[0])
-        if owner in chain:
-            chain = [owner] + [sid for sid in chain if sid != owner]
+        # same packed frame (O(K) floats), never pickled Subproblems.
+        frame = columnar_frame(rows, fingerprints)
         attempts = 0
         last_error: Optional[ShardTransportError] = None
-        for shard_id in chain:
-            if attempts > self.max_retries:
+        for step in range(len(shards)):
+            if attempts > MAX_RETRIES:
                 break
-            with self._lock:
-                process = self._shards.get(shard_id)
-            if process is None or not process.alive:
+            process = shards[(owner + step) % len(shards)]
+            if not process.alive:
                 continue
             if attempts > 0:
                 self.stats.retries.inc()
-                if self.backoff > 0.0:
-                    time.sleep(self.backoff * attempts)
+                time.sleep(BACKOFF * attempts)
             attempts += 1
             try:
                 rep_designs, rep_hits = process.solve_columnar(
                     frame,
-                    timeout=self.request_timeout,
+                    timeout=REQUEST_TIMEOUT,
                     trace_context=group_context,
                 )
             except ShardTransportError as error:
@@ -615,17 +557,17 @@ class ShardRouter:
                 last_error = error
                 continue
             self.stats.routed.inc()
-            if shard_id != owner:
+            if step > 0:
                 self.stats.failovers.inc()
             self.stats.request_latency.observe(time.perf_counter() - started)
-            span.update(served_by=shard_id, attempts=attempts)
+            span.update(served_by=process.shard_id, attempts=attempts)
             return expand_frame_results(frame, rep_designs, rep_hits)
 
         # Every shard attempt exhausted: degrade to the local pool so
         # the request is slowed down, never lost.
         self.stats.local_fallbacks.inc()
         designs, cache_hits = self._fallback_pool.solve_designs(
-            subproblems, fingerprints
+            rows, fingerprints
         )
         self.stats.request_latency.observe(time.perf_counter() - started)
         span.update(served_by="local", attempts=attempts)
@@ -644,18 +586,21 @@ class ShardRouter:
         serves — via failover and the local fallback — while degraded).
         """
         with self._lock:
-            processes = dict(self._shards)
+            processes = self._shards
+            running = self._started
         shards: Dict[str, Dict[str, Any]] = {}
         healthy = 0
-        for shard_id in sorted(processes):
-            process = processes[shard_id]
+        for process in processes:
             if not process.alive:
-                shards[shard_id] = {"alive": False, "restarts": process.restarts}
+                shards[process.shard_id] = {
+                    "alive": False,
+                    "restarts": process.restarts,
+                }
                 continue
             try:
                 info = process.health(timeout=timeout)
             except ServingError as error:
-                shards[shard_id] = {
+                shards[process.shard_id] = {
                     "alive": False,
                     "error": str(error),
                     "restarts": process.restarts,
@@ -663,10 +608,10 @@ class ShardRouter:
                 continue
             info["alive"] = True
             info["restarts"] = process.restarts
-            shards[shard_id] = info
+            shards[process.shard_id] = info
             healthy += 1
         return {
-            "status": "ok" if self.running and healthy == len(processes) else "degraded",
+            "status": "ok" if running and healthy == len(processes) else "degraded",
             "n_shards": len(processes),
             "n_healthy": healthy,
             "shards": shards,
@@ -681,11 +626,10 @@ class ShardRouter:
         don't have to.
         """
         with self._lock:
-            processes = dict(self._shards)
+            processes = self._shards
         per_shard: Dict[str, Dict[str, float]] = {}
         totals: Dict[str, float] = {}
-        for shard_id in sorted(processes):
-            process = processes[shard_id]
+        for process in processes:
             if not process.alive:
                 continue
             try:
@@ -696,11 +640,10 @@ class ShardRouter:
             if pid is not None:
                 snapshot["pid"] = float(pid)
             snapshot["restarts"] = float(process.restarts)
-            per_shard[shard_id] = snapshot
+            per_shard[process.shard_id] = snapshot
             for key in (
                 "requests",
                 "batches",
-                "unique_solves",
                 "cache_hits",
                 "cache_misses",
                 "cache_entries",
@@ -733,10 +676,9 @@ class ShardRouter:
         scrape degrades, it doesn't fail.
         """
         with self._lock:
-            processes = dict(self._shards)
+            processes = self._shards
         exports: List[ShardExport] = []
-        for shard_id in sorted(processes):
-            process = processes[shard_id]
+        for process in processes:
             if not process.alive:
                 continue
             try:

@@ -21,8 +21,8 @@ that the router's failover logic leans on:
 * **transport failures** (pipe timeout, EOF, broken pipe — the shard
   died or wedged) raise :class:`ShardTransportError` and tear the
   connection down, because after an unanswered request the pipe framing
-  is unrecoverable — the router fails the request over to a ring
-  successor and lets the supervisor restart the shard.
+  is unrecoverable — the router fails the request over to the next
+  shard by index and lets the supervisor restart the shard.
 
 The handle serializes pipe access behind an ``RLock``; every state
 mutation happens under it (the serving-tier lock discipline, REPRO013).
@@ -35,7 +35,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.designer import DesignerConfig, DesignResult
 from ...errors import ServingError
@@ -62,7 +62,7 @@ class ShardTransportError(ServingError):
 
     Distinct from a plain :class:`ServingError` so the router can tell
     "this request is bad" (no failover) from "this shard is bad"
-    (failover to a ring successor, supervisor restarts the shard).
+    (failover to the next shard, supervisor restarts the shard).
     """
 
 
@@ -71,7 +71,7 @@ class ShardSpec:
     """Configuration one shard process boots with.
 
     Attributes:
-        shard_id: stable identity on the hash ring.
+        shard_id: stable identity (``shard-<index>`` under a router).
         mu: the requester's compensation weight.
         config: designer configuration shared by all solves.
         cache_capacity: bound of the shard's private contract cache.
@@ -98,14 +98,12 @@ class ShardSpec:
 def shard_main(conn: Connection, spec: ShardSpec) -> None:
     """The shard process body: serve ``(op, payload, meta)`` forever.
 
-    Ops: ``solve_columnar`` (a columnar frame in, its K archetype
-    designs + hit flags out), ``health``/``stats`` (snapshots),
-    ``cache_export`` / ``cache_import`` (warm handoff), ``obs_export``
+    Ops: ``solve_columnar`` (a columnar frame in, its K row designs +
+    hit flags out), ``health``/``stats`` (snapshots), ``obs_export``
     (spans + metric reservoirs for federation), ``shutdown`` (clean
-    exit) and ``crash``
-    (fault injection: die without replying).  Application errors are
-    reported as ``("error", message)`` replies; the loop only exits on
-    shutdown or a dead pipe.
+    exit) and ``crash`` (fault injection: die without replying).
+    Application errors are reported as ``("error", message)`` replies;
+    the loop only exits on shutdown or a dead pipe.
 
     When ``meta`` carries a ``traceparent``, the op runs attached to
     that remote context so any spans it opens parent under the caller's
@@ -188,23 +186,17 @@ def _dispatch(
 ) -> Any:
     """Execute one shard op (inside the shard process)."""
     if op == "solve_columnar":
-        # The frame carries K archetype rows + n request codes.  Solve
-        # the K representatives (with the frame's own fingerprints, the
-        # keys the router routed on) and reply O(K); the caller fans out.
-        frame = payload
-        representatives, fingerprints = subproblems_from_frame(frame)
-        n_requests = len(frame["codes"])
+        # Solve the frame's K rows (with the frame's own fingerprints,
+        # the keys the router routed on) and reply O(K); the caller
+        # fans out through the codes, so requests count rows here.
+        representatives, fingerprints = subproblems_from_frame(payload)
         started = stats.now()
         designs, cache_hits = pool.solve_designs(
             representatives, fingerprints
         )
-        elapsed = stats.now() - started
-        # The pool booked the K archetype solves; top the request
-        # counter up to the n subjects this batch actually served, and
-        # book the whole op as each one's latency so shard snapshots
+        # Book the whole op as each row's latency, so shard snapshots
         # carry the p50/p99 the /stats consumers (repro obs top) render.
-        stats.record_fanout(n_requests - len(representatives))
-        stats.record_latencies([elapsed] * n_requests)
+        stats.record_latencies([stats.now() - started] * len(designs))
         return ([_slim(design) for design in designs], list(cache_hits))
     if op == "health":
         return {
@@ -218,21 +210,6 @@ def _dispatch(
         snapshot.update(cache.stats.snapshot())
         snapshot["cache_entries"] = float(len(cache))
         return snapshot
-    if op == "cache_export":
-        entries = []
-        for fingerprint in cache.fingerprints():
-            design = cache.get_design(fingerprint)
-            if design is not None:
-                design = _slim(design)
-            entries.append((fingerprint, design))
-        return entries
-    if op == "cache_import":
-        imported = 0
-        for fingerprint, design in payload:
-            if design is not None:
-                cache.put_design(fingerprint, design)
-                imported += 1
-        return imported
     if op == "obs_export":
         options = payload or {}
         return _obs_export(
@@ -292,18 +269,16 @@ class ShardProcess:
     so the teardown helper can run while :meth:`request` already holds
     it).
 
+    Shards start with :mod:`multiprocessing`'s platform default method
+    (``fork`` on Linux, which boots fastest).
+
     Args:
         spec: the shard's boot configuration.
-        start_method: :mod:`multiprocessing` start method (``None``:
-            platform default — ``fork`` on Linux, which boots fastest).
     """
 
-    def __init__(
-        self, spec: ShardSpec, start_method: Optional[str] = None
-    ) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.restarts = 0
-        self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.RLock()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._conn: Optional[Connection] = None
@@ -312,7 +287,7 @@ class ShardProcess:
 
     @property
     def shard_id(self) -> str:
-        """The shard's stable ring identity."""
+        """The shard's stable identity."""
         return self.spec.shard_id
 
     @property
@@ -338,8 +313,8 @@ class ShardProcess:
                 return
             if self._process is not None:
                 self.restarts += 1
-            parent_conn, child_conn = self._ctx.Pipe()
-            process = self._ctx.Process(
+            parent_conn, child_conn = multiprocessing.Pipe()
+            process = multiprocessing.Process(
                 target=shard_main,
                 args=(child_conn, self.spec),
                 name=f"repro-shard-{self.spec.shard_id}",
@@ -476,22 +451,6 @@ class ShardProcess:
     def stats_snapshot(self, timeout: Optional[float] = None) -> Dict[str, float]:
         """The shard's serving + cache counters as a flat dict."""
         return dict(self.request("stats", timeout=timeout))
-
-    def cache_export(
-        self, timeout: Optional[float] = None
-    ) -> List[Tuple[str, DesignResult]]:
-        """Every cached ``(fingerprint, design)`` pair, LRU order."""
-        return list(self.request("cache_export", timeout=timeout))
-
-    def cache_import(
-        self,
-        entries: Sequence[Tuple[str, DesignResult]],
-        timeout: Optional[float] = None,
-    ) -> int:
-        """Warm the shard's cache with ``entries``; returns count imported."""
-        return int(
-            self.request("cache_import", tuple(entries), timeout=timeout)
-        )
 
     def obs_export(
         self,

@@ -72,9 +72,6 @@ class ServingStats:
         self._batches: Counter = self.registry.counter(
             f"{namespace}.batches", "batches served"
         )
-        self._unique_solves: Counter = self.registry.counter(
-            f"{namespace}.unique_solves", "fresh (non-cached) designs solved"
-        )
         self._cache_hits: Counter = self.registry.counter(
             f"{namespace}.cache_hits", "unique fingerprints answered from cache"
         )
@@ -126,28 +123,11 @@ class ServingStats:
             )
         self._requests.inc(n_requests)
         self._batches.inc()
-        self._unique_solves.inc(n_unique - n_cache_hits)
         self._cache_hits.inc(n_cache_hits)
         self._cache_misses.inc(n_unique - n_cache_hits)
         self._batch_latency.observe(max(duration, 0.0))
         if request_latencies:
             self.record_latencies(request_latencies)
-
-    def record_fanout(self, n_requests: int) -> None:
-        """Book requests answered by archetype fan-out, not fresh work.
-
-        A columnar batch frame is solved as K archetype representatives
-        (booked normally through :meth:`record_batch` by the pool) and
-        then fanned out to its n requests; the ``n - K`` remainder is
-        booked here so ``requests`` keeps meaning "subjects served"
-        regardless of wire format.  Adds no batch, no unique solve and
-        no cache traffic — those happened exactly once per archetype.
-        """
-        if n_requests < 0:
-            raise ServingError(
-                f"fan-out request count must be >= 0, got {n_requests!r}"
-            )
-        self._requests.inc(n_requests)
 
     def record_latencies(self, latencies: List[float]) -> None:
         """Book per-request enqueue-to-reply latencies (seconds)."""
@@ -165,11 +145,6 @@ class ServingStats:
     def batches(self) -> int:
         """Batches served so far."""
         return int(self._batches.value)
-
-    @property
-    def unique_solves(self) -> int:
-        """Fresh (non-cached) designs solved so far."""
-        return int(self._unique_solves.value)
 
     @property
     def cache_hits(self) -> int:
@@ -225,7 +200,6 @@ class ServingStats:
         snapshot: Dict[str, float] = {
             "requests": float(self.requests),
             "batches": float(self.batches),
-            "unique_solves": float(self.unique_solves),
             "cache_hits": float(self.cache_hits),
             "cache_misses": float(self.cache_misses),
             "cache_hit_rate": self.hit_rate,

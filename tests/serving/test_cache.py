@@ -48,7 +48,7 @@ class TestContractCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         assert "f2" not in cache
-        assert cache.fingerprints() == ("f1", "f3")
+        assert cache.keys() == ("f1", "f3")
 
     def test_put_refreshes_recency(self, psi):
         cache = ContractCache(capacity=2)

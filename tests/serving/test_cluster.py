@@ -1,14 +1,17 @@
-"""Tests for the sharded cluster router: routing, handoff, failover."""
+"""Tests for the sharded cluster router: routing, failover, supervision."""
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import time
 
 import pytest
 
 from repro.core import solve_subproblems
 from repro.errors import ServingError
 from repro.serving import ShardProcess, ShardRouter, ShardSpec
+from repro.serving.cluster import router as router_module
 from repro.serving.cluster.codec import columnar_frame
 from repro.serving.cluster.shard import ShardTransportError
 from repro.serving.workload import synthetic_subproblems
@@ -81,24 +84,6 @@ class TestShardProcess:
         shard.stop()
         assert process is not None
         assert process.exitcode == 0
-
-    def test_cache_export_import_round_trip(self, workload):
-        source = ShardProcess(ShardSpec(shard_id="src"))
-        sink = ShardProcess(ShardSpec(shard_id="dst"))
-        source.start()
-        sink.start()
-        try:
-            fingerprints = [f"fp{i}" for i in range(4)]
-            frame = columnar_frame(workload[:4], fingerprints)
-            source.solve_columnar(frame)
-            entries = source.cache_export()
-            assert sorted(fp for fp, _ in entries) == sorted(fingerprints)
-            assert sink.cache_import(entries) == 4
-            _, hits = sink.solve_columnar(frame)
-            assert hits == [True, True, True, True]
-        finally:
-            source.stop()
-            sink.stop()
 
     def test_wire_format_trims_the_candidate_sweep(self, workload):
         # The per-candidate evaluations table is O(m^2) introspection
@@ -211,36 +196,99 @@ class TestRouting:
             stopped.solve_designs(workload[:1])
 
 
-class TestMembership:
-    def test_add_shard_receives_warm_handoff(self, router, diverse_workload):
-        router.solve_designs(diverse_workload)
-        joined = router.add_shard()
-        assert joined in router.shard_ids
-        _, hits = router.solve_designs(diverse_workload)
-        # The moved sliver was handed over warm: no shard re-solves.
-        assert all(hits)
-        assert router.stats.handoff_entries.value > 0
+def _owner(fingerprint, n_shards):
+    """The documented ownership rule: SHA-256's first 8 bytes, mod N."""
+    digest = hashlib.sha256(fingerprint.encode("utf-8")).digest()
+    return f"shard-{int.from_bytes(digest[:8], 'big') % n_shards}"
 
-    def test_remove_shard_redistributes_its_cache(self, router, workload):
-        router.solve_designs(workload)
-        victim = router.shard_ids[0]
-        router.remove_shard(victim)
-        assert victim not in router.shard_ids
-        _, hits = router.solve_designs(workload)
-        assert all(hits)
 
-    def test_cannot_remove_last_shard(self, workload):
-        with ShardRouter(n_shards=1, supervise_interval=0.0) as single:
-            with pytest.raises(ServingError):
-                single.remove_shard(single.shard_ids[0])
+def _cached_counts(router):
+    return {
+        shard_id: shard["cache_entries"]
+        for shard_id, shard in router.stats_snapshot()["shards"].items()
+    }
 
-    def test_membership_validation(self, router):
-        with pytest.raises(ServingError):
-            router.add_shard(router.shard_ids[0])
-        with pytest.raises(ServingError):
-            router.remove_shard("nope")
+
+def _observed_owners(router, subproblems):
+    """Each fingerprint's shard, read off the shard that cached it."""
+    owners = {}
+    for subproblem, fingerprint in zip(
+        subproblems, router.fingerprints(subproblems)
+    ):
+        if fingerprint in owners:
+            continue
+        before = _cached_counts(router)
+        router.solve_designs([subproblem])
+        after = _cached_counts(router)
+        (owner,) = [sid for sid in after if after[sid] > before[sid]]
+        owners[fingerprint] = owner
+    return owners
+
+
+class TestFixedMembership:
+    def test_same_shard_count_assigns_every_fingerprint_alike(
+        self, diverse_workload
+    ):
+        subproblems = diverse_workload[:12]
+        observed = []
+        for _ in range(2):
+            with ShardRouter(n_shards=3, supervise_interval=0.0) as router:
+                assert router.shard_ids == ("shard-0", "shard-1", "shard-2")
+                observed.append(_observed_owners(router, subproblems))
+        assert observed[0] == observed[1]
+        assert len(set(observed[0].values())) == 3
+        for fingerprint, owner in observed[0].items():
+            assert owner == _owner(fingerprint, 3)
+
+    def test_dead_owner_fails_over_to_the_next_shard_by_index(
+        self, diverse_workload
+    ):
+        serial = solve_subproblems(diverse_workload, mu=1.0)
+        with ShardRouter(n_shards=3, supervise_interval=0.0) as router:
+            owned = [
+                subproblem
+                for subproblem, fingerprint in zip(
+                    diverse_workload, router.fingerprints(diverse_workload)
+                )
+                if _owner(fingerprint, 3) == "shard-0"
+            ]
+            assert owned
+            router.kill_shard("shard-0")
+            designs, hits = router.solve_designs(owned)
+            assert router.stats.failovers.value > 0
+            assert not any(hits)
+            for subproblem, design in zip(owned, designs):
+                assert _compensation_bytes(design) == _compensation_bytes(
+                    serial[subproblem.subject_id].result
+                )
+            n_rows = len(set(router.fingerprints(owned)))
+            counts = _cached_counts(router)
+        # shard-1 follows shard-0 by index; shard-2 is never asked.
+        assert counts == {"shard-1": n_rows, "shard-2": 0}
+
+    def test_unknown_shard_cannot_be_killed(self, router):
         with pytest.raises(ServingError):
             router.kill_shard("nope")
+
+    def test_start_after_close_boots_and_supervises_the_same_shards(self):
+        router = ShardRouter(n_shards=2, supervise_interval=0.1)
+        router.start()
+        router.close()
+        router.start()
+        try:
+            assert router.shard_ids == ("shard-0", "shard-1")
+            router.kill_shard("shard-0")
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if router.healthz()["status"] == "ok":
+                    break
+                time.sleep(0.05)
+            report = router.healthz()
+            assert report["status"] == "ok", report
+            assert report["shards"]["shard-0"]["restarts"] == 1
+        finally:
+            router.close()
+        assert router.shard_ids == ()
 
 
 class TestFailover:
@@ -256,29 +304,35 @@ class TestFailover:
         # kill time, which a sequential test cannot guarantee.)
         assert router.stats.failovers.value > 0
 
-    def test_revive_restores_clean_health_and_warm_cache(
-        self, router, workload
+    def test_revive_restores_clean_health_with_a_cold_cache(
+        self, router, diverse_workload
     ):
-        router.solve_designs(workload)
+        serial = solve_subproblems(diverse_workload, mu=1.0)
+        router.solve_designs(diverse_workload)
         victim = router.shard_ids[0]
         router.kill_shard(victim)
         assert router.healthz()["status"] == "degraded"
-        # Serving through the outage lands the victim's keys on the
-        # surviving peer's cache (failover), which is what re-warms the
-        # victim at revival.
-        router.solve_designs(workload)
+        router.solve_designs(diverse_workload)
         revived = router.revive_dead_shards()
         assert revived == (victim,)
         report = router.healthz()
         assert report["status"] == "ok"
         assert report["shards"][victim]["alive"]
-        _, hits = router.solve_designs(workload)
-        assert all(hits)  # peers re-warmed the revived shard
+        # The victim restarts empty: its own fingerprints miss once, the
+        # survivor's still hit, and every contract equals serial.
+        designs, hits = router.solve_designs(diverse_workload)
+        fingerprints = router.fingerprints(diverse_workload)
+        victims = [_owner(fingerprint, 2) == victim for fingerprint in fingerprints]
+        assert any(victims) and not all(victims)
+        assert hits == [not owned for owned in victims]
+        for subproblem, design in zip(diverse_workload, designs):
+            assert _compensation_bytes(design) == _compensation_bytes(
+                serial[subproblem.subject_id].result
+            )
 
-    def test_local_fallback_when_every_shard_is_down(self, workload):
-        with ShardRouter(
-            n_shards=2, supervise_interval=0.0, backoff=0.0
-        ) as isolated:
+    def test_local_fallback_when_every_shard_is_down(self, workload, monkeypatch):
+        monkeypatch.setattr(router_module, "BACKOFF", 0.0)
+        with ShardRouter(n_shards=2, supervise_interval=0.0) as isolated:
             for shard_id in isolated.shard_ids:
                 isolated.kill_shard(shard_id)
             designs, _ = isolated.solve_designs(workload[:5])
@@ -288,10 +342,6 @@ class TestFailover:
     def test_validation(self):
         with pytest.raises(ServingError):
             ShardRouter(n_shards=-1)
-        with pytest.raises(ServingError):
-            ShardRouter(max_retries=-1)
-        with pytest.raises(ServingError):
-            ShardRouter(backoff=-0.1)
         with pytest.raises(ServingError):
             ShardRouter(supervise_interval=-1.0)
 
@@ -309,8 +359,9 @@ class TestIntrospection:
     def test_stats_snapshot_shape(self, router, workload):
         router.solve_designs(workload)
         snapshot = router.stats_snapshot()
+        # The router counts one row per distinct fingerprint.
         assert snapshot["router"]["cluster.requests"]["value"] == float(
-            len(workload)
+            len(set(router.fingerprints(workload)))
         )
         assert set(snapshot["shards"]) == set(router.shard_ids)
 
@@ -345,15 +396,15 @@ class TestZeroShardRouter:
         with ShardRouter(n_shards=0) as router:
             router.solve_designs(workload)
             router.solve(workload)
-            assert router.stats.requests.value == 2 * len(workload)
+            n_rows = len(set(router.fingerprints(workload)))
+            assert router.stats.requests.value == 2 * n_rows
             assert router.stats.batches.value == 2
             assert router.stats.local_fallbacks.value == 0
             router_metrics = router.stats_snapshot()["router"]
-        # The pool's own counters publish beside the router's.
-        assert router_metrics["cluster.local.requests"]["value"] == 2 * len(workload)
-        assert router_metrics["cluster.local.cache_hits"]["value"] == len(
-            set(router.fingerprints(workload))
-        )
+        # The pool's own counters publish beside the router's; it sees
+        # the router's rows, not the subjects behind them.
+        assert router_metrics["cluster.local.requests"]["value"] == 2 * n_rows
+        assert router_metrics["cluster.local.cache_hits"]["value"] == n_rows
 
     def test_healthz_is_ok_while_running(self):
         router = ShardRouter(n_shards=0)

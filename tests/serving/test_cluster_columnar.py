@@ -171,26 +171,24 @@ class TestShardColumnarOp:
         finally:
             shard.stop()
 
-    def test_requests_counter_means_subjects_served(
-        self, workload, fingerprints
-    ):
-        """The shard books n requests for an n-subject frame even though
-        it only solved K archetypes — `requests` means subjects served
-        (and sums across the cluster aggregation)."""
+    def test_requests_counter_counts_frame_rows(self, workload, fingerprints):
+        """The shard books K requests for a frame of K archetype rows,
+        however many subjects its codes fan out to — the unit the router
+        counts too."""
         frame = columnar_frame(workload, fingerprints)
+        n_rows = len(frame["fingerprints"])
+        assert n_rows < len(workload)
         shard = ShardProcess(ShardSpec(shard_id="s0"))
         shard.start()
         try:
             shard.solve_columnar(frame)
             snapshot = shard.stats_snapshot()
-            assert snapshot["requests"] == float(len(workload))
-            assert snapshot["unique_solves"] == float(
-                len(frame["fingerprints"])
-            )
+            assert snapshot["requests"] == float(n_rows)
+            assert snapshot["cache_misses"] == float(n_rows)
             shard.solve_columnar(frame)
             snapshot = shard.stats_snapshot()
-            assert snapshot["requests"] == 2.0 * len(workload)
-            assert snapshot["cache_hits"] == float(len(frame["fingerprints"]))
+            assert snapshot["requests"] == 2.0 * n_rows
+            assert snapshot["cache_hits"] == float(n_rows)
         finally:
             shard.stop()
 
@@ -213,7 +211,9 @@ class TestRouterColumnarPath:
             _, warm_hits = router.solve_designs(workload)
             assert all(warm_hits)
             snapshot = router.stats_snapshot()
-            assert snapshot["totals"]["requests"] == 2.0 * len(workload)
+            # The shards see one row per distinct fingerprint.
+            n_rows = len(set(router.fingerprints(workload)))
+            assert snapshot["totals"]["requests"] == 2.0 * n_rows
 
 
 class TestHTTPColumnar:

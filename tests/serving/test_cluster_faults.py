@@ -78,8 +78,8 @@ def test_shard_kill_mid_run_loses_nothing(population, serial_bytes):
         # and was absorbed by failover, not by luck.
         assert router.stats.failovers.value >= 1
 
-        # Clean recovery: the supervisor revives the shard and peers
-        # re-warm it; poll a few sweeps' worth of time.
+        # Clean recovery: the supervisor revives the shard (with a cold
+        # cache); poll a few sweeps' worth of time.
         recovered = False
         for _ in range(100):
             router.revive_dead_shards()
@@ -95,32 +95,6 @@ def test_shard_kill_mid_run_loses_nothing(population, serial_bytes):
             assert blob == serial_bytes[subject_id], subject_id
 
         # And the recovered cluster still serves identical bytes.
-        designs, _ = router.solve_designs(population)
-        for subproblem, design in zip(population, designs):
-            assert (
-                pickle.dumps(design.contract.compensations)
-                == serial_bytes[subproblem.subject_id]
-            )
-
-
-def test_graceful_resize_under_load_is_lossless(population, serial_bytes):
-    """Add then remove a shard while traffic flows; nothing breaks."""
-    batches = synthetic_request_batches(
-        population, n_requests=120, batch_size=4, seed=_SEED + 1
-    )
-    with ShardRouter(n_shards=2, supervise_interval=0.1) as router:
-        generator = LoadGenerator(router_target(router), concurrency=3)
-        joined = {}
-        report = generator.run(
-            batches,
-            checkpoints={
-                30: lambda: joined.setdefault("id", router.add_shard()),
-                80: lambda: router.remove_shard(joined["id"]),
-            },
-        )
-        assert report.errors == 0, report.error_samples
-        assert report.requests == 120
-        assert router.healthz()["status"] == "ok"
         designs, _ = router.solve_designs(population)
         for subproblem, design in zip(population, designs):
             assert (

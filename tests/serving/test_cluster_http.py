@@ -336,6 +336,12 @@ class TestUnreadableRequests:
         assert status == 400
         assert "Content-Length" in payload["error"]
 
+    @pytest.mark.parametrize("line", [b"HELLO", b"GET"])
+    def test_request_line_without_a_target_is_400(self, endpoint, line):
+        status, payload = _raw_request(endpoint, line + b"\r\n\r\n")
+        assert status == 400
+        assert "request line" in payload["error"]
+
     def test_header_line_over_the_stream_limit_is_400(self, endpoint):
         # asyncio streams refuse lines over 64 KiB by default.
         status, payload = _raw_request(
@@ -344,6 +350,37 @@ class TestUnreadableRequests:
         )
         assert status == 400
         assert "too long" in payload["error"]
+
+
+class TestRowCounting:
+    """One batch moves `cluster.requests` and the shards' `requests` by
+    its distinct design rows, whether it arrives as a frame over HTTP
+    or as subproblems from an in-process caller."""
+
+    def test_http_frame_and_in_process_batch_count_the_same(self, workload):
+        n_rows = len({subproblem_fingerprint(s) for s in workload})
+        assert n_rows < len(workload)
+        with ShardRouter(n_shards=2, supervise_interval=0.0) as router:
+
+            def counts():
+                snapshot = router.stats_snapshot()
+                return (
+                    snapshot["router"]["cluster.requests"]["value"],
+                    snapshot["totals"]["requests"],
+                )
+
+            with HTTPServerThread(router) as thread:
+                before = counts()
+                status, _ = _call(
+                    thread.address, "POST", "/solve_batch", _frame_body(workload)
+                )
+                assert status == 200
+                over_http = counts()
+                router.solve_designs(workload)
+                in_process = counts()
+        for field in range(2):
+            assert over_http[field] - before[field] == n_rows
+            assert in_process[field] - over_http[field] == n_rows
 
 
 class TestMetricsEndpoint:

@@ -165,14 +165,16 @@ class TestClusterScrapeFederation:
                     "serving.requests"
                 ).items()
             }
-            assert sum(shard_requests.values()) == 3 * len(workload)
-            assert scrape.value("serving.requests") == 3 * len(workload)
+            # Shards and router count one row per distinct fingerprint.
+            n_rows = len(set(router.fingerprints(workload)))
+            assert sum(shard_requests.values()) == 3 * n_rows
+            assert scrape.value("serving.requests") == 3 * n_rows
             # No fallbacks: routed batches all landed on shards.
             assert scrape.value("cluster.local_fallbacks") == 0.0
             assert scrape.value("serving.batches") == scrape.value(
                 "cluster.routed"
             )
-            assert scrape.value("cluster.requests") == 3 * len(workload)
+            assert scrape.value("cluster.requests") == 3 * n_rows
 
     def test_repeated_scrapes_drain_spans_but_keep_metrics(self, traced_tracer):
         workload = synthetic_subproblems(n_subjects=6, n_archetypes=3, seed=5)

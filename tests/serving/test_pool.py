@@ -43,7 +43,7 @@ class TestSolverPoolSerialPath:
         stats = ServingStats()
         SolverPool(stats=stats).solve(workload)
         assert stats.requests == len(workload)
-        assert stats.unique_solves == 6
+        assert stats.cache_misses == 6
         assert stats.dedup_rate == pytest.approx(1.0 - 6 / len(workload))
 
     def test_rejects_duplicate_subject_ids(self, workload):

@@ -27,7 +27,6 @@ class TestCounters:
         stats.record_batch(n_requests=10, n_unique=4, n_cache_hits=1, duration=0.5)
         assert stats.requests == 10
         assert stats.batches == 1
-        assert stats.unique_solves == 3
         assert stats.cache_hits == 1
         assert stats.cache_misses == 3
         assert stats.hit_rate == pytest.approx(0.25)
@@ -90,7 +89,7 @@ class TestSnapshot:
     def test_format_mentions_all_counters(self, clock):
         stats = ServingStats(clock=clock)
         rendered = stats.format()
-        for key in ("requests", "batches", "unique_solves", "cache_hit_rate"):
+        for key in ("requests", "batches", "cache_misses", "cache_hit_rate"):
             assert key in rendered
 
 
@@ -110,8 +109,8 @@ class TestMetricsBacking:
         snapshot = registry.snapshot()
         assert snapshot["serving.requests"] == {"value": 4.0}
         assert snapshot["serving.batches"] == {"value": 1.0}
-        assert snapshot["serving.unique_solves"] == {"value": 1.0}
         assert snapshot["serving.cache_hits"] == {"value": 1.0}
+        assert snapshot["serving.cache_misses"] == {"value": 1.0}
         assert snapshot["serving.request_latency_s"]["count"] == 2.0
         assert snapshot["serving.batch_latency_s"]["count"] == 1.0
 
@@ -135,7 +134,7 @@ class TestReadOnlyCounters:
 
     def test_direct_assignment_raises(self, clock):
         stats = ServingStats(clock=clock)
-        for name in ("requests", "batches", "unique_solves", "cache_hits", "cache_misses"):
+        for name in ("requests", "batches", "cache_hits", "cache_misses"):
             with pytest.raises(AttributeError):
                 setattr(stats, name, 5)
 
@@ -149,5 +148,5 @@ class TestReadOnlyCounters:
     def test_counters_read_as_ints(self, clock):
         stats = ServingStats(clock=clock)
         stats.record_batch(n_requests=2, n_unique=1, n_cache_hits=1, duration=0.1)
-        for name in ("requests", "batches", "unique_solves", "cache_hits", "cache_misses"):
+        for name in ("requests", "batches", "cache_hits", "cache_misses"):
             assert isinstance(getattr(stats, name), int)
