@@ -28,23 +28,10 @@ into a serving layer:
 
 from __future__ import annotations
 
+import importlib
+from typing import Any
+
 from .cache import CacheStats, ContractCache, LRUCache, require_results_agree
-from .cluster import (
-    ClusterHTTPServer,
-    ClusterStats,
-    HTTPServerThread,
-    ShardProcess,
-    ShardRouter,
-    ShardSpec,
-)
-from .loadgen import (
-    LoadGenerator,
-    LoadReport,
-    http_target,
-    pool_target,
-    router_target,
-    synthetic_request_batches,
-)
 from .fingerprint import design_fingerprint, subproblem_fingerprint
 from .pool import (
     RedesignStats,
@@ -55,6 +42,34 @@ from .pool import (
 from .replay import verify_ledger, verify_round
 from .stats import ServingStats
 from .workload import synthetic_subproblems
+
+#: Names of the front end and the load harness, imported on first use:
+#: the simulation imports this package for the pool, and needs neither
+#: the HTTP server nor the shard processes.
+_LAZY = {
+    "ClusterHTTPServer": ".cluster",
+    "ClusterStats": ".cluster",
+    "HTTPServerThread": ".cluster",
+    "ShardProcess": ".cluster",
+    "ShardRouter": ".cluster",
+    "ShardSpec": ".cluster",
+    "LoadGenerator": ".loadgen",
+    "LoadReport": ".loadgen",
+    "http_target": ".loadgen",
+    "pool_target": ".loadgen",
+    "router_target": ".loadgen",
+    "synthetic_request_batches": ".loadgen",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CacheStats",

@@ -276,17 +276,19 @@ def _run_bench_serve(
                 registry=registry,
             )
             report = generator.run(batches, checkpoints=checkpoints)
-            _print_report(report, stats)
-
-            if report.errors:
-                print(f"FAILED: {report.errors} round-trips failed")
-                exit_code = 1
             if args.kill_shard_at is not None:
+                # Recover before reporting, so the counters include the
+                # killed shard's restart.
                 if _await_clean_health(router):
                     print("healthz recovered: all shards answering")
                 else:
                     print("FAILED: cluster did not recover a clean healthz")
                     exit_code = 1
+            _print_report(report, stats)
+
+            if report.errors:
+                print(f"FAILED: {report.errors} round-trips failed")
+                exit_code = 1
             if args.check and _check_against_serial(
                 router, population, args.mu
             ):

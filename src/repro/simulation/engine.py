@@ -59,7 +59,7 @@ from ..numerics import ABS_TOL
 from ..obs.trace import get_tracer
 from ..serving.pool import ContractAssignment
 from ..workers.base import WorkerAgent
-from ..workers.columnar import ColumnarPopulation, ColumnarResponseCache
+from ..workers.columnar import ColumnarPopulation
 from ..workers.population import PopulationModel
 from .ledger import (
     PostedProvenance,
@@ -223,7 +223,6 @@ def fast_columnar_step(
     previous_feedback: np.ndarray,
     lagged_payment: bool,
     rng: np.random.Generator,
-    response_cache: Optional[ColumnarResponseCache] = None,
 ) -> ColumnarStepResult:
     """The structure-of-arrays round kernel (bit-identical to the loop).
 
@@ -234,7 +233,8 @@ def fast_columnar_step(
        :meth:`~repro.workers.columnar.ColumnarPopulation.respond_unique`
        — one Eq. (30) solve per distinct (posted contract, behaviour
        archetype) pair, found with ``np.unique`` over a packed integer
-       key;
+       key; pairs solved in earlier rounds come from the population's
+       response cache, which it drops with its response codes;
     2. population noise from one structured generator draw in the
        pinned per-subject order (feedback slot, then rating slot;
        zero-noise rows consume nothing), realized through the workers'
@@ -258,8 +258,6 @@ def fast_columnar_step(
             mutated in place when ``lagged_payment`` is set.
         lagged_payment: pay this round on last round's feedback (Eq. 1).
         rng: the round's noise generator (pinned draw order).
-        response_cache: optional cross-round best-response cache keyed
-            by (contract code, response archetype), identity-validated.
     """
     codes = assignment.codes
     n_subjects = population.n_subjects
@@ -293,7 +291,7 @@ def fast_columnar_step(
     )
     active_codes = canonical[codes[rows]]
     best_efforts, expected = population.respond_unique(
-        contracts, active_codes, rows, cache=response_cache
+        contracts, active_codes, rows
     )
 
     # Structured noise: the scalar path asks each agent whether it
@@ -509,9 +507,6 @@ class MarketplaceSimulation:
         # retention-aware subclasses; the base engine never adds here).
         self._departed = np.zeros(population.n_subjects, dtype=bool)
         self._previous_feedback = np.zeros(population.n_subjects)
-        # Cross-round response cache (identity-validated, so a redesign
-        # invalidates it for free; cleared when behaviour flips).
-        self._response_cache: ColumnarResponseCache = {}
         self._last_result: Optional[ColumnarStepResult] = None
 
     def run(self, n_rounds: int) -> SimulationLedger:
@@ -542,9 +537,8 @@ class MarketplaceSimulation:
         population = self.population
         # Strategic rows switch behaviour before the requester
         # re-designs, so this round's contracts face this round's
-        # behaviour (renumbered response codes void cached responses).
-        if population.behaviour_at(round_index):
-            self._response_cache.clear()
+        # behaviour.
+        population.behaviour_at(round_index)
         design_ms: Optional[float] = None
         stats = None
         if self._assignment is None or round_index % self.redesign_every == 0:
@@ -579,7 +573,6 @@ class MarketplaceSimulation:
             self._previous_feedback,
             self.lagged_payment,
             self._rng,
-            response_cache=self._response_cache,
         )
 
         outcomes = RoundOutcomes(population, result, provenance)

@@ -11,15 +11,29 @@ pure array passes (see ``fast_columnar_step`` in
 
 Two code systems make the hot path object-free:
 
-* **design archetypes** — ``np.unique`` over the packed design matrix
-  (fitted psi, params, weight, effort cap, membership size).  Contract
-  design runs once per archetype; ``archetype_codes`` fans contracts
-  back out to subjects.  This is the column-slice analogue of the
-  serving fingerprint (which hashes exactly these fields, membership
-  aside — see :mod:`repro.serving.fingerprint`).
-* **response archetypes** — ``np.unique`` over the behavioural columns
-  (true psi, params).  Best responses are solved once per
-  (contract, response archetype) pair in :meth:`ColumnarPopulation.respond_unique`.
+* **design archetypes** — the distinct rows of the packed design matrix
+  (fitted psi, params, weight, effort cap, membership size), numbered
+  in value-lexicographic order.  Contract design runs once per
+  archetype; ``archetype_codes`` fans contracts back out to subjects.
+  This is the column-slice analogue of the serving fingerprint (which
+  hashes exactly these fields, membership aside — see
+  :mod:`repro.serving.fingerprint`).  The population keeps the sorted
+  table of archetype keys, so
+  :meth:`ColumnarPopulation.update_design_columns` re-derives codes for
+  the rows whose values changed only: it dedupes those rows, merges
+  them into the key table, drops archetypes no row holds any more and
+  remaps every code with one gather.  The first derivation is the same
+  routine with every row changed and an empty table.  :func:`unique_rows`
+  over the whole matrix is the oracle: under ``REPRO_CHECK_INVARIANTS=1``
+  :func:`require_archetypes_agree` checks every derivation against it.
+* **response archetypes** — the distinct behavioural rows (true psi,
+  params).  Best responses are solved once per (contract, response
+  archetype) pair in :meth:`ColumnarPopulation.respond_unique`, and the
+  population keeps them across rounds in its response cache.  The
+  cache is dropped with the response codes: when
+  :meth:`~ColumnarPopulation.behaviour_at` flips a row, or a design
+  update changes ``beta`` (or ``omega`` on a population without an
+  ``act_omega`` column of its own).
 
 The legacy object API stays available through lazy views:
 ``columnar.subproblems``, ``columnar.agents``, ``columnar.weights`` and
@@ -55,6 +69,7 @@ from typing import (
 
 import numpy as np
 
+from ..analysis.invariants import InvariantViolation, invariants_enabled
 from ..core.best_response import solve_best_response
 from ..core.contract import Contract
 from ..core.decomposition import Subproblem
@@ -74,6 +89,7 @@ __all__ = [
     "ColumnarPopulation",
     "ColumnarResponseCache",
     "PhaseColumns",
+    "require_archetypes_agree",
     "synthetic_columnar",
 ]
 
@@ -87,9 +103,8 @@ WORKER_TYPE_CODES: Dict[WorkerType, int] = {
 #: Cross-round cache of deduplicated best responses, keyed by
 #: (contract code, response-archetype code) and validated by contract
 #: identity — a redesign that swaps the posted contract object re-solves.
-#: Response codes are renumbered whenever behaviour changes, so the
-#: owner clears the cache when :meth:`ColumnarPopulation.behaviour_at`
-#: reports a change.
+#: Each population owns one and drops it whenever it drops its response
+#: codes, so a key never outlives the numbering it was made under.
 ColumnarResponseCache = Dict[Tuple[int, int], Tuple[Contract, float, float]]
 
 _HONEST_CODE = WORKER_TYPE_CODES[WorkerType.HONEST]
@@ -198,6 +213,29 @@ def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return representatives, codes
 
 
+def require_archetypes_agree(
+    derived: Tuple[np.ndarray, np.ndarray],
+    reference: Tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Assert incrementally derived design archetypes equal the oracle's.
+
+    Both sides are ``(representatives, codes)``; ``reference`` is
+    :func:`unique_rows` over the whole design matrix.  The contract is
+    equality: contracts, payment groups and ledgers are indexed by these
+    codes, so any drift would silently post a subject another
+    archetype's contract.
+
+    Raises:
+        InvariantViolation: on the first disagreement.
+    """
+    for name, got, want in zip(("representatives", "codes"), derived, reference):
+        if not np.array_equal(got, want):
+            raise InvariantViolation(
+                f"incremental design archetypes disagree with unique_rows on "
+                f"the {name}: {got!r} != {want!r}"
+            )
+
+
 def _parameters(type_code: int, beta: float, omega: float) -> WorkerParameters:
     worker_type = WORKER_TYPE_ORDER[type_code]
     if worker_type is WorkerType.HONEST:
@@ -263,11 +301,11 @@ class ColumnarPopulation:
     order) and frozen (``writeable=False``) except the ``excluded``
     base mask.  Design state is mutated only through
     :meth:`update_design_columns`, which swaps whole columns and
-    invalidates the archetype caches — exactly the hook the
-    column-slice delta redesign diffs against.  Behaviour state is
-    mutated only through :meth:`behaviour_at`, which swaps the
+    re-derives the archetype codes of the rows whose values changed —
+    the column-slice delta redesign diffs the same columns.  Behaviour
+    state is mutated only through :meth:`behaviour_at`, which swaps the
     behaviour columns of the strategic rows and invalidates only the
-    response archetypes and the lazy agents.
+    response archetypes (with the response cache) and the lazy agents.
 
     Args:
         r2, r1, r0: the requester's *fitted* psi coefficients (design
@@ -460,12 +498,12 @@ class ColumnarPopulation:
         The columnar ``on_round``: attacking rows take their attack
         omega and rating bias and act as non-collusive malicious
         workers, the rest act honestly.  Only the behaviour columns of
-        the strategic rows change, and only the response archetypes and
-        lazy agents are invalidated — and only when a row flipped.
+        the strategic rows change, and only the response archetypes,
+        the response cache and the lazy agents are invalidated — and
+        only when a row flipped.
 
         Returns:
-            Whether any behaviour changed (response codes were then
-            renumbered, so callers drop response caches).
+            Whether any behaviour changed.
         """
         phases = self.phases
         if phases is None:
@@ -527,11 +565,61 @@ class ColumnarPopulation:
 
     def _design_archetypes(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._arch_codes is None:
-            representatives, codes = unique_rows(self.design_matrix())
-            self._arch_codes = codes
-            self._arch_reps = representatives
-        assert self._arch_reps is not None
+            self._arch_keys = np.empty((0, self.design_matrix().shape[1]))
+            self._derive_archetypes(np.arange(self._n, dtype=np.int64))
+        assert self._arch_codes is not None and self._arch_reps is not None
         return self._arch_codes, self._arch_reps
+
+    def _derive_archetypes(self, changed: np.ndarray) -> None:
+        """Re-derive the design-archetype codes of the rows in ``changed``.
+
+        ``changed`` lists, in row order, the rows whose design key may
+        differ from the one their code was derived from.  They are
+        deduplicated with :func:`unique_rows` and merged into the sorted
+        key table; every other row keeps its archetype, renumbered by
+        one gather.  Archetypes no row holds any more are dropped, and
+        the first-occurrence representatives are recomputed in O(n).
+        The result equals ``unique_rows(self.design_matrix())`` exactly.
+        """
+        matrix = self.design_matrix()
+        n = self._n
+        every_row = changed.size == n
+        fresh_reps, fresh_codes = unique_rows(
+            matrix if every_row else matrix[changed]
+        )
+        old_keys = self._arch_keys
+        assert old_keys is not None
+        # Both halves are canonical (-0.0 folded into +0.0, as in
+        # unique_rows), so equal keys are equal bits.
+        table = np.concatenate([old_keys, matrix[changed[fresh_reps]] + 0.0])
+        order = np.lexsort(table.T[::-1])
+        ranked = table[order]
+        bits = ranked.view(np.uint64)
+        distinct = np.ones(order.shape[0], dtype=bool)
+        distinct[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+        rank = np.empty(order.shape[0], dtype=np.int64)
+        rank[order] = np.cumsum(distinct) - 1
+        keys = ranked[distinct]
+        n_old = old_keys.shape[0]
+        if every_row:
+            codes = rank[n_old:][fresh_codes]
+        else:
+            assert self._arch_codes is not None
+            codes = rank[:n_old][self._arch_codes]
+            codes[changed] = rank[n_old:][fresh_codes]
+        representatives = np.full(keys.shape[0], n, dtype=np.int64)
+        np.minimum.at(representatives, codes, np.arange(n, dtype=np.int64))
+        held = representatives < n
+        if not held.all():
+            codes = (np.cumsum(held) - 1)[codes]
+            keys = keys[held]
+            representatives = representatives[held]
+        if invariants_enabled():
+            require_archetypes_agree((representatives, codes), unique_rows(matrix))
+        codes.flags.writeable = False
+        self._arch_keys = keys
+        self._arch_codes = codes
+        self._arch_reps = representatives
 
     @property
     def archetype_codes(self) -> np.ndarray:
@@ -613,20 +701,18 @@ class ColumnarPopulation:
         contracts: Sequence[Contract],
         contract_codes: np.ndarray,
         rows: np.ndarray,
-        cache: Optional[ColumnarResponseCache] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Deduplicated best responses for the subjects at ``rows``.
 
         Solves Eq. (30) once per distinct (contract, behaviour
         archetype) pair, found with ``np.unique`` over a packed integer
-        key, and fans the scalar results back out.
+        key, and fans the scalar results back out.  Pairs solved in an
+        earlier call are read from the population's response cache.
 
         Args:
             contracts: the archetype contract table.
             contract_codes: per-row contract index into ``contracts``.
             rows: subject row indices to respond for.
-            cache: optional cross-round response cache (validated by
-                contract identity).
 
         Returns:
             ``(efforts, expected_feedback)`` arrays aligned with
@@ -637,6 +723,7 @@ class ColumnarPopulation:
         n_response = self.n_response_archetypes
         packed = contract_codes.astype(np.int64) * n_response + response_codes
         unique_keys, inverse = np.unique(packed, return_inverse=True)
+        cache = self._response_cache
         efforts = np.empty(unique_keys.shape[0], dtype=np.float64)
         expected = np.empty(unique_keys.shape[0], dtype=np.float64)
         for slot, key in enumerate(unique_keys.tolist()):
@@ -644,7 +731,7 @@ class ColumnarPopulation:
             response_code = key % n_response
             contract = contracts[contract_code]
             cache_key = (contract_code, response_code)
-            entry = cache.get(cache_key) if cache is not None else None
+            entry = cache.get(cache_key)
             if entry is not None and entry[0] is contract:
                 efforts[slot] = entry[1]
                 expected[slot] = entry[2]
@@ -657,8 +744,7 @@ class ColumnarPopulation:
             expectation = float(psi(effort))
             efforts[slot] = effort
             expected[slot] = expectation
-            if cache is not None:
-                cache[cache_key] = (contract, effort, expectation)
+            cache[cache_key] = (contract, effort, expectation)
         return efforts[inverse.reshape(-1)], expected[inverse.reshape(-1)]
 
     # ------------------------------------------------------------------
@@ -986,24 +1072,59 @@ class ColumnarPopulation:
         eval_weight: Optional[np.ndarray] = None,
         max_effort: Optional[np.ndarray] = None,
     ) -> None:
-        """Swap whole design columns and invalidate the derived caches.
+        """Swap whole design columns and re-derive what they feed.
 
         This is the supported mutation path: the delta-redesign state
         diffs the packed design matrix against its previous value, so
-        columns must never be edited in place (they are frozen).  The
-        behaviour (``act_*``) columns change only through
-        :meth:`behaviour_at`.
+        columns must never be edited in place (they are frozen).  Each
+        new column is compared with the old one, and the design-archetype
+        codes are re-derived for the rows whose values changed only
+        (``max_effort`` compares NaN-aware: NaN means "no cap");
+        ``eval_weight`` is not part of the design key.  The behaviour
+        caches (response codes and cache, lazy agents) are dropped only
+        when ``beta`` changes, or ``omega`` changes on a population
+        without an ``act_omega`` column of its own: the behaviour
+        (``act_*``) columns change only through :meth:`behaviour_at`.
         """
+        if eval_weight is not None:
+            self.eval_weight = _float_column(eval_weight, self._n, "eval_weight")
+            self._weights = None
         updates = {
-            "r2": r2, "r1": r1, "r0": r0, "beta": beta, "omega": omega,
-            "design_weight": design_weight, "eval_weight": eval_weight,
-            "max_effort": max_effort,
+            name: column
+            for name, column in (
+                ("r2", r2), ("r1", r1), ("r0", r0), ("beta", beta),
+                ("omega", omega), ("design_weight", design_weight),
+                ("max_effort", max_effort),
+            )
+            if column is not None
         }
+        if not updates:
+            return
+        changed = np.zeros(self._n, dtype=bool)
+        behaviour_changed = False
         for name, column in updates.items():
-            if column is None:
-                continue
-            setattr(self, name, _float_column(column, self._n, name))
-        self._invalidate()
+            new = _float_column(column, self._n, name)
+            old = getattr(self, name)
+            setattr(self, name, new)
+            differs = new != old
+            if name == "max_effort":
+                differs &= ~(np.isnan(new) & np.isnan(old))
+            changed |= differs
+            if name == "beta" or (name == "omega" and self._act_omega is None):
+                # Bitwise: response objects and lazy agents copy the values.
+                behaviour_changed |= not np.array_equal(
+                    new.view(np.int64), old.view(np.int64)
+                )
+        self._design_matrix = None
+        self._arch_subproblems = None
+        self._arch_psis = {}
+        self._arch_params = {}
+        self._subproblems = None
+        rows = np.flatnonzero(changed)
+        if self._arch_codes is not None and rows.size:
+            self._derive_archetypes(rows)
+        if behaviour_changed:
+            self._invalidate_behaviour()
 
     def with_design_weight(self, design_weight: np.ndarray) -> "ColumnarPopulation":
         """This population with its design-weight column substituted.
@@ -1020,6 +1141,7 @@ class ColumnarPopulation:
     def _invalidate(self) -> None:
         """Reset every cache derived from the columns."""
         self._design_matrix: Optional[np.ndarray] = None
+        self._arch_keys: Optional[np.ndarray] = None
         self._arch_codes: Optional[np.ndarray] = None
         self._arch_reps: Optional[np.ndarray] = None
         self._arch_subproblems: Optional[List[Subproblem]] = None
@@ -1037,6 +1159,7 @@ class ColumnarPopulation:
         self._resp_reps: Optional[np.ndarray] = None
         self._resp_psis: Dict[int, QuadraticEffort] = {}
         self._resp_objects: Dict[int, Tuple[QuadraticEffort, WorkerParameters]] = {}
+        self._response_cache: ColumnarResponseCache = {}
         self._agents: Optional[_LazyAgents] = None
 
 

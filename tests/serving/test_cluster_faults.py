@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.core import solve_subproblems
 from repro.serving import (
     LoadGenerator,
@@ -101,3 +102,15 @@ def test_shard_kill_mid_run_loses_nothing(population, serial_bytes):
                 pickle.dumps(design.contract.compensations)
                 == serial_bytes[subproblem.subject_id]
             )
+
+
+def test_bench_serve_reports_the_revived_shard(capsys):
+    """``repro bench-serve --kill-shard-at`` prints its counters after
+    the killed shard is revived, so the report counts the restart."""
+    exit_code = main(
+        ["bench-serve", "--shards", "2", "--requests", "300", "--kill-shard-at", "75"]
+    )
+    out = capsys.readouterr().out
+    assert exit_code == 0, out
+    assert "cluster.restarts: 1" in out, out
+    assert out.index("healthz recovered") < out.index("cluster.restarts:")

@@ -309,9 +309,9 @@ def test_shared_contract_objects_share_one_code(monkeypatch):
     calls = []
     respond_unique = ColumnarPopulation.respond_unique
 
-    def counting(self, contracts, contract_codes, rows, cache=None):
+    def counting(self, contracts, contract_codes, rows):
         calls.append(np.unique(contract_codes).size)
-        return respond_unique(self, contracts, contract_codes, rows, cache)
+        return respond_unique(self, contracts, contract_codes, rows)
 
     monkeypatch.setattr(ColumnarPopulation, "respond_unique", counting)
     columnar = _columnar()
@@ -334,3 +334,45 @@ def test_shared_contract_objects_share_one_code(monkeypatch):
     assert calls[0] == calls[1] == len(set(map(id, assignment.contracts)))
     assert np.array_equal(doubled_result.compensation, plain_result.compensation)
     assert doubled_result.benefit == plain_result.benefit
+
+
+def _shared_fit_columnar(beta):
+    """20 honest rows on one design fit (r2 = -0.8) whose true psi and
+    beta differ in groups of 5: true r2 -0.9/-0.9/-0.7/-0.5."""
+    n = 20
+    act_r2 = np.repeat([-0.9, -0.9, -0.7, -0.5], 5)
+    return ColumnarPopulation(
+        r2=np.full(n, -0.8), r1=np.full(n, 10.0), r0=np.full(n, 1.0),
+        act_r2=act_r2, act_r1=np.full(n, 10.0), act_r0=np.full(n, 1.0),
+        beta=beta, omega=np.zeros(n),
+        design_weight=np.ones(n), eval_weight=np.ones(n),
+        max_effort=np.full(n, np.nan), type_codes=np.zeros(n, dtype=np.int64),
+        e_mal=np.zeros(n), feedback_noise=np.zeros(n),
+        rating_noise=np.zeros(n), rating_bias=np.zeros(n),
+        n_members=np.ones(n, dtype=np.int64),
+        community_ids=np.full(n, -1, dtype=np.int64),
+    )
+
+
+def test_beta_update_drops_cached_best_responses():
+    """A beta update renumbers the response archetypes; responses cached
+    under the old numbering must not answer for the new one."""
+    before = np.repeat([2.0, 3.0, 2.0, 2.0], 5)
+    after = np.full(20, 2.0)
+    moved = _shared_fit_columnar(before)
+    simulation = MarketplaceSimulation(
+        moved, RequesterObjective(), DynamicContractPolicy(mu=1.0), seed=3
+    )
+    simulation.step()
+    moved.update_design_columns(beta=after)
+    simulation.step()
+    fresh = MarketplaceSimulation(
+        _shared_fit_columnar(after), RequesterObjective(),
+        DynamicContractPolicy(mu=1.0), seed=3,
+    )
+    fresh.step()
+    got = simulation.ledger.records[-1].outcomes
+    want = fresh.ledger.records[-1].outcomes
+    for row in range(20):
+        subject_id = moved.subject_id(row)
+        assert got[subject_id].effort == want[subject_id].effort, subject_id

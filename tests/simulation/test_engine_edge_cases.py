@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.utility import RequesterObjective
 from repro.simulation import (
     DynamicContractPolicy,
@@ -127,3 +133,23 @@ class TestLedgerViews:
         assert summary["mean_round_utility"] == pytest.approx(
             float(ledger.utility_series().mean())
         )
+
+
+def test_engine_import_leaves_the_serving_front_end_unloaded():
+    """Simulation processes import the serving pool, not the cluster
+    front end (HTTP server, router, shards) or the load harness."""
+    front_end = ("repro.serving.cluster", "repro.serving.loadgen", "http.server")
+    probe = (
+        "import sys, repro.simulation.engine; "
+        f"print([name for name in {front_end!r} if name in sys.modules])"
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert loaded.stdout.strip() == "[]", loaded.stdout

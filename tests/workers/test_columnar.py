@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.invariants import ENV_VAR, InvariantViolation
 from repro.core.decomposition import Subproblem
 from repro.core.effort import QuadraticEffort
 from repro.errors import ModelError
 from repro.types import WorkerParameters, WorkerType
-from repro.simulation import DynamicContractPolicy
+from repro.core.utility import RequesterObjective
+from repro.simulation import DynamicContractPolicy, MarketplaceSimulation
 from repro.workers import (
     CamouflagedWorker,
     CollusiveCommunity,
@@ -22,7 +26,9 @@ from repro.workers import (
 from repro.workers.columnar import (
     WORKER_TYPE_CODES,
     ColumnarPopulation,
+    require_archetypes_agree,
     synthetic_columnar,
+    unique_rows,
 )
 from repro.workers.population import ClassEffortFunctions, PopulationModel
 
@@ -297,6 +303,95 @@ def test_archetype_grouping_is_exact():
             )
 
 
+def _assert_archetypes_match_oracle(columnar):
+    representatives, codes = unique_rows(columnar.design_matrix())
+    assert np.array_equal(columnar.archetype_codes, codes)
+    assert np.array_equal(columnar.archetype_representatives, representatives)
+
+
+def _mixed_columnar():
+    """A packed population with a collusive community and capless rows."""
+    population = _population(n=12, seed=5)
+    subproblems = list(population.subproblems)
+    for row in (1, 4, 7):
+        subproblems[row] = dataclasses.replace(subproblems[row], max_effort=None)
+    old = subproblems[2]
+    members = ("m1", "m2", "m3")
+    subproblems[2] = dataclasses.replace(
+        old,
+        params=WorkerParameters.malicious(
+            beta=old.params.beta, omega=0.4, collusive=True
+        ),
+        member_ids=members,
+    )
+    population.agents[old.subject_id] = CollusiveCommunity(
+        community_id=old.subject_id,
+        member_ids=members,
+        effort_function=old.effort_function,
+        beta=old.params.beta,
+        omega=0.4,
+        rating_bias=2.0,
+    )
+    population.subproblems = subproblems
+    return ColumnarPopulation.from_population(population)
+
+
+#: Values an update may write per design column.  Fitted r2 lies in
+#: [-1.2, -0.3], so -2.0 and -0.2 open archetypes that sort first and
+#: last; zeros of both signs and NaN ("no cap") compare by value.
+_UPDATE_VALUES = {
+    "r2": [-2.0, -0.8, -0.2],
+    "r1": [6.0, 10.0, 14.0],
+    "r0": [-0.0, 0.0, 1.0],
+    "beta": [0.8, 1.0, 1.5],
+    "omega": [-0.0, 0.0, 0.3],
+    "design_weight": [-0.0, 0.0, 0.7, 1.9],
+    "max_effort": [float("nan"), 2.0, 5.0],
+}
+#: Columns the behaviour side reads: with no act_omega column of its
+#: own, a population's subjects act on the design omega.
+_BEHAVIOUR_COLUMNS = ("beta", "omega")
+
+
+@st.composite
+def _design_updates(draw, n_subjects, n_updates):
+    updates = []
+    for _ in range(n_updates):
+        name = draw(st.sampled_from(sorted(_UPDATE_VALUES)))
+        # None moves every holder of one archetype, which then vanishes.
+        rows = draw(
+            st.none()
+            | st.lists(
+                st.integers(0, n_subjects - 1), min_size=1, max_size=n_subjects,
+                unique=True,
+            )
+        )
+        values = draw(
+            st.lists(
+                st.sampled_from(_UPDATE_VALUES[name]),
+                min_size=n_subjects, max_size=n_subjects,
+            )
+        )
+        updates.append((name, rows, draw(st.integers(0, 3)), values))
+    return updates
+
+
+def _apply(columnar, update):
+    name, rows, archetype, values = update
+    if rows is None:
+        codes = columnar.archetype_codes
+        rows = np.flatnonzero(codes == archetype % (int(codes.max()) + 1))
+    values = np.asarray(values)
+    if name == "omega":
+        # Malicious workers need omega > 0; honest ones keep a zero.
+        honest = columnar.type_codes == WORKER_TYPE_CODES[WorkerType.HONEST]
+        values = np.where(honest, np.copysign(0.0, values), np.abs(values) + 0.3)
+    column = getattr(columnar, name).copy()
+    column[rows] = values[rows]
+    columnar.update_design_columns(**{name: column})
+    return name
+
+
 def test_update_design_columns_invalidates_archetypes():
     columnar = synthetic_columnar(n_subjects=20, n_archetypes=4, seed=9)
     before = columnar.archetype_codes.copy()
@@ -309,6 +404,65 @@ def test_update_design_columns_invalidates_archetypes():
     # must keep their grouping structure.
     assert np.count_nonzero(after == after[3]) == 1
     assert before.shape == after.shape
+    _assert_archetypes_match_oracle(columnar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mixed=st.booleans(),
+    updates=_design_updates(n_subjects=12, n_updates=6),
+)
+def test_incremental_archetypes_match_the_oracle(mixed, updates):
+    """After any sequence of column updates, the incrementally derived
+    codes and representatives equal ``unique_rows`` over the whole
+    design matrix, and the response codes survive design-only updates."""
+    columnar = (
+        _mixed_columnar() if mixed
+        else synthetic_columnar(n_subjects=12, n_archetypes=4, seed=9)
+    )
+    _assert_archetypes_match_oracle(columnar)
+    for update in updates:
+        response_codes = columnar.response_codes
+        name = _apply(columnar, update)
+        _assert_archetypes_match_oracle(columnar)
+        if name in _BEHAVIOUR_COLUMNS:
+            fresh = columnar.with_design_weight(columnar.design_weight)
+            assert np.array_equal(columnar.response_codes, fresh.response_codes)
+        else:
+            assert columnar.response_codes is response_codes
+
+
+@settings(max_examples=8, deadline=None)
+@given(updates=_design_updates(n_subjects=12, n_updates=4))
+def test_incremental_archetypes_replay_under_invariants(updates):
+    """Five rounds over random design updates, with every round replayed
+    through the legacy loop and every derivation checked against the
+    oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_VAR, "1")
+        columnar = _mixed_columnar()
+        simulation = MarketplaceSimulation(
+            columnar, RequesterObjective(), DynamicContractPolicy(mu=1.0), seed=4
+        )
+        simulation.step()
+        for update in updates:
+            _apply(columnar, update)
+            simulation.step()
+    assert simulation.ledger.n_rounds == 5
+
+
+def test_archetype_contract_rejects_drift():
+    columnar = synthetic_columnar(n_subjects=20, n_archetypes=4, seed=9)
+    reference = unique_rows(columnar.design_matrix())
+    require_archetypes_agree(
+        (columnar.archetype_representatives, columnar.archetype_codes), reference
+    )
+    drifted = columnar.archetype_codes.copy()
+    drifted[0] = (drifted[0] + 1) % columnar.n_archetypes
+    with pytest.raises(InvariantViolation, match="codes"):
+        require_archetypes_agree(
+            (columnar.archetype_representatives, drifted), reference
+        )
 
 
 def test_index_of_unknown_subject():
