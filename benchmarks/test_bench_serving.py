@@ -50,12 +50,11 @@ _SEED = 11
 
 # Cluster gate: the workload's unique-archetype count deliberately
 # exceeds one process's cache capacity, so a single process thrashes
-# its LRU while four shards, owning 29/26/22/19 of the 96 fingerprints
-# by SHA-256 modulo 4 (each slice within its 32-entry cache), together
-# hold the whole working set warm.  That
-# partitioned-aggregate-cache effect is the cluster's honest win on a
-# single-core runner, where raw process fan-out adds no CPU.  The
-# finer design grid (n_intervals=80) prices a cache miss at a few
+# its LRU while a 4-shard router, whose one cache holds 32 entries per
+# shard (128 in all), keeps the whole 96-fingerprint working set warm
+# and answers it without a shard round trip.  So the gate measures
+# total cache capacity: shards add CPU only for misses.  The finer
+# design grid (n_intervals=80) prices a cache miss at a few
 # milliseconds, so the comparison measures solve amortization rather
 # than pipe overhead.
 _CLUSTER_SUBJECTS = 192
@@ -167,9 +166,10 @@ def test_cluster_throughput_latency_and_equivalence(cluster_workload):
 
     Both sides replay the *same* pre-drawn request batches through the
     closed-loop :class:`LoadGenerator` with the same concurrency and the
-    same per-process cache capacity, and both get one full priming pass
+    same per-shard cache capacity, and both get one full priming pass
     first.  The single process still thrashes (working set > capacity);
-    the shards' partitioned caches stay warm.  The baseline is the raw
+    the router's cache of four shards' capacity stays warm.  The
+    baseline is the raw
     :class:`SolverPool` -- a *stricter* bar than a zero-shard
     :class:`ShardRouter`, which adds its routing and counters on top of
     the same pool.
@@ -199,7 +199,7 @@ def test_cluster_throughput_latency_and_equivalence(cluster_workload):
         cache_capacity=_SHARD_CACHE,
         supervise_interval=0.0,
     ) as router:
-        router.solve_designs(cluster_workload)  # each shard warms its slice
+        router.solve_designs(cluster_workload)  # warms the router's cache
         cluster = LoadGenerator(
             router_target(router), concurrency=4, namespace="bench_cluster"
         ).run(batches)

@@ -13,8 +13,8 @@ contract requests three ways:
 2. across repeated rounds — the contract cache turns steady-state
    rounds into dictionary lookups;
 3. through a zero-shard :class:`repro.serving.ShardRouter` — the serving
-   tier's one front end (what ``repro serve`` drives), here with its
-   in-process pool as the only solver;
+   tier's one front end (what ``repro serve`` drives), here solving its
+   cache misses in-process;
 4. once more with tracing on — ``repro.obs`` records the span tree
    (batch -> designs) and renders the hottest-spans report;
 5. over HTTP against a 2-shard cluster — a plain ``http.client``
@@ -111,9 +111,9 @@ def clustered_round() -> None:
     """Serve one round over HTTP against a sharded cluster.
 
     This is the full network path: a stdlib ``http.client`` consumer,
-    JSON on the wire, a shard router hashing each design fingerprint to
-    its owning worker process.  The contracts that come back are
-    byte-identical to the pooled path above.
+    JSON on the wire, a router answering from its one contract cache and
+    sending the misses to its shard processes.  The contracts that come
+    back are byte-identical to the pooled path above.
     """
     from repro.serving import HTTPServerThread
 
@@ -175,10 +175,11 @@ def traced_cluster_round() -> None:
     print("the cluster round, traced across processes (repro.obs):")
     records = list(span_records(tracer)) + list(scrape.span_records())
     print(render_report(records, top=5), end="")
-    print("federated shard counters (obs_scrape):")
+    print("federated shard counters (obs_scrape; shards solve misses):")
     for source, value in scrape.shard_values("serving.requests").items():
         print(f"  {source}: serving.requests = {value:.0f}")
     print(f"  cluster total: {scrape.value('serving.requests'):.0f}")
+    print(f"  router cache misses: {scrape.value('cluster.local.cache_misses'):.0f}")
 
 
 def main() -> None:

@@ -3,10 +3,12 @@
 Polls a cluster's ``/stats`` endpoint (the JSON the
 :class:`~repro.serving.cluster.http.ClusterHTTPServer` serves) on a
 :class:`~repro.obs.aggregate.ScrapeLoop` cadence and renders one
-refreshing frame per poll: per-shard qps / p50 / p99 / cache hit-rate
-/ restarts, plus the router's failover and fallback counters in the
-header.  qps is derived from request-count deltas between consecutive
-polls, so it reflects *current* traffic, not the lifetime average.
+refreshing frame per poll: per-shard qps / p50 / p99 / restarts (a
+shard's requests are the router's cache misses it solved), plus the
+router cache's hit rate and entries and the router's fallback and
+restart counters in the header.  qps is derived from request-count
+deltas between consecutive polls, so it reflects *current* traffic,
+not the lifetime average.
 
 Everything here is injectable and pure-ish for testability: the poll
 callable, the output sink, and the clock are constructor arguments,
@@ -33,14 +35,12 @@ class ShardRow:
     """One shard's line in the dashboard.
 
     Attributes:
-        shard_id: the shard's ring identity.
+        shard_id: the shard's id (``shard-<index>``).
         pid: shard process id (``None`` when the snapshot lacks it).
-        requests: lifetime requests served.
+        requests: lifetime design rows solved (router cache misses).
         qps: requests/second over the last poll interval.
-        hit_rate: cache hit rate (fraction).
         p50_ms / p99_ms: request-latency quantiles in milliseconds
             (``None`` before any latency was recorded).
-        cache_entries: designs resident in the shard's cache.
         restarts: supervisor revivals of this shard.
     """
 
@@ -48,10 +48,8 @@ class ShardRow:
     pid: Optional[int]
     requests: float
     qps: float
-    hit_rate: float
     p50_ms: Optional[float]
     p99_ms: Optional[float]
-    cache_entries: float
     restarts: float
 
 
@@ -62,9 +60,9 @@ class TopFrame:
     rows: Tuple[ShardRow, ...]
     total_requests: float
     total_qps: float
-    total_hit_rate: float
+    cache_hit_rate: float
+    cache_entries: float
     routed: float
-    failovers: float
     local_fallbacks: float
     restarts: float
     elapsed_s: float
@@ -109,10 +107,8 @@ def snapshot_frame(
                 pid=int(pid_value) if pid_value is not None else None,
                 requests=requests,
                 qps=qps,
-                hit_rate=float(snapshot.get("cache_hit_rate", 0.0)),
                 p50_ms=float(p50) * 1e3 if p50 is not None else None,
                 p99_ms=float(p99) * 1e3 if p99 is not None else None,
-                cache_entries=float(snapshot.get("cache_entries", 0.0)),
                 restarts=float(snapshot.get("restarts", 0.0)),
             )
         )
@@ -123,9 +119,9 @@ def snapshot_frame(
         rows=tuple(rows),
         total_requests=total_requests,
         total_qps=total_qps,
-        total_hit_rate=float(totals.get("cache_hit_rate", 0.0)),
+        cache_hit_rate=float(totals.get("cache_hit_rate", 0.0)),
+        cache_entries=float(totals.get("cache_entries", 0.0)),
         routed=_router_counter(current, "cluster.routed"),
-        failovers=_router_counter(current, "cluster.failovers"),
         local_fallbacks=_router_counter(current, "cluster.local_fallbacks"),
         restarts=_router_counter(current, "cluster.restarts"),
         elapsed_s=elapsed_s,
@@ -139,14 +135,15 @@ def render_frame(frame: TopFrame) -> str:
         "repro cluster top"
         f"  |  shards {len(frame.rows)}  qps {frame.total_qps:,.1f}"
         f"  requests {frame.total_requests:,.0f}"
-        f"  hit-rate {frame.total_hit_rate:.1%}",
-        f"routed {frame.routed:,.0f}  failovers {frame.failovers:,.0f}"
+        f"  cache hit-rate {frame.cache_hit_rate:.1%}"
+        f"  cached {frame.cache_entries:,.0f}",
+        f"routed {frame.routed:,.0f}"
         f"  local-fallbacks {frame.local_fallbacks:,.0f}"
         f"  restarts {frame.restarts:,.0f}"
         + (f"  poll-errors {frame.poll_errors}" if frame.poll_errors else ""),
         "",
         f"{'shard':<12} {'pid':>8} {'requests':>10} {'qps':>8} "
-        f"{'hit%':>6} {'p50ms':>8} {'p99ms':>8} {'cached':>7} {'restarts':>8}",
+        f"{'p50ms':>8} {'p99ms':>8} {'restarts':>8}",
     ]
     for row in frame.rows:
         p50 = f"{row.p50_ms:.2f}" if row.p50_ms is not None else "-"
@@ -154,8 +151,7 @@ def render_frame(frame: TopFrame) -> str:
         pid = str(row.pid) if row.pid is not None else "-"
         lines.append(
             f"{row.shard_id:<12} {pid:>8} {row.requests:>10,.0f} "
-            f"{row.qps:>8,.1f} {row.hit_rate:>6.1%} {p50:>8} {p99:>8} "
-            f"{row.cache_entries:>7,.0f} {row.restarts:>8,.0f}"
+            f"{row.qps:>8,.1f} {p50:>8} {p99:>8} {row.restarts:>8,.0f}"
         )
     if not frame.rows:
         lines.append("(no live shards)")

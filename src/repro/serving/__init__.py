@@ -15,12 +15,13 @@ into a serving layer:
   benchmarks and smoke tests.
 * :mod:`~repro.serving.replay` — ledger-level verification that cached
   contracts match recomputed ones.
-* :mod:`~repro.serving.cluster` — the one serving front end: a
-  fixed-size shard router with failover and supervision (with
-  zero shards, its in-process pool serves; shards are the one tier that
-  solves in other processes), fronted by a stdlib
-  HTTP/JSON server that takes columnar frames at ``/solve_batch``
-  (plus ``/healthz``, ``/stats``, ``/metrics``).
+* :mod:`~repro.serving.cluster` — the one serving front end: a router
+  holding the one contract cache in front of a fixed set of stateless
+  shard processes that solve its misses (with zero shards, it solves
+  them in-process; shards are the one tier that solves in other
+  processes), fronted by a stdlib HTTP/JSON server that takes columnar
+  frames at ``/solve_batch`` (plus ``/healthz``, ``/stats``,
+  ``/metrics``).
 * :mod:`~repro.serving.loadgen` — a closed-loop load harness recording
   p50/p99 latency through :mod:`repro.obs` histograms
   (``repro bench-serve`` on the CLI).

@@ -12,7 +12,7 @@ Reused by the main ``repro`` CLI::
 smoke test); ``repro serve`` drives the same rounds through the serving
 tier's one front end, a
 :class:`~repro.serving.cluster.router.ShardRouter` (``--parallel 0``:
-no shards, the router's in-process pool serves).
+no shards, the router solves its cache misses in-process).
 Exit status: 0 on success, 1 when ``--check`` finds a mismatch.
 """
 
@@ -171,14 +171,16 @@ def _run_serve(args: argparse.Namespace, scraped: List[Dict[str, Any]]) -> int:
         snapshot = router.stats_snapshot()
         if args.parallel and getattr(args, "obs_out", None):
             _scrape_into(router, scraped)
-    # Router counters (the in-process pool's under cluster.local.*),
-    # then the shards' summed serving and cache counters.
+    # Router counters (its pool's and cache's under cluster.local.*),
+    # then the misses the shards solved.
     print(f"-- serving stats ({args.parallel} shard(s)) --")
     for name, fields in sorted(snapshot["router"].items()):
         if fields.get("value", 0.0) > 0:
             print(f"{name:>32}: {int(fields['value'])}")
+    totals = snapshot["totals"]
+    print(f"{'cache_entries':>32}: {int(totals['cache_entries'])}")
+    print(f"{'cache_hit_rate':>32}: {totals['cache_hit_rate']:.4f}")
     if snapshot["shards"]:
-        for key, value in sorted(snapshot["totals"].items()):
-            shown = f"{value:.4f}" if key.endswith("_rate") else str(int(value))
-            print(f"{'shards.' + key:>32}: {shown}")
+        solved = sum(shard["requests"] for shard in snapshot["shards"].values())
+        print(f"{'shards.requests':>32}: {int(solved)}")
     return 0

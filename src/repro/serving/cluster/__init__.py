@@ -1,19 +1,18 @@
 """Sharded multi-process contract serving (`repro.serving.cluster`).
 
 The serving tier's one front end.  One process tops out at one
-GIL-bound interpreter and one cache's worth of warm contracts; this
-package scales the serving layer out, and its router with
-``n_shards=0`` is also the single-process deployment:
+GIL-bound interpreter; this package spends more processes on the one
+part of serving that costs CPU, solving cache misses, and its router
+with ``n_shards=0`` is also the single-process deployment:
 
-* :mod:`~repro.serving.cluster.shard` — one worker *process* per shard,
-  each running its own :class:`~repro.serving.pool.SolverPool` +
-  :class:`~repro.serving.cache.ContractCache`, spoken to over a pipe.
-* :mod:`~repro.serving.cluster.router` — a fixed set of shards, each
-  design fingerprint owned by one of them (a stable SHA-256 hash modulo
-  the shard count), bounded retry/backoff failover to the following
-  shards, a supervisor that restarts crashed shards in place with cold
-  caches, and an in-process pool that is the last resort (no request
-  is ever lost) or, without shards, the solver.
+* :mod:`~repro.serving.cluster.router` — the one contract cache: every
+  row is answered from it, and only a batch's misses go out, at most
+  one columnar frame per live shard.  A frame whose shard dies goes to
+  the next live one with bounded retry/backoff, then is solved
+  in-process (no request is ever lost); a supervisor restarts crashed
+  shards in place.
+* :mod:`~repro.serving.cluster.shard` — one stateless solver *process*
+  per shard, spoken to over a pipe.
 * :mod:`~repro.serving.cluster.http` — a minimal stdlib HTTP/JSON front
   end (``/solve_batch``, ``/healthz``, ``/stats``, ``/metrics``).
 * :mod:`~repro.serving.cluster.codec` — the one wire format: columnar

@@ -11,8 +11,8 @@ traffic through it with the closed-loop load generator, and prints the
 throughput/latency report (p50/p99 via :mod:`repro.obs` histograms).
 ``--kill-shard-at N`` SIGKILLs one shard mid-run after N completed
 requests — the run must still finish with zero failed round-trips
-(failover + supervisor restart), which is also what the CI cluster-smoke
-job asserts.  Exit status: 0 on success, 1 when any round-trip failed,
+(retry on a live shard + supervisor restart), which is also what the CI
+cluster-smoke job asserts.  Exit status: 0 on success, 1 when any round-trip failed,
 ``--check`` finds a contract mismatch, or the cluster does not report
 a clean ``/healthz`` after recovery.
 """
@@ -84,7 +84,10 @@ def add_bench_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-capacity",
         type=int,
         default=4096,
-        help="per-shard contract-cache bound (default: 4096)",
+        help=(
+            "contract-cache entries per shard; the router's one cache "
+            "holds this times max(1, --shards) (default: 4096)"
+        ),
     )
     parser.add_argument(
         "--mu", type=float, default=1.0, help="requester weight (default: 1.0)"

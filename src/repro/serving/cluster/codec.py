@@ -7,13 +7,12 @@ so instead of shipping one object per subject a frame packs one
 ``(K, 7)`` float64 archetype table + per-archetype worker types /
 representative ids / fingerprints, plus an ``(n,)`` int64 code vector
 mapping each request to its archetype row.  A single design is a
-one-row frame.  A shard solves the K representatives (fed with the
-frame's own fingerprints, so its cache keys are the ones the router
-routed on) and replies with K designs; the caller fans the results back
-out through the codes.  Fingerprints deliberately exclude
-``subject_id``/``member_ids``, which is what makes the rebuilt
-``member_ids=()`` representatives solve and cache exactly as the
-originals.
+one-row frame.  A shard solves the K representatives and replies with
+K designs; the caller fans the results back out through the codes.
+Each row carries its fingerprint, the key the router caches the design
+under.  Fingerprints deliberately exclude ``subject_id``/``member_ids``,
+which is what makes the rebuilt ``member_ids=()`` representatives solve
+and cache exactly as the originals.
 
 A solved design serializes to the quantities downstream consumers read
 off a :class:`~repro.core.designer.DesignResult` — the posted
@@ -39,7 +38,6 @@ from ...types import WorkerParameters, WorkerType
 __all__ = [
     "columnar_frame",
     "design_to_json",
-    "expand_frame_results",
     "frame_from_json",
     "frame_to_json",
     "subproblems_from_frame",
@@ -88,8 +86,7 @@ def columnar_frame(
     Groups requests by fingerprint: row ``k`` of the table holds the
     k-th distinct archetype (in first-appearance order) and
     ``codes[i]`` maps request ``i`` to its row.  The frame carries the
-    *given* fingerprints, so a shard caches under exactly the keys the
-    router routed on.
+    *given* fingerprints, the keys the router caches under.
     """
     if len(subproblems) != len(fingerprints):
         raise ServingError(
@@ -161,7 +158,7 @@ def subproblems_from_frame(
         subject_ids = tuple(frame["subject_ids"])
         fingerprints = [str(value) for value in frame["fingerprints"]]
         codes = np.asarray(frame["codes"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ServingError(f"malformed columnar frame: {error}") from error
     if table.ndim != 2 or table.shape[1] != 7:
         raise ServingError(
@@ -226,36 +223,6 @@ def subproblems_from_frame(
     return subproblems, fingerprints
 
 
-def expand_frame_results(
-    frame: Mapping[str, Any],
-    designs: Sequence[Any],
-    cache_hits: Sequence[bool],
-) -> Tuple[List[Any], List[bool]]:
-    """Fan K per-archetype results back out to the frame's n requests.
-
-    The same semantics as :meth:`SolverPool.solve_designs`' dedupe:
-    every request in a fingerprint group shares its group's design
-    object and hit flag.
-    """
-    codes = np.asarray(frame["codes"], dtype=np.int64)
-    if len(designs) != len(cache_hits):
-        raise ServingError(
-            f"got {len(designs)} designs but {len(cache_hits)} hit flags"
-        )
-    n_archetypes = len(designs)
-    if codes.size and not (
-        0 <= int(codes.min()) and int(codes.max()) < n_archetypes
-    ):
-        raise ServingError(
-            f"frame codes reference archetypes outside [0, {n_archetypes})"
-        )
-    code_list = codes.tolist()
-    return (
-        [designs[code] for code in code_list],
-        [bool(cache_hits[code]) for code in code_list],
-    )
-
-
 def frame_to_json(frame: Mapping[str, Any]) -> Dict[str, Any]:
     """Encode a columnar frame as a JSON-serializable dict."""
     return {
@@ -269,20 +236,54 @@ def frame_to_json(frame: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-def frame_from_json(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Decode a columnar frame from JSON (packs lists back to arrays)."""
+def _json_list(payload: Any, key: str, kinds: Tuple[type, ...]) -> List[Any]:
+    """``payload[key]``: a JSON list whose items are exactly of ``kinds``.
+
+    Exact types, so a ``bool`` (an ``int`` subclass) or a ``float`` never
+    passes for an integer and is never silently truncated.
+    """
     try:
-        table = np.asarray(payload["table"], dtype=np.float64)
-        if table.size == 0:
-            table = table.reshape(0, 7)
-        return {
-            "table": table,
-            "worker_types": np.asarray(
-                payload["worker_types"], dtype=np.int64
-            ),
-            "subject_ids": tuple(payload["subject_ids"]),
-            "fingerprints": tuple(payload["fingerprints"]),
-            "codes": np.asarray(payload["codes"], dtype=np.int64),
-        }
-    except (KeyError, TypeError, ValueError) as error:
-        raise ServingError(f"malformed columnar frame: {error}") from error
+        values = payload[key]
+    except (KeyError, TypeError) as error:
+        raise ServingError(f"malformed columnar frame: no {key!r} field") from error
+    if not isinstance(values, list) or any(
+        type(value) not in kinds for value in values
+    ):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ServingError(f"frame {key} must be a JSON list of {names}")
+    return values
+
+
+def _packed(values: List[Any], key: str, dtype: type) -> np.ndarray:
+    """``values`` as an array of ``dtype``, or a ServingError naming ``key``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (ValueError, OverflowError) as error:
+        raise ServingError(
+            f"frame {key} does not pack into {np.dtype(dtype)}: {error}"
+        ) from error
+
+
+def frame_from_json(payload: Any) -> Dict[str, Any]:
+    """Decode a columnar frame from JSON (packs lists back to arrays).
+
+    The JSON boundary is strict: ``table`` is a list of rows of finite
+    numbers, ``worker_types`` and ``codes`` are lists of integers within
+    int64, ``subject_ids`` and ``fingerprints`` are lists of strings.
+    Anything else raises :class:`ServingError` (a 400 over HTTP).
+    """
+    rows = _json_list(payload, "table", (list,))
+    if any(type(value) not in (int, float) for row in rows for value in row):
+        raise ServingError("frame table rows must be JSON lists of numbers")
+    table = _packed(rows, "table", np.float64) if rows else np.empty((0, 7))
+    if not np.isfinite(table).all():
+        raise ServingError("frame table must hold finite numbers")
+    return {
+        "table": table,
+        "worker_types": _packed(
+            _json_list(payload, "worker_types", (int,)), "worker_types", np.int64
+        ),
+        "subject_ids": tuple(_json_list(payload, "subject_ids", (str,))),
+        "fingerprints": tuple(_json_list(payload, "fingerprints", (str,))),
+        "codes": _packed(_json_list(payload, "codes", (int,)), "codes", np.int64),
+    }

@@ -9,12 +9,14 @@ exposing the cluster to anything that can speak JSON over a socket:
   :func:`~repro.serving.cluster.codec.columnar_frame`); one design is a
   one-row frame.  Each row's fingerprint is recomputed under the
   router's ``(mu, config)`` before routing, and a frame whose
-  fingerprints disagree is answered 400: the shards cache under those
-  keys, so a wrong one would poison every later request for it;
+  fingerprints disagree is answered 400: the router caches under those
+  keys, so a wrong one would poison every later request for it.  Any
+  other malformed body (bad JSON, nesting too deep to parse, a frame
+  field of the wrong type or out of range) is a 400 too;
 * ``GET /healthz`` — shard liveness (with per-shard restart counts) +
   overall ``ok``/``degraded``;
 * ``GET /stats`` — router counters, per-shard serving counters (pid,
-  cache hit-rate) and cluster totals;
+  the misses each solved) and the router cache's totals;
 * ``GET /metrics`` — live Prometheus text exposition federated across
   every shard registry (per-shard ``{shard="..."}`` samples plus
   unlabeled aggregates; see :mod:`repro.obs.aggregate`).
@@ -291,7 +293,7 @@ class ClusterHTTPServer:
         """
         try:
             payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
             raise ServingError(f"request body is not valid JSON: {error}") from error
         if not isinstance(payload, dict) or "columnar" not in payload:
             raise ServingError(

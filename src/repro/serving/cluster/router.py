@@ -1,45 +1,49 @@
-"""Fingerprint routing, failover and supervision over shard processes.
+"""One contract cache, miss dispatch and supervision over shard processes.
 
-The :class:`ShardRouter` is the cluster's brain: it boots a fixed set of
-shard processes (:class:`~repro.serving.cluster.shard.ShardProcess`),
-``shard-0`` ... ``shard-{n-1}``, keeps exactly that membership until it
-closes, and runs the request path that ties them together:
+The :class:`ShardRouter` is the cluster's one serving path: it boots a
+fixed set of shard processes
+(:class:`~repro.serving.cluster.shard.ShardProcess`), ``shard-0`` ...
+``shard-{n-1}``, keeps exactly that membership until it closes, and
+runs the request path that ties them together:
 
-1. **route** — a batch is deduplicated to one row per design
-   fingerprint, and each row goes to its owner shard,
-   ``_hash64(fingerprint) % n_shards``, so repeats of the same
-   subproblem always hit the same warm cache.  Section IV-B makes every
-   design a pure function of its fingerprint, so the owner decides only
-   which cache is warm, never which contract is served;
-2. **retry / failover** — a shard that stops answering (transport
-   failure, not an application error) is retried with linear backoff on
-   the following shards by index, at most :data:`MAX_RETRIES` times;
-3. **degrade, never drop** — when every shard attempt is exhausted the
-   router solves locally in-process (its own small
-   :class:`~repro.serving.pool.SolverPool`), so a request can slow down
-   but never be lost.  A router built with ``n_shards=0`` serves every
-   batch from that pool: the single-process deployment of the same
-   request path;
-4. **supervise** — a daemon thread restarts dead shards in place.  A
-   revived shard starts with a cold cache; its first requests are
-   misses, solved again to the same contracts.
+1. **cache** — a batch is deduplicated to one row per design
+   fingerprint, and every row is looked up in the router's one
+   :class:`~repro.serving.cache.ContractCache` of ``cache_capacity *
+   max(1, n_shards)`` entries.  Section IV-B makes every design a pure
+   function of its fingerprint, so where a design is cached is only a
+   placement choice: hits never cross a pipe;
+2. **dispatch misses** — the batch's misses are split into at most one
+   columnar frame per live shard, and the frames are solved
+   concurrently.  Shards are stateless solvers, so any live shard
+   solves any frame to the same contracts;
+3. **retry, then degrade** — a frame whose shard stops answering
+   (transport failure, not an application error) goes to the next live
+   shard by index with linear backoff, at most :data:`MAX_RETRIES`
+   times, and is then solved in-process, so a request can slow down but
+   never be lost.  A router built with ``n_shards=0`` solves every miss
+   in-process: the single-process deployment of the same request path;
+4. **supervise** — a daemon thread restarts dead shards in place.  The
+   cache lives in the router, so a revived shard changes nothing that
+   is served.
 
-Routing, retries and lifecycle transitions are all visible through
-:mod:`repro.obs`: counters/histograms on :class:`ClusterStats` and
-spans (``cluster.solve_batch``, ``cluster.solve_group``) when tracing
-is enabled.
+Cache hits are re-solved in-process and compared under
+``REPRO_CHECK_INVARIANTS=1``
+(:func:`~repro.serving.cache.maybe_verify_cached`).  Dispatch, retries
+and lifecycle transitions are all visible through :mod:`repro.obs`:
+counters/histograms on :class:`ClusterStats` and spans
+(``cluster.solve_batch``, ``cluster.solve_group``) when tracing is
+enabled.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ...core.decomposition import Subproblem, SubproblemSolution
+from ...core.decomposition import Subproblem
 from ...core.designer import DesignerConfig, DesignResult
 from ...errors import ServingError
 from ...obs.aggregate import ClusterScrape, ShardExport, federate, local_export
@@ -47,9 +51,9 @@ from ...obs.metrics import Counter, Histogram, MetricsRegistry
 from ...obs.trace import NULL_SPAN, SpanContext, Tracer, get_tracer
 from ..cache import ContractCache
 from ..fingerprint import subproblem_fingerprint
-from ..pool import SolverPool
+from ..pool import SolverPool, solve_in_order
 from ..stats import ServingStats
-from .codec import columnar_frame, expand_frame_results
+from .codec import columnar_frame
 from .shard import ShardProcess, ShardSpec, ShardTransportError
 
 __all__ = ["ClusterStats", "ShardRouter"]
@@ -58,18 +62,11 @@ __all__ = ["ClusterStats", "ShardRouter"]
 #: failure.
 REQUEST_TIMEOUT = 30.0
 
-#: Shard attempts after the first before the local fallback pool takes
-#: the group.
+#: Shard attempts after the first before a frame is solved in-process.
 MAX_RETRIES = 2
 
 #: Base seconds of the linear backoff between shard attempts.
 BACKOFF = 0.05
-
-
-def _hash64(payload: str) -> int:
-    """A platform-stable 64-bit hash: the first 8 bytes of SHA-256."""
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class ClusterStats:
@@ -83,20 +80,20 @@ class ClusterStats:
         registry: the backing :class:`MetricsRegistry` (private unless
             one is injected — pass :func:`repro.obs.metrics.get_registry`
             to publish next to the rest of the process).
-        requests: distinct design rows routed through the cluster (a
-            batch counts one row per fingerprint, whoever sent it).
+        requests: distinct design rows the router served, hits included
+            (a batch counts one row per fingerprint, whoever sent it).
         batches: solve batches the router has served.
-        routed: per-shard group dispatches (one per owner per batch).
-        failovers: dispatches that landed on a non-owner shard.
-        retries: shard attempts after the first, across all requests.
+        routed: miss frames a shard solved.
+        retries: shard attempts after the first, across all frames.
         transport_errors: shard attempts that died in transport.
-        local_fallbacks: groups solved by the router's in-process pool.
+        local_fallbacks: frames solved in-process after every shard
+            attempt failed.
         restarts: shard processes revived by the supervisor.
-        request_latency: end-to-end seconds per routed group dispatch.
+        request_latency: end-to-end seconds per miss frame.
 
-    The router's in-process pool (the fallback, or with zero shards the
-    only solver) books its :class:`~repro.serving.stats.ServingStats`
-    into the same registry under ``<namespace>.local.*``.
+    The router's pool books its :class:`~repro.serving.stats.ServingStats`
+    into the same registry under ``<namespace>.local.*``: every row, and
+    the one contract cache's hits and misses.
     """
 
     def __init__(
@@ -108,16 +105,13 @@ class ClusterStats:
         self.namespace = namespace
         prefix = f"{namespace}." if namespace else ""
         self.requests: Counter = self.registry.counter(
-            prefix + "requests", "distinct design rows routed through the cluster"
+            prefix + "requests", "distinct design rows served by the router"
         )
         self.batches: Counter = self.registry.counter(
             prefix + "batches", "solve batches served by the router"
         )
         self.routed: Counter = self.registry.counter(
-            prefix + "routed", "per-shard group dispatches"
-        )
-        self.failovers: Counter = self.registry.counter(
-            prefix + "failovers", "dispatches served by a non-owner shard"
+            prefix + "routed", "miss frames solved by a shard"
         )
         self.retries: Counter = self.registry.counter(
             prefix + "retries", "shard attempts after the first"
@@ -126,13 +120,13 @@ class ClusterStats:
             prefix + "transport_errors", "shard attempts that died in transport"
         )
         self.local_fallbacks: Counter = self.registry.counter(
-            prefix + "local_fallbacks", "groups solved by the local fallback pool"
+            prefix + "local_fallbacks", "miss frames solved in-process"
         )
         self.restarts: Counter = self.registry.counter(
             prefix + "restarts", "shards revived by the supervisor"
         )
         self.request_latency: Histogram = self.registry.histogram(
-            prefix + "group_latency_s", "seconds per routed group dispatch"
+            prefix + "group_latency_s", "seconds per miss frame"
         )
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
@@ -140,17 +134,29 @@ class ClusterStats:
         return self.registry.snapshot()
 
 
+class _RouterPool(SolverPool):
+    """The router's pool: one contract cache whose misses go to shards."""
+
+    def __init__(self, router: "ShardRouter", **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._router = router
+
+    def _solve_misses(
+        self, subproblems: List[Subproblem], fingerprints: List[str]
+    ) -> List[DesignResult]:
+        return self._router._solve_misses(subproblems, fingerprints)
+
+
 class ShardRouter:
-    """Fingerprint router over a fixed set of shard processes.
+    """One contract cache in front of a fixed set of stateless shards.
 
     Args:
         n_shards: shards to boot at every :meth:`start` (ids ``shard-0``
-            ... ``shard-{n-1}``); ``0`` serves every batch from the
-            router's in-process pool.
+            ... ``shard-{n-1}``); ``0`` solves every miss in-process.
         mu: the requester's compensation weight (shared by all shards).
         config: designer configuration shared by all shards.
-        cache_capacity: per-shard contract-cache bound (the in-process
-            pool's, when ``n_shards=0``).
+        cache_capacity: contract-cache entries per shard; the router's
+            one cache holds ``cache_capacity * max(1, n_shards)``.
         supervise_interval: seconds between supervisor liveness sweeps
             (``0`` disables the supervisor thread).
         stats: cluster counters; a private one is created when ``None``.
@@ -174,7 +180,6 @@ class ShardRouter:
         self._n_shards = n_shards
         self.mu = mu
         self.config = config
-        self.cache_capacity = cache_capacity
         self.supervise_interval = supervise_interval
         self.stats = stats if stats is not None else ClusterStats()
         self._lock = threading.RLock()
@@ -183,15 +188,16 @@ class ShardRouter:
         self._stop_event = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        # Last-resort solver: small private cache, in-process solving.
-        # Without shards it is the only solver, so it gets a shard's
-        # cache.  Its serving counters publish beside the router's.
-        self._fallback_pool = SolverPool(
+        # Rotates which live shard a batch's first miss frame goes to.
+        self._turn = 0
+        # The one cache: the total capacity of N shards of
+        # ``cache_capacity``.  Its serving counters publish beside the
+        # router's.
+        self._pool = _RouterPool(
+            self,
             mu=mu,
             config=config,
-            cache=ContractCache(
-                capacity=cache_capacity if n_shards == 0 else max(64, cache_capacity // 4)
-            ),
+            cache=ContractCache(capacity=cache_capacity * max(1, n_shards)),
             stats=ServingStats(
                 registry=self.stats.registry,
                 namespace=f"{self.stats.namespace}.local".lstrip("."),
@@ -216,7 +222,7 @@ class ShardRouter:
         """Boot ``shard-0`` ... ``shard-{n-1}`` and the supervisor.
 
         Idempotent while running; after :meth:`close` it boots the same
-        shard ids again, with cold caches.
+        shard ids again, in front of the same cache.
         """
         with self._lock:
             if self._started:
@@ -233,7 +239,6 @@ class ShardRouter:
                         shard_id=f"shard-{index}",
                         mu=self.mu,
                         config=self.config,
-                        cache_capacity=self.cache_capacity,
                         obs=obs,
                     )
                 )
@@ -284,7 +289,7 @@ class ShardRouter:
     def kill_shard(self, shard_id: str) -> None:
         """SIGKILL one shard (fault injection).
 
-        In-flight requests fail over to the following shards; the
+        A frame in flight on it goes to the next live shard; the
         supervisor revives the shard on its next sweep.
         """
         with self._lock:
@@ -306,7 +311,7 @@ class ShardRouter:
                 continue
 
     def revive_dead_shards(self) -> Tuple[str, ...]:
-        """Restart every dead shard in place, with a cold cache.
+        """Restart every dead shard in place.
 
         Returns:
             Ids of the shards revived in this sweep (empty when all
@@ -334,38 +339,18 @@ class ShardRouter:
             for subproblem in subproblems
         ]
 
-    def solve(
-        self, subproblems: Sequence[Subproblem]
-    ) -> Dict[str, SubproblemSolution]:
-        """Solve every subproblem; results keyed by subject id."""
-        seen = set()
-        for subproblem in subproblems:
-            if subproblem.subject_id in seen:
-                raise ServingError(
-                    f"duplicate subject_id {subproblem.subject_id!r}"
-                )
-            seen.add(subproblem.subject_id)
-        designs, _ = self.solve_designs(subproblems)
-        return {
-            subproblem.subject_id: SubproblemSolution(
-                subproblem=subproblem, result=design
-            )
-            for subproblem, design in zip(subproblems, designs)
-        }
-
     def solve_designs(
         self,
         subproblems: Sequence[Subproblem],
         fingerprints: Optional[Sequence[str]] = None,
         trace_context: Optional[SpanContext] = None,
     ) -> Tuple[List[DesignResult], List[bool]]:
-        """Route one batch through the cluster.
+        """Serve one batch from the cache, solving its misses on shards.
 
-        The batch is cut to one row per distinct fingerprint, the rows
-        are grouped by owner shard and the groups dispatched
-        concurrently; the returned designs and cache-hit flags align
-        with the input order regardless of which shard answered when.
-        A zero-shard router solves the rows in its in-process pool.
+        The batch is cut to one row per distinct fingerprint and every
+        row is looked up in the router's cache; the misses go out as
+        frames to the live shards (in-process without shards).  The
+        returned designs and cache-hit flags align with the input order.
 
         ``trace_context`` parents the ``cluster.solve_batch`` span under
         a caller's span from another thread or process (the HTTP front
@@ -404,28 +389,15 @@ class ShardRouter:
             return [], []
 
         # One row per distinct fingerprint, from its first request: the
-        # shards and the local pool see, and count, rows only.
+        # pool and the shards see, and count, rows only.
         slots: Dict[str, int] = {}
         rows: List[Subproblem] = []
         for subproblem, fingerprint in zip(subproblems, fingerprints):
             if fingerprint not in slots:
                 slots[fingerprint] = len(rows)
                 rows.append(subproblem)
-        row_fingerprints = list(slots)
-
-        with self._lock:
-            shards = self._shards
-            executor = self._executor
-        if shards:
-            row_designs, row_hits = self._route(
-                shards, executor, rows, row_fingerprints
-            )
-        else:
-            # A router without shards serves from its own pool; that is
-            # its serving path, not a fallback.
-            row_designs, row_hits = self._fallback_pool.solve_designs(
-                rows, row_fingerprints
-            )
+        # The untraced core: the batch span is the router's.
+        row_designs, row_hits = self._pool._solve_designs(rows, list(slots))
         self.stats.requests.inc(len(rows))
         self.stats.batches.inc()
         codes = [slots[fingerprint] for fingerprint in fingerprints]
@@ -433,72 +405,63 @@ class ShardRouter:
             row_hits[code] for code in codes
         ]
 
-    def _route(
-        self,
-        shards: Tuple[ShardProcess, ...],
-        executor: Optional[ThreadPoolExecutor],
-        rows: List[Subproblem],
-        fingerprints: List[str],
-    ) -> Tuple[List[DesignResult], List[bool]]:
-        """Solve distinct rows on their owner shards, in row order."""
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(fingerprints):
-            owner = _hash64(fingerprint) % len(shards)
-            groups.setdefault(owner, []).append(position)
+    def _solve_misses(
+        self, rows: List[Subproblem], fingerprints: List[str]
+    ) -> List[DesignResult]:
+        """One batch's misses: at most one frame per live shard, in row order."""
+        with self._lock:
+            shards = self._shards
+            executor = self._executor
+            self._turn += 1
+            turn = self._turn
+        if not shards:
+            # A router without shards solves in-process; that is its
+            # serving path, not a fallback.
+            return solve_in_order(rows, self.mu, self.config)
+        live = [index for index, process in enumerate(shards) if process.alive]
+        # With every shard down, one frame walks them all, then degrades.
+        live = live or [0]
+        n_frames = min(len(live), len(rows))
+        bounds = [len(rows) * part // n_frames for part in range(n_frames + 1)]
 
         # Executor threads don't inherit this thread's contextvars, so
-        # the batch span's context rides along explicitly and each group
+        # the batch span's context rides along explicitly and each frame
         # re-attaches it before opening its own span.
         batch_context = (
             Tracer.current_context() if get_tracer().enabled else None
         )
 
-        def serve_group(
-            owner: int, positions: List[int]
-        ) -> Tuple[List[DesignResult], List[bool]]:
-            return self._solve_group(
+        def solve_frame(part: int) -> List[DesignResult]:
+            start, stop = bounds[part], bounds[part + 1]
+            return self._solve_frame(
                 shards,
-                owner,
-                [rows[p] for p in positions],
-                [fingerprints[p] for p in positions],
+                live[(turn + part) % len(live)],
+                rows[start:stop],
+                fingerprints[start:stop],
                 trace_context=batch_context,
             )
 
-        ordered = sorted(groups.items())
-        if len(ordered) == 1 or executor is None:
-            outcomes = [serve_group(owner, positions) for owner, positions in ordered]
+        if n_frames == 1 or executor is None:
+            outcomes = [solve_frame(part) for part in range(n_frames)]
         else:
-            futures: List["Future[Tuple[List[DesignResult], List[bool]]]"] = [
-                executor.submit(serve_group, owner, positions)
-                for owner, positions in ordered
-            ]
-            outcomes = [future.result() for future in futures]
+            outcomes = list(executor.map(solve_frame, range(n_frames)))
+        return [design for outcome in outcomes for design in outcome]
 
-        designs: List[Optional[DesignResult]] = [None] * len(rows)
-        cache_hits: List[bool] = [False] * len(rows)
-        for (_, positions), (group_designs, group_hits) in zip(
-            ordered, outcomes
-        ):
-            for index, position in enumerate(positions):
-                designs[position] = group_designs[index]
-                cache_hits[position] = group_hits[index]
-        return [design for design in designs if design is not None], cache_hits
-
-    def _solve_group(
+    def _solve_frame(
         self,
         shards: Tuple[ShardProcess, ...],
-        owner: int,
+        first: int,
         rows: List[Subproblem],
         fingerprints: List[str],
         trace_context: Optional[SpanContext] = None,
-    ) -> Tuple[List[DesignResult], List[bool]]:
-        """One owner group: the owner, then the following shards, then local.
+    ) -> List[DesignResult]:
+        """One miss frame: shard ``first``, the following live ones, then local.
 
-        Transport failures walk the shards after the owner, by index,
+        Transport failures walk the shards after ``first``, by index,
         with linear backoff; application errors propagate immediately
-        (retrying a bad request elsewhere cannot fix it).  The local
-        fallback pool is the guaranteed last resort — a group can
-        degrade but never fail for lack of shards.
+        (retrying a bad request elsewhere cannot fix it).  In-process
+        solving is the guaranteed last resort — a frame can degrade but
+        never fail for lack of shards.
 
         When tracing, the whole walk runs inside one
         ``cluster.solve_group`` span (parented under ``trace_context``,
@@ -507,39 +470,37 @@ class ShardRouter:
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._solve_group_inner(
-                shards, owner, rows, fingerprints, NULL_SPAN
+            return self._solve_frame_inner(
+                shards, first, rows, fingerprints, NULL_SPAN
             )
         with tracer.attach(trace_context):
             with tracer.span(
-                "cluster.solve_group",
-                owner=shards[owner].shard_id,
-                n_requests=len(rows),
+                "cluster.solve_group", n_requests=len(rows)
             ) as span:
-                return self._solve_group_inner(
-                    shards, owner, rows, fingerprints, span
+                return self._solve_frame_inner(
+                    shards, first, rows, fingerprints, span
                 )
 
-    def _solve_group_inner(
+    def _solve_frame_inner(
         self,
         shards: Tuple[ShardProcess, ...],
-        owner: int,
+        first: int,
         rows: List[Subproblem],
         fingerprints: List[str],
         span: Any,
-    ) -> Tuple[List[DesignResult], List[bool]]:
+    ) -> List[DesignResult]:
         started = time.perf_counter()
         tracer = get_tracer()
         group_context = Tracer.current_context() if tracer.enabled else None
-        # Encode once per group: every retry/failover attempt ships the
-        # same packed frame (O(K) floats), never pickled Subproblems.
+        # Encode once per frame: every retry ships the same packed frame
+        # (O(K) floats), never pickled Subproblems.
         frame = columnar_frame(rows, fingerprints)
         attempts = 0
         last_error: Optional[ShardTransportError] = None
         for step in range(len(shards)):
             if attempts > MAX_RETRIES:
                 break
-            process = shards[(owner + step) % len(shards)]
+            process = shards[(first + step) % len(shards)]
             if not process.alive:
                 continue
             if attempts > 0:
@@ -547,7 +508,7 @@ class ShardRouter:
                 time.sleep(BACKOFF * attempts)
             attempts += 1
             try:
-                rep_designs, rep_hits = process.solve_columnar(
+                designs = process.solve_columnar(
                     frame,
                     timeout=REQUEST_TIMEOUT,
                     trace_context=group_context,
@@ -557,23 +518,19 @@ class ShardRouter:
                 last_error = error
                 continue
             self.stats.routed.inc()
-            if step > 0:
-                self.stats.failovers.inc()
             self.stats.request_latency.observe(time.perf_counter() - started)
             span.update(served_by=process.shard_id, attempts=attempts)
-            return expand_frame_results(frame, rep_designs, rep_hits)
+            return designs
 
-        # Every shard attempt exhausted: degrade to the local pool so
-        # the request is slowed down, never lost.
+        # Every shard attempt exhausted: solve in-process so the request
+        # is slowed down, never lost.
         self.stats.local_fallbacks.inc()
-        designs, cache_hits = self._fallback_pool.solve_designs(
-            rows, fingerprints
-        )
+        designs = solve_in_order(rows, self.mu, self.config)
         self.stats.request_latency.observe(time.perf_counter() - started)
         span.update(served_by="local", attempts=attempts)
         if last_error is not None:
             span.set("transport_error", str(last_error))
-        return designs, cache_hits
+        return designs
 
     # -- introspection ------------------------------------------------
 
@@ -583,7 +540,8 @@ class ShardRouter:
         ``status`` is ``"ok"`` when the router is running and every
         shard answers its health probe (a zero-shard router is ``"ok"``
         while running), ``"degraded"`` otherwise (the cluster still
-        serves — via failover and the local fallback — while degraded).
+        serves — from the cache, the live shards and in-process
+        solving — while degraded).
         """
         with self._lock:
             processes = self._shards
@@ -618,17 +576,18 @@ class ShardRouter:
         }
 
     def stats_snapshot(self, timeout: float = 2.0) -> Dict[str, Any]:
-        """Router counters plus best-effort per-shard serving counters.
+        """Router counters, the cache's totals and per-shard counters.
 
-        Each shard entry carries the shard's own serving/cache counters
-        (including ``cache_hit_rate``) plus the parent-side ``pid`` and
-        ``restarts``; ``totals`` sums the shard counters so dashboards
-        don't have to.
+        ``totals`` is the router pool's serving snapshot — every row,
+        and the one cache's ``cache_hits``, ``cache_misses`` and
+        ``cache_hit_rate`` — plus ``cache_entries``.  Each live shard's
+        entry carries its serving counters (the misses it solved) plus
+        the parent-side ``pid`` and ``restarts``; a shard that does not
+        answer is left out.
         """
         with self._lock:
             processes = self._shards
         per_shard: Dict[str, Dict[str, float]] = {}
-        totals: Dict[str, float] = {}
         for process in processes:
             if not process.alive:
                 continue
@@ -641,19 +600,8 @@ class ShardRouter:
                 snapshot["pid"] = float(pid)
             snapshot["restarts"] = float(process.restarts)
             per_shard[process.shard_id] = snapshot
-            for key in (
-                "requests",
-                "batches",
-                "cache_hits",
-                "cache_misses",
-                "cache_entries",
-            ):
-                if key in snapshot:
-                    totals[key] = totals.get(key, 0.0) + snapshot[key]
-        lookups = totals.get("cache_hits", 0.0) + totals.get("cache_misses", 0.0)
-        totals["cache_hit_rate"] = (
-            totals.get("cache_hits", 0.0) / lookups if lookups else 0.0
-        )
+        totals = self._pool.stats.snapshot()
+        totals["cache_entries"] = float(len(self._pool.cache))
         return {
             "router": self.stats.snapshot(),
             "shards": per_shard,
@@ -671,9 +619,10 @@ class ShardRouter:
         Each shard answers the ``obs_export`` pipe op with its metric
         reservoirs (cumulative) and span records (drained by default so
         repeated scrapes never duplicate a span); the router contributes
-        its own :class:`ClusterStats` registry under the ``"router"``
-        source label.  Dead or unresponsive shards are skipped — a
-        scrape degrades, it doesn't fail.
+        its own :class:`ClusterStats` registry (with the cache's
+        ``<namespace>.local.*`` counters) under the ``"router"`` source
+        label.  Dead or unresponsive shards are skipped — a scrape
+        degrades, it doesn't fail.
         """
         with self._lock:
             processes = self._shards

@@ -1,9 +1,10 @@
-"""One contract-serving shard per worker process.
+"""One stateless contract solver per worker process.
 
-A shard is the smallest serving unit of the cluster: its own OS process
-running the existing single-process stack — a
-:class:`~repro.serving.pool.SolverPool` in front of a private
-:class:`~repro.serving.cache.ContractCache` — spoken to over a
+A shard is the smallest solving unit of the cluster: its own OS process
+that designs the rows of the columnar frames it is sent — the router's
+cache misses — and keeps no contract cache.  Every design is a pure
+function of its fingerprint (Section IV-B), so any shard solves any
+frame to the same contracts.  It is spoken to over a
 :mod:`multiprocessing` pipe with a tiny ``(op, payload, meta)``
 protocol.  ``meta`` is the out-of-band envelope: today it carries the
 W3C-style ``traceparent`` of the router's dispatch span, so the
@@ -13,7 +14,7 @@ spans and metric reservoirs back for federation
 (:mod:`repro.obs.aggregate`).
 
 The parent-side handle (:class:`ShardProcess`) draws one distinction
-that the router's failover logic leans on:
+that the router's retry logic leans on:
 
 * **application errors** (the shard replied ``("error", message)``, e.g.
   an infeasible design) re-raise as plain :class:`ServingError` — the
@@ -21,8 +22,8 @@ that the router's failover logic leans on:
 * **transport failures** (pipe timeout, EOF, broken pipe — the shard
   died or wedged) raise :class:`ShardTransportError` and tear the
   connection down, because after an unanswered request the pipe framing
-  is unrecoverable — the router fails the request over to the next
-  shard by index and lets the supervisor restart the shard.
+  is unrecoverable — the router sends the frame to the next live shard
+  and lets the supervisor restart the shard.
 
 The handle serializes pipe access behind an ``RLock``; every state
 mutation happens under it (the serving-tier lock discipline, REPRO013).
@@ -33,13 +34,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ...core.designer import DesignerConfig, DesignResult
 from ...errors import ServingError
 from ...obs.aggregate import metric_samples
+from ...obs.metrics import MetricsRegistry
 from ...obs.trace import (
     TRACEPARENT_HEADER,
     SpanContext,
@@ -49,9 +52,7 @@ from ...obs.trace import (
     parse_traceparent,
     set_tracer,
 )
-from ..cache import ContractCache
-from ..pool import SolverPool
-from ..stats import ServingStats
+from ..pool import solve_in_order
 from .codec import subproblems_from_frame
 
 __all__ = ["ShardProcess", "ShardSpec", "ShardTransportError", "shard_main"]
@@ -61,8 +62,8 @@ class ShardTransportError(ServingError):
     """The shard process is unreachable (died, wedged, or pipe broke).
 
     Distinct from a plain :class:`ServingError` so the router can tell
-    "this request is bad" (no failover) from "this shard is bad"
-    (failover to the next shard, supervisor restarts the shard).
+    "this request is bad" (no retry) from "this shard is bad" (the frame
+    goes to the next live shard, the supervisor restarts this one).
     """
 
 
@@ -74,7 +75,6 @@ class ShardSpec:
         shard_id: stable identity (``shard-<index>`` under a router).
         mu: the requester's compensation weight.
         config: designer configuration shared by all solves.
-        cache_capacity: bound of the shard's private contract cache.
         obs: boot the shard with tracing enabled (the router sets this
             from its own tracer state, so a traced cluster records
             spans in every process from the first request).
@@ -83,40 +83,60 @@ class ShardSpec:
     shard_id: str
     mu: float = 1.0
     config: Optional[DesignerConfig] = None
-    cache_capacity: int = 4096
     obs: bool = False
 
     def __post_init__(self) -> None:
         if not self.shard_id:
             raise ServingError("shard_id must be a non-empty string")
-        if self.cache_capacity < 1:
-            raise ServingError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity!r}"
-            )
+
+
+class _ShardStats:
+    """A shard's serving counters: the rows it solved, and how fast."""
+
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.requests = self.registry.counter(
+            "serving.requests", "design rows solved"
+        )
+        self.batches = self.registry.counter("serving.batches", "frames solved")
+        self.request_latency = self.registry.histogram(
+            "serving.request_latency_s", "seconds per solved frame, once per row"
+        )
+
+    def record_frame(self, n_rows: int, duration: float) -> None:
+        """Book one solved frame; its duration counts as each row's latency."""
+        self.requests.inc(n_rows)
+        self.batches.inc()
+        for _ in range(n_rows):
+            self.request_latency.observe(duration)
+
+    def snapshot(self) -> Dict[str, float]:
+        """The counters plus p50/p99 latency once any row was solved."""
+        snapshot = {
+            "requests": self.requests.value,
+            "batches": self.batches.value,
+        }
+        if self.request_latency.count:
+            snapshot["request_latency_p50_s"] = self.request_latency.quantile(0.5)
+            snapshot["request_latency_p99_s"] = self.request_latency.quantile(0.99)
+        return snapshot
 
 
 def shard_main(conn: Connection, spec: ShardSpec) -> None:
     """The shard process body: serve ``(op, payload, meta)`` forever.
 
-    Ops: ``solve_columnar`` (a columnar frame in, its K row designs +
-    hit flags out), ``health``/``stats`` (snapshots), ``obs_export``
-    (spans + metric reservoirs for federation), ``shutdown`` (clean
-    exit) and ``crash`` (fault injection: die without replying).
-    Application errors are reported as ``("error", message)`` replies;
-    the loop only exits on shutdown or a dead pipe.
+    Ops: ``solve_columnar`` (a columnar frame in, its K row designs
+    out), ``health``/``stats`` (snapshots), ``obs_export`` (spans +
+    metric reservoirs for federation), ``shutdown`` (clean exit) and
+    ``crash`` (fault injection: die without replying).  Application
+    errors are reported as ``("error", message)`` replies; the loop only
+    exits on shutdown or a dead pipe.
 
     When ``meta`` carries a ``traceparent``, the op runs attached to
     that remote context so any spans it opens parent under the caller's
     dispatch span.
     """
-    cache = ContractCache(capacity=spec.cache_capacity)
-    stats = ServingStats()
-    pool = SolverPool(
-        mu=spec.mu,
-        config=spec.config,
-        cache=cache,
-        stats=stats,
-    )
+    stats = _ShardStats()
     # A fresh tracer, not the inherited one: under fork the parent's
     # tracer arrives with its id prefix and counter intact, so reusing
     # it would mint span ids colliding with the router's in merged
@@ -146,7 +166,7 @@ def shard_main(conn: Connection, spec: ShardSpec) -> None:
                 context = parse_traceparent(traceparent)
         try:
             with tracer.attach(context):
-                reply = _dispatch(op, payload, spec, pool, cache, stats)
+                reply = _dispatch(op, payload, spec, stats)
         except Exception as error:  # noqa: BLE001 - fan app errors to parent
             try:
                 conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -168,53 +188,38 @@ def _slim(result: DesignResult) -> DesignResult:
     grid, two orders of magnitude heavier than the selected contract it
     annotates.  It exists for designer introspection, not serving, so
     the wire format ships the result with ``evaluations=()`` and keeps
-    the pipe cost proportional to the contracts actually served.  The
-    shard's own cache keeps the full object.
+    the pipe cost proportional to the contracts actually served.
     """
     if not result.evaluations:
         return result
     return replace(result, evaluations=())
 
 
-def _dispatch(
-    op: str,
-    payload: Any,
-    spec: ShardSpec,
-    pool: SolverPool,
-    cache: ContractCache,
-    stats: ServingStats,
-) -> Any:
+def _dispatch(op: str, payload: Any, spec: ShardSpec, stats: _ShardStats) -> Any:
     """Execute one shard op (inside the shard process)."""
     if op == "solve_columnar":
-        # Solve the frame's K rows (with the frame's own fingerprints,
-        # the keys the router routed on) and reply O(K); the caller
-        # fans out through the codes, so requests count rows here.
-        representatives, fingerprints = subproblems_from_frame(payload)
-        started = stats.now()
-        designs, cache_hits = pool.solve_designs(
-            representatives, fingerprints
-        )
-        # Book the whole op as each row's latency, so shard snapshots
-        # carry the p50/p99 the /stats consumers (repro obs top) render.
-        stats.record_latencies([stats.now() - started] * len(designs))
-        return ([_slim(design) for design in designs], list(cache_hits))
+        # Solve the frame's K rows and reply O(K); the frame's
+        # fingerprints are the router's cache keys, not needed here.
+        representatives, _ = subproblems_from_frame(payload)
+        started = time.perf_counter()
+        with get_tracer().span(
+            "serving.solve_batch", n_requests=len(representatives)
+        ):
+            designs = solve_in_order(representatives, spec.mu, spec.config)
+        stats.record_frame(len(designs), time.perf_counter() - started)
+        return [_slim(design) for design in designs]
     if op == "health":
         return {
             "shard_id": spec.shard_id,
             "pid": os.getpid(),
-            "cache_entries": len(cache),
-            "requests": stats.requests,
+            "requests": stats.requests.value,
         }
     if op == "stats":
-        snapshot = stats.snapshot()
-        snapshot.update(cache.stats.snapshot())
-        snapshot["cache_entries"] = float(len(cache))
-        return snapshot
+        return stats.snapshot()
     if op == "obs_export":
         options = payload or {}
         return _obs_export(
             spec,
-            cache,
             stats,
             include_spans=bool(options.get("spans", True)),
             drain=bool(options.get("drain", True)),
@@ -224,8 +229,7 @@ def _dispatch(
 
 def _obs_export(
     spec: ShardSpec,
-    cache: ContractCache,
-    stats: ServingStats,
+    stats: _ShardStats,
     include_spans: bool,
     drain: bool,
 ) -> Dict[str, Any]:
@@ -243,21 +247,11 @@ def _obs_export(
         spans = [span.to_record() for span in tracer.spans()]
         if drain:
             tracer.clear()
-    metrics = metric_samples(stats.registry)
-    metrics.append(
-        {
-            "kind": "metric",
-            "name": "cache.entries",
-            "metric_kind": "gauge",
-            "value": float(len(cache)),
-            "agg": "sum",
-        }
-    )
     return {
         "shard_id": spec.shard_id,
         "pid": os.getpid(),
         "spans": spans,
-        "metrics": metrics,
+        "metrics": metric_samples(stats.registry),
     }
 
 
@@ -425,13 +419,12 @@ class ShardProcess:
         frame: Dict[str, Any],
         timeout: Optional[float] = None,
         trace_context: Optional[SpanContext] = None,
-    ) -> Tuple[List[DesignResult], List[bool]]:
+    ) -> List[DesignResult]:
         """Solve a columnar batch frame on this shard.
 
         Ships the packed archetype table + codes
         (:func:`~repro.serving.cluster.codec.columnar_frame`) and
-        receives the K per-archetype designs + hit flags; fan out with
-        :func:`~repro.serving.cluster.codec.expand_frame_results`.
+        receives the K per-archetype designs, in row order.
         ``trace_context`` (the caller's span context) travels in the
         pipe envelope so the shard's ``serving.solve_batch`` span
         parents under it.
@@ -439,17 +432,16 @@ class ShardProcess:
         meta: Optional[Dict[str, str]] = None
         if trace_context is not None:
             meta = {TRACEPARENT_HEADER: format_traceparent(trace_context)}
-        designs, cache_hits = self.request(
-            "solve_columnar", frame, timeout=timeout, meta=meta
+        return list(
+            self.request("solve_columnar", frame, timeout=timeout, meta=meta)
         )
-        return list(designs), list(cache_hits)
 
     def health(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        """The shard's health snapshot (id, pid, cache size, requests)."""
+        """The shard's health snapshot (id, pid, requests)."""
         return dict(self.request("health", timeout=timeout))
 
     def stats_snapshot(self, timeout: Optional[float] = None) -> Dict[str, float]:
-        """The shard's serving + cache counters as a flat dict."""
+        """The shard's serving counters as a flat dict."""
         return dict(self.request("stats", timeout=timeout))
 
     def obs_export(

@@ -9,9 +9,9 @@ each unique fingerprint is solved once per batch and the result fanned
 out to every requesting subject.  This is the dominant win on real
 populations, where thousands of workers collapse to a handful of
 archetypes, and it costs nothing on fully heterogeneous populations.
-Solving runs in-process; cluster shards
-(:mod:`repro.serving.cluster`) are the one tier that spends more
-processes on it.
+Misses are solved in-process; the cluster router
+(:mod:`repro.serving.cluster`) sends its pool's misses to shard
+processes, the one tier that spends more processes on solving.
 
 An optional :class:`~repro.serving.cache.ContractCache` carries solved
 designs across batches (i.e. across marketplace rounds); hits are
@@ -55,6 +55,7 @@ __all__ = [
     "SolveDiagnostics",
     "SolverPool",
     "require_redesigns_agree",
+    "solve_in_order",
 ]
 
 #: Signature of the fresh-solve callback a :class:`ColumnarDeltaState`
@@ -346,7 +347,7 @@ class ColumnarDeltaState:
         return assignment, stats
 
 
-def _solve_unique(
+def solve_in_order(
     subproblems: Sequence[Subproblem], mu: float, config: Optional[DesignerConfig]
 ) -> List[DesignResult]:
     """Solve subproblems in order with one shared designer.
@@ -497,8 +498,13 @@ class SolverPool:
             else:
                 misses.append((key, subproblems[first_index]))
 
-        fresh = _solve_unique(
-            [subproblem for _, subproblem in misses], self.mu, self.config
+        fresh = (
+            self._solve_misses(
+                [subproblem for _, subproblem in misses],
+                [key for key, _ in misses],
+            )
+            if misses
+            else []
         )
         for (key, _), result in zip(misses, fresh):
             results[key] = result
@@ -510,7 +516,7 @@ class SolverPool:
             maybe_verify_cached(
                 key,
                 results[key],
-                lambda subproblem=representative: _solve_unique(
+                lambda subproblem=representative: solve_in_order(
                     (subproblem,), self.mu, self.config
                 )[0],
                 stats=self.cache.stats if self.cache is not None else None,
@@ -528,3 +534,9 @@ class SolverPool:
                 duration=self.stats.now() - started,
             )
         return designs, cache_hits
+
+    def _solve_misses(
+        self, subproblems: List[Subproblem], fingerprints: List[str]
+    ) -> List[DesignResult]:
+        """Solve one batch's distinct cache misses, in order, in-process."""
+        return solve_in_order(subproblems, self.mu, self.config)

@@ -263,6 +263,27 @@ def _float_column(values: object, n: int, name: str) -> np.ndarray:
     return column
 
 
+def _check_omega(omega: np.ndarray, type_codes: np.ndarray) -> None:
+    """Raise unless ``omega`` agrees with each row's worker type.
+
+    Honest rows need ``omega == 0`` (``-0.0`` included) exactly, since
+    the kernel books the column while the oracle's honest agent acts
+    with 0; malicious rows need ``omega > 0`` (so neither ``-0.0`` nor
+    NaN), as their agents do.
+    """
+    honest = type_codes == _HONEST_CODE
+    nonzero = omega != 0.0  # noqa: REPRO001 - exact: the kernel books it
+    bad = np.flatnonzero(np.where(honest, nonzero, ~(omega > 0.0)))
+    if bad.size:
+        row = int(bad[0])
+        raise ModelError(
+            f"omega {float(omega[row])!r} on row {row} disagrees with its "
+            f"{WORKER_TYPE_ORDER[int(type_codes[row])].value} worker type "
+            "(honest rows need omega == 0, malicious rows omega > 0); "
+            f"{bad.size} row(s) disagree"
+        )
+
+
 def _int_column(values: object, n: int, name: str) -> np.ndarray:
     column = np.ascontiguousarray(np.asarray(values, dtype=np.int64))
     if column.shape != (n,):
@@ -396,6 +417,7 @@ class ColumnarPopulation:
             or self.type_codes.max() >= len(WORKER_TYPE_ORDER)
         ):
             raise ModelError("type_codes contains values outside WorkerType range")
+        _check_omega(self.omega, self.type_codes)
         self.e_mal = _float_column(e_mal, n, "e_mal")
         self.feedback_noise = _float_column(feedback_noise, n, "feedback_noise")
         self.rating_noise = _float_column(rating_noise, n, "rating_noise")
@@ -1100,10 +1122,15 @@ class ColumnarPopulation:
         }
         if not updates:
             return
+        columns = {
+            name: _float_column(column, self._n, name)
+            for name, column in updates.items()
+        }
+        if "omega" in columns:
+            _check_omega(columns["omega"], self.type_codes)
         changed = np.zeros(self._n, dtype=bool)
         behaviour_changed = False
-        for name, column in updates.items():
-            new = _float_column(column, self._n, name)
+        for name, new in columns.items():
             old = getattr(self, name)
             setattr(self, name, new)
             differs = new != old

@@ -14,17 +14,14 @@ def _stats(requests_by_shard, totals_hit_rate=0.5, routed=10.0):
     return {
         "router": {
             "cluster.routed": {"value": routed},
-            "cluster.failovers": {"value": 1.0},
             "cluster.local_fallbacks": {"value": 0.0},
             "cluster.restarts": {"value": 2.0},
         },
         "shards": {
             shard_id: {
                 "requests": float(requests),
-                "cache_hit_rate": 0.25,
                 "request_latency_p50_s": 0.002,
                 "request_latency_p99_s": 0.009,
-                "cache_entries": 40.0,
                 "restarts": 0.0,
                 "pid": 1000 + index,
             }
@@ -32,7 +29,7 @@ def _stats(requests_by_shard, totals_hit_rate=0.5, routed=10.0):
                 sorted(requests_by_shard.items())
             )
         },
-        "totals": {"cache_hit_rate": totals_hit_rate},
+        "totals": {"cache_hit_rate": totals_hit_rate, "cache_entries": 40.0},
     }
 
 
@@ -72,9 +69,10 @@ class TestSnapshotFrame:
     def test_router_counters_and_totals(self):
         frame = snapshot_frame(_stats({"shard-0": 1}, totals_hit_rate=0.75))
         assert frame.routed == 10.0
-        assert frame.failovers == 1.0
         assert frame.restarts == 2.0
-        assert frame.total_hit_rate == 0.75
+        # The hit rate and entries are the router cache's: shards have none.
+        assert frame.cache_hit_rate == 0.75
+        assert frame.cache_entries == 40.0
 
     def test_missing_latency_fields_render_as_none(self):
         stats = _stats({"shard-0": 1})
@@ -92,7 +90,12 @@ class TestRenderFrame:
         lines = text.splitlines()
         assert lines[0].startswith("repro cluster top")
         assert "shards 2" in lines[0]
-        assert "failovers 1" in lines[1]
+        assert "cache hit-rate 50.0%" in lines[0]
+        assert "cached 40" in lines[0]
+        assert "routed 10" in lines[1]
+        assert "failovers" not in text
+        # Shards keep no cache, so their rows carry no cache columns.
+        assert "hit%" not in text and "cached" not in lines[3]
         assert any(line.startswith("shard-0") for line in lines)
         assert any(line.startswith("shard-1") for line in lines)
 

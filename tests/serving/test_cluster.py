@@ -1,16 +1,22 @@
-"""Tests for the sharded cluster router: routing, failover, supervision."""
+"""Tests for the cluster router: one cache, miss frames, retries, supervision."""
 
 from __future__ import annotations
 
-import hashlib
 import pickle
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.core import solve_subproblems
 from repro.errors import ServingError
-from repro.serving import ShardProcess, ShardRouter, ShardSpec
+from repro.serving import (
+    ShardProcess,
+    ShardRouter,
+    ShardSpec,
+    synthetic_request_batches,
+)
 from repro.serving.cluster import router as router_module
 from repro.serving.cluster.codec import columnar_frame
 from repro.serving.cluster.shard import ShardTransportError
@@ -24,10 +30,8 @@ def workload():
 
 @pytest.fixture(scope="module")
 def diverse_workload():
-    # Fully heterogeneous: 40 unique fingerprints, so every shard owns a
-    # non-trivial slice of keys (6 archetypes could all land on one
-    # shard by chance; 40 cannot, so shard-coverage assertions are
-    # deterministic in practice).
+    # Fully heterogeneous: 40 unique fingerprints, so a cold batch has
+    # more misses than any router here has shards.
     return synthetic_subproblems(n_subjects=40, n_archetypes=40, seed=29)
 
 
@@ -42,6 +46,21 @@ def _compensation_bytes(design):
     return pickle.dumps(design.contract.compensations)
 
 
+@pytest.fixture()
+def round_trips(monkeypatch):
+    """Counts ``solve_columnar`` pipe round trips to any shard."""
+    calls = []
+    original = ShardProcess.request
+
+    def counting(self, op, *args, **kwargs):
+        if op == "solve_columnar":
+            calls.append(self.shard_id)
+        return original(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(ShardProcess, "request", counting)
+    return calls
+
+
 class TestShardProcess:
     def test_solve_health_and_stats(self, workload):
         serial = solve_subproblems(workload[:3], mu=1.0)
@@ -51,17 +70,18 @@ class TestShardProcess:
             # The shard trusts the fingerprints it is sent (the router
             # computed them), so distinct labels give three frame rows.
             frame = columnar_frame(workload[:3], [f"fp{i}" for i in range(3)])
-            designs, hits = shard.solve_columnar(frame)
-            assert len(designs) == 3 and hits == [False, False, False]
-            for subproblem, design in zip(workload[:3], designs):
-                assert _compensation_bytes(design) == _compensation_bytes(
-                    serial[subproblem.subject_id].result
-                )
-            _, hits_again = shard.solve_columnar(frame)
-            assert hits_again == [True, True, True]
+            for _ in range(2):
+                designs = shard.solve_columnar(frame)
+                assert len(designs) == 3
+                for subproblem, design in zip(workload[:3], designs):
+                    assert _compensation_bytes(design) == _compensation_bytes(
+                        serial[subproblem.subject_id].result
+                    )
             health = shard.health()
             assert health["shard_id"] == "s0"
-            assert health["cache_entries"] == 3
+            assert health["pid"] == shard.pid
+            # Stateless: no cache to report, and a repeat is solved again.
+            assert "cache_entries" not in health
             snapshot = shard.stats_snapshot()
             assert snapshot["requests"] == 6.0
             # Pipe-op solves book per-request latencies, so /stats
@@ -92,7 +112,7 @@ class TestShardProcess:
         shard = ShardProcess(ShardSpec(shard_id="s0"))
         shard.start()
         try:
-            designs, _ = shard.solve_columnar(
+            designs = shard.solve_columnar(
                 columnar_frame(workload[:2], ["fpA", "fpB"])
             )
         finally:
@@ -111,7 +131,7 @@ class TestShardProcess:
                 shard.request("no_such_op")
             assert not isinstance(excinfo.value, ShardTransportError)
             assert shard.alive
-            designs, _ = shard.solve_columnar(columnar_frame(workload[:1], ["fp"]))
+            designs = shard.solve_columnar(columnar_frame(workload[:1], ["fp"]))
             assert len(designs) == 1
         finally:
             shard.stop()
@@ -151,8 +171,6 @@ class TestShardProcess:
     def test_spec_validation(self):
         with pytest.raises(ServingError):
             ShardSpec(shard_id="")
-        with pytest.raises(ServingError):
-            ShardSpec(shard_id="s", cache_capacity=0)
 
 
 class TestRouting:
@@ -167,25 +185,100 @@ class TestRouting:
         _, warm_hits = router.solve_designs(workload)
         assert all(warm_hits)
 
-    def test_cache_affinity_keeps_each_fingerprint_on_one_shard(
-        self, router, workload
-    ):
+    def test_router_cache_holds_each_fingerprint_once(self, router, workload):
         router.solve_designs(workload)
         router.solve_designs(workload)
         snapshot = router.stats_snapshot()
-        # Unique archetypes split across shards; together they hold each
-        # fingerprint exactly once (no duplicated solving across shards).
-        total_entries = sum(
-            shard["cache_entries"] for shard in snapshot["shards"].values()
-        )
+        # The one cache holds each fingerprint once, and the shards
+        # solved each exactly once between them (no duplicated solving).
         unique = len(set(router.fingerprints(workload)))
-        assert total_entries == unique
+        assert snapshot["totals"]["cache_entries"] == unique
+        assert sum(
+            shard["requests"] for shard in snapshot["shards"].values()
+        ) == unique
 
-    def test_solve_keyed_by_subject(self, router, workload):
-        solutions = router.solve(workload)
-        assert set(solutions) == {entry.subject_id for entry in workload}
-        with pytest.raises(ServingError):
-            router.solve([workload[0], workload[0]])
+    def test_warm_router_answers_a_repeated_batch_without_shard_round_trips(
+        self, router, workload, round_trips
+    ):
+        router.solve_designs(workload)
+        # The cold batch's misses went out in at most one frame per shard.
+        assert 1 <= len(round_trips) <= 2
+        assert len(set(round_trips)) == len(round_trips)
+        del round_trips[:]
+        designs, hits = router.solve_designs(workload)
+        assert all(hits)
+        assert round_trips == []
+        serial = solve_subproblems(workload, mu=1.0)
+        for subproblem, design in zip(workload, designs):
+            assert _compensation_bytes(design) == _compensation_bytes(
+                serial[subproblem.subject_id].result
+            )
+
+    def test_concurrent_batches_book_every_row_once(self, diverse_workload):
+        """More requester threads than cores share the one cache, with a
+        short switch interval: every row is booked once, as a hit or a
+        miss, the shards solve exactly the misses, and every contract
+        equals serial."""
+        serial = solve_subproblems(diverse_workload, mu=1.0)
+        expected = {
+            subject_id: _compensation_bytes(solution.result)
+            for subject_id, solution in serial.items()
+        }
+        batches = synthetic_request_batches(
+            diverse_workload, n_requests=160, batch_size=5, seed=3
+        )
+        failures = []
+        # 2 x 8 entries for 40 archetypes: lookups, evictions and miss
+        # frames interleave for the whole run.
+        with ShardRouter(
+            n_shards=2, cache_capacity=8, supervise_interval=0.0
+        ) as router:
+            n_rows = sum(len(set(router.fingerprints(batch))) for batch in batches)
+
+            def requester(part):
+                try:
+                    for batch in batches[part::8]:
+                        designs, _ = router.solve_designs(batch)
+                        failures.extend(
+                            subproblem.subject_id
+                            for subproblem, design in zip(batch, designs)
+                            if _compensation_bytes(design)
+                            != expected[subproblem.subject_id]
+                        )
+                except Exception as error:  # noqa: BLE001 - reported below
+                    failures.append(repr(error))
+
+            threads = [
+                threading.Thread(target=requester, args=(part,))
+                for part in range(8)
+            ]
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(thread.is_alive() for thread in threads)
+            snapshot = router.stats_snapshot()
+        assert failures == []
+        totals = snapshot["totals"]
+        assert snapshot["router"]["cluster.requests"]["value"] == n_rows
+        assert totals["cache_hits"] + totals["cache_misses"] == n_rows
+        assert totals["cache_misses"] > 0
+        assert sum(
+            shard["requests"] for shard in snapshot["shards"].values()
+        ) == totals["cache_misses"]
+
+    def test_cache_is_n_shards_times_cache_capacity(self, workload):
+        # Two shards of one entry each: the router's cache holds two.
+        with ShardRouter(
+            n_shards=2, cache_capacity=1, supervise_interval=0.0
+        ) as router:
+            router.solve_designs(workload)
+            assert router.stats_snapshot()["totals"]["cache_entries"] == 2.0
 
     def test_empty_batch(self, router):
         assert router.solve_designs([]) == ([], [])
@@ -196,76 +289,7 @@ class TestRouting:
             stopped.solve_designs(workload[:1])
 
 
-def _owner(fingerprint, n_shards):
-    """The documented ownership rule: SHA-256's first 8 bytes, mod N."""
-    digest = hashlib.sha256(fingerprint.encode("utf-8")).digest()
-    return f"shard-{int.from_bytes(digest[:8], 'big') % n_shards}"
-
-
-def _cached_counts(router):
-    return {
-        shard_id: shard["cache_entries"]
-        for shard_id, shard in router.stats_snapshot()["shards"].items()
-    }
-
-
-def _observed_owners(router, subproblems):
-    """Each fingerprint's shard, read off the shard that cached it."""
-    owners = {}
-    for subproblem, fingerprint in zip(
-        subproblems, router.fingerprints(subproblems)
-    ):
-        if fingerprint in owners:
-            continue
-        before = _cached_counts(router)
-        router.solve_designs([subproblem])
-        after = _cached_counts(router)
-        (owner,) = [sid for sid in after if after[sid] > before[sid]]
-        owners[fingerprint] = owner
-    return owners
-
-
 class TestFixedMembership:
-    def test_same_shard_count_assigns_every_fingerprint_alike(
-        self, diverse_workload
-    ):
-        subproblems = diverse_workload[:12]
-        observed = []
-        for _ in range(2):
-            with ShardRouter(n_shards=3, supervise_interval=0.0) as router:
-                assert router.shard_ids == ("shard-0", "shard-1", "shard-2")
-                observed.append(_observed_owners(router, subproblems))
-        assert observed[0] == observed[1]
-        assert len(set(observed[0].values())) == 3
-        for fingerprint, owner in observed[0].items():
-            assert owner == _owner(fingerprint, 3)
-
-    def test_dead_owner_fails_over_to_the_next_shard_by_index(
-        self, diverse_workload
-    ):
-        serial = solve_subproblems(diverse_workload, mu=1.0)
-        with ShardRouter(n_shards=3, supervise_interval=0.0) as router:
-            owned = [
-                subproblem
-                for subproblem, fingerprint in zip(
-                    diverse_workload, router.fingerprints(diverse_workload)
-                )
-                if _owner(fingerprint, 3) == "shard-0"
-            ]
-            assert owned
-            router.kill_shard("shard-0")
-            designs, hits = router.solve_designs(owned)
-            assert router.stats.failovers.value > 0
-            assert not any(hits)
-            for subproblem, design in zip(owned, designs):
-                assert _compensation_bytes(design) == _compensation_bytes(
-                    serial[subproblem.subject_id].result
-                )
-            n_rows = len(set(router.fingerprints(owned)))
-            counts = _cached_counts(router)
-        # shard-1 follows shard-0 by index; shard-2 is never asked.
-        assert counts == {"shard-1": n_rows, "shard-2": 0}
-
     def test_unknown_shard_cannot_be_killed(self, router):
         with pytest.raises(ServingError):
             router.kill_shard("nope")
@@ -293,38 +317,74 @@ class TestFixedMembership:
 
 class TestFailover:
     def test_dead_shard_fails_over_without_losing_requests(
-        self, router, diverse_workload
+        self, router, diverse_workload, round_trips
     ):
-        router.solve_designs(diverse_workload)
+        survivor = router.shard_ids[1]
         router.kill_shard(router.shard_ids[0])
-        designs, _ = router.solve_designs(diverse_workload)
+        designs, hits = router.solve_designs(diverse_workload)
         assert len(designs) == len(diverse_workload)
-        # The dead owner is skipped, so its groups land on the survivor.
-        # (transport_errors only fires when a request is in flight at
-        # kill time, which a sequential test cannot guarantee.)
-        assert router.stats.failovers.value > 0
+        assert not any(hits)
+        # The dead shard is skipped: every miss goes out in one frame to
+        # the survivor, with no transport error and no local solving.
+        assert round_trips == [survivor]
+        assert router.stats.routed.value == 1
+        assert router.stats.transport_errors.value == 0
+        assert router.stats.local_fallbacks.value == 0
 
-    def test_revive_restores_clean_health_with_a_cold_cache(
-        self, router, diverse_workload
+    def test_dead_shards_frame_is_served_by_a_live_one(self, diverse_workload):
+        serial = solve_subproblems(diverse_workload, mu=1.0)
+        with ShardRouter(n_shards=3, supervise_interval=0.0) as router:
+            victim = next(
+                process for process in router._shards
+                if process.shard_id == "shard-0"
+            )
+            original = victim.solve_columnar
+
+            def die_in_flight(*args, **kwargs):
+                victim.kill()
+                return original(*args, **kwargs)
+
+            # The victim is alive at dispatch and dies with its frame in
+            # flight, so the frame fails in transport.
+            victim.solve_columnar = die_in_flight
+            designs, hits = router.solve_designs(diverse_workload)
+            assert not any(hits)
+            for subproblem, design in zip(diverse_workload, designs):
+                assert _compensation_bytes(design) == _compensation_bytes(
+                    serial[subproblem.subject_id].result
+                )
+            # One frame per live shard; the victim's went to the next
+            # live shard by index, and nothing was solved in-process.
+            assert router.stats.transport_errors.value == 1
+            assert router.stats.retries.value == 1
+            assert router.stats.routed.value == 3
+            assert router.stats.local_fallbacks.value == 0
+            shards = router.stats_snapshot()["shards"]
+            assert set(shards) == {"shard-1", "shard-2"}
+            assert sum(shard["requests"] for shard in shards.values()) == len(
+                set(router.fingerprints(diverse_workload))
+            )
+
+    def test_revive_restores_clean_health_and_keeps_every_hit(
+        self, router, diverse_workload, round_trips
     ):
         serial = solve_subproblems(diverse_workload, mu=1.0)
         router.solve_designs(diverse_workload)
         victim = router.shard_ids[0]
         router.kill_shard(victim)
         assert router.healthz()["status"] == "degraded"
-        router.solve_designs(diverse_workload)
         revived = router.revive_dead_shards()
         assert revived == (victim,)
         report = router.healthz()
         assert report["status"] == "ok"
         assert report["shards"][victim]["alive"]
-        # The victim restarts empty: its own fingerprints miss once, the
-        # survivor's still hit, and every contract equals serial.
+        # The cache lives in the router: the revived shard changes
+        # nothing, so the batch is all hits, with no shard round trip,
+        # and every contract equals serial.
+        del round_trips[:]
         designs, hits = router.solve_designs(diverse_workload)
-        fingerprints = router.fingerprints(diverse_workload)
-        victims = [_owner(fingerprint, 2) == victim for fingerprint in fingerprints]
-        assert any(victims) and not all(victims)
-        assert hits == [not owned for owned in victims]
+        assert all(hits)
+        assert round_trips == []
         for subproblem, design in zip(diverse_workload, designs):
             assert _compensation_bytes(design) == _compensation_bytes(
                 serial[subproblem.subject_id].result
@@ -395,7 +455,7 @@ class TestZeroShardRouter:
     def test_batches_count_but_are_not_fallbacks(self, workload):
         with ShardRouter(n_shards=0) as router:
             router.solve_designs(workload)
-            router.solve(workload)
+            router.solve_designs(workload)
             n_rows = len(set(router.fingerprints(workload)))
             assert router.stats.requests.value == 2 * n_rows
             assert router.stats.batches.value == 2

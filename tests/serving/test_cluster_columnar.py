@@ -4,10 +4,10 @@ A solve batch of n subjects collapsing onto K archetypes crosses the
 shard pipe (and the HTTP hop) as a (K, 7) float table plus an (n,)
 int64 code vector, the cluster's one solve codec.  These tests pin the
 properties the engine relies on: the frame round-trips bit-exactly
-(including through JSON), the shard solves the frame's OWN fingerprints
-(the keys the router routed on), results fan back out in request order
-and match serial solving, and the shard's request counter means
-"subjects served".
+(including through JSON), the JSON decoder refuses anything that is
+not a well-typed frame, the shard's K designs fan back out through the
+codes in request order and match serial solving, and the shard's
+request counter counts frame rows.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import solve_subproblems
 from repro.errors import ServingError
@@ -27,7 +29,6 @@ from repro.serving import (
 )
 from repro.serving.cluster.codec import (
     columnar_frame,
-    expand_frame_results,
     frame_from_json,
     frame_to_json,
     subproblems_from_frame,
@@ -85,16 +86,6 @@ class TestFrameCodec:
                 serial[subproblem.subject_id].result.contract.compensations
             )
 
-    def test_expand_restores_request_order(self, workload, frame):
-        designs = [f"design-{slot}" for slot in range(len(frame["fingerprints"]))]
-        hits = [slot % 2 == 0 for slot in range(len(designs))]
-        fanned_designs, fanned_hits = expand_frame_results(frame, designs, hits)
-        assert len(fanned_designs) == len(workload)
-        for index in range(len(workload)):
-            slot = int(frame["codes"][index])
-            assert fanned_designs[index] == designs[slot]
-            assert fanned_hits[index] == hits[slot]
-
     def test_json_round_trip_is_exact(self, frame):
         rebuilt = frame_from_json(frame_to_json(frame))
         assert np.array_equal(rebuilt["table"], frame["table"])
@@ -140,6 +131,26 @@ class TestFrameCodec:
         bad_types["worker_types"] = frame["worker_types"] + 99
         with pytest.raises(ServingError):
             subproblems_from_frame(bad_types)
+        # Over JSON: numbers outside int64 or float range, and floats or
+        # bools where integers belong, are refused, never coerced.
+        body = frame_to_json(frame)
+        for field, value in (
+            ("codes", [2**70] * len(body["codes"])),
+            ("worker_types", [-(2**70)] * len(body["worker_types"])),
+            ("table", [[10**400] * 7] * len(body["table"])),
+            ("table", [[True] * 7] * len(body["table"])),
+            ("codes", [0.7] * len(body["codes"])),
+            ("codes", [True] * len(body["codes"])),
+            ("worker_types", [False] * len(body["worker_types"])),
+            ("worker_types", [1.2] * len(body["worker_types"])),
+            ("fingerprints", "f" * len(body["fingerprints"])),
+        ):
+            with pytest.raises(ServingError, match=field):
+                frame_from_json(dict(body, **{field: value}))
+        with pytest.raises(ServingError, match="finite"):
+            frame_from_json(
+                dict(body, table=[[float("inf")] * 7] * len(body["table"]))
+            )
 
     def test_empty_frame_round_trips(self):
         frame = columnar_frame([], [])
@@ -150,6 +161,41 @@ class TestFrameCodec:
         assert representatives == [] and rep_fingerprints == []
 
 
+#: Any value ``json.loads`` can return (it parses NaN and Infinity too).
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=16,
+)
+_NUMBERS = st.integers(-3, 3) | st.integers() | st.floats() | st.booleans()
+#: Nearly well-formed fields, so examples also reach the shape, range
+#: and model checks behind the type checks.
+_FRAME_FIELDS = {
+    "table": st.lists(st.lists(_NUMBERS, min_size=6, max_size=8), max_size=3),
+    "worker_types": st.lists(st.integers(-1, 4) | _NUMBERS, max_size=3),
+    "subject_ids": st.lists(st.text(max_size=3), max_size=3),
+    "fingerprints": st.lists(st.text(max_size=3), max_size=3),
+    "codes": st.lists(st.integers(-1, 3) | _NUMBERS, max_size=4),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    payload=_JSON_VALUES
+    | st.fixed_dictionaries(
+        {key: field | _JSON_VALUES for key, field in _FRAME_FIELDS.items()}
+    )
+)
+def test_any_json_value_decodes_or_raises_serving_error(payload):
+    """Whatever JSON a client posts, decoding it either yields a frame's
+    subproblems or raises ServingError (a 400), never another error."""
+    try:
+        subproblems_from_frame(frame_from_json(payload))
+    except ServingError:
+        pass
+
+
 class TestShardColumnarOp:
     def test_solve_columnar_matches_serial(self, workload, fingerprints):
         frame = columnar_frame(workload, fingerprints)
@@ -157,17 +203,12 @@ class TestShardColumnarOp:
         shard = ShardProcess(ShardSpec(shard_id="col"))
         shard.start()
         try:
-            rep_designs, rep_hits = shard.solve_columnar(frame)
+            rep_designs = shard.solve_columnar(frame)
             assert len(rep_designs) == len(frame["fingerprints"])
-            assert not any(rep_hits)
-            fanned, _ = expand_frame_results(frame, rep_designs, rep_hits)
-            for subproblem, frame_design in zip(workload, fanned):
+            for subproblem, code in zip(workload, frame["codes"].tolist()):
                 assert pickle.dumps(
                     serial[subproblem.subject_id].result.contract.compensations
-                ) == pickle.dumps(frame_design.contract.compensations)
-            # Same fingerprints were cached: a repeat frame is all hits.
-            _, warm_hits = shard.solve_columnar(frame)
-            assert all(warm_hits)
+                ) == pickle.dumps(rep_designs[code].contract.compensations)
         finally:
             shard.stop()
 
@@ -184,20 +225,21 @@ class TestShardColumnarOp:
             shard.solve_columnar(frame)
             snapshot = shard.stats_snapshot()
             assert snapshot["requests"] == float(n_rows)
-            assert snapshot["cache_misses"] == float(n_rows)
+            # Stateless: a repeat frame is solved again, not looked up.
             shard.solve_columnar(frame)
             snapshot = shard.stats_snapshot()
             assert snapshot["requests"] == 2.0 * n_rows
-            assert snapshot["cache_hits"] == float(n_rows)
+            assert snapshot["batches"] == 2.0
+            assert "cache_hits" not in snapshot
         finally:
             shard.stop()
 
 
 class TestRouterColumnarPath:
     def test_router_matches_serial_through_frames(self, workload):
-        """`solve_designs` ships frames to the shards internally; results
-        must stay bit-identical to the serial solver, in input order,
-        with per-subject hit flags."""
+        """`solve_designs` ships its misses to the shards as frames;
+        results must stay bit-identical to the serial solver, in input
+        order, with per-subject hit flags from the router's cache."""
         serial = solve_subproblems(workload, mu=1.0)
         with ShardRouter(n_shards=2, supervise_interval=0.0) as router:
             designs, hits = router.solve_designs(workload)
@@ -211,9 +253,14 @@ class TestRouterColumnarPath:
             _, warm_hits = router.solve_designs(workload)
             assert all(warm_hits)
             snapshot = router.stats_snapshot()
-            # The shards see one row per distinct fingerprint.
+            # The router serves one row per distinct fingerprint; the
+            # shards solve only the first batch's misses.
             n_rows = len(set(router.fingerprints(workload)))
             assert snapshot["totals"]["requests"] == 2.0 * n_rows
+            assert snapshot["totals"]["cache_entries"] == float(n_rows)
+            assert sum(
+                shard["requests"] for shard in snapshot["shards"].values()
+            ) == float(n_rows)
 
 
 class TestHTTPColumnar:
@@ -266,7 +313,21 @@ class TestHTTPColumnar:
         )
         assert all(design["cache_hit"] for design in payload["designs"])
 
-    def test_malformed_columnar_frame_is_400(self, endpoint):
+    def test_malformed_columnar_frame_is_400(self, endpoint, frame):
         status, payload = self._post(endpoint, {"columnar": {"table": []}})
         assert status == 400
         assert "error" in payload
+        # Out-of-range numbers were a 500, and float or bool codes and
+        # worker types were truncated and served with a 200.
+        body = frame_to_json(frame)
+        for field, value in (
+            ("codes", [2**70] * len(body["codes"])),
+            ("table", [[10**400] * 7] * len(body["table"])),
+            ("codes", [0.7] * len(body["codes"])),
+            ("worker_types", [True] * len(body["worker_types"])),
+        ):
+            status, payload = self._post(
+                endpoint, {"columnar": dict(body, **{field: value})}
+            )
+            assert status == 400, (field, payload)
+            assert field in payload["error"]

@@ -1,11 +1,11 @@
 """Fault-injection acceptance: kill a shard mid-run, lose nothing.
 
-The ISSUE acceptance criterion for the cluster tier: a shard SIGKILLed
-in the middle of a replayed workload must not lose a single request
-(failover + bounded retry + local fallback), the supervisor must bring
-the cluster back to a clean ``/healthz``, and every contract served —
-including those served during the outage — must be byte-identical to
-serial solving.  The CI ``cluster-smoke`` job runs this module plus the
+The acceptance criterion for the cluster tier: a shard SIGKILLed in the
+middle of a replayed workload must not lose a single request (the next
+live shard, bounded retry, then in-process solving), the supervisor
+must bring the cluster back to a clean ``/healthz``, and every contract
+served — including those served during the outage — must be
+byte-identical to serial solving.  The CI ``cluster-smoke`` job runs this module plus the
 ``repro bench-serve --kill-shard-at`` CLI path.
 """
 
@@ -53,7 +53,11 @@ def test_shard_kill_mid_run_loses_nothing(population, serial_bytes):
     )
     served = {}
 
-    with ShardRouter(n_shards=2, supervise_interval=0.1) as router:
+    # A router cache of 2 x 4 entries for 16 archetypes keeps missing,
+    # so miss frames keep reaching the shards through the outage.
+    with ShardRouter(
+        n_shards=2, cache_capacity=4, supervise_interval=0.1
+    ) as router:
         victim = router.shard_ids[0]
         target = router_target(router)
 
@@ -65,22 +69,29 @@ def test_shard_kill_mid_run_loses_nothing(population, serial_bytes):
                 )
             return designs
 
+        routed_at_kill = []
+
+        def kill_victim():
+            routed_at_kill.append(router.stats.routed.value)
+            router.kill_shard(victim)
+
         generator = LoadGenerator(solve_and_record, concurrency=4)
         report = generator.run(
-            batches,
-            checkpoints={_N_REQUESTS // 4: lambda: router.kill_shard(victim)},
+            batches, checkpoints={_N_REQUESTS // 4: kill_victim}
         )
 
         # Zero lost requests: every round-trip completed.
         assert report.errors == 0, report.error_samples
         assert report.requests == _N_REQUESTS
 
-        # The outage was real (the victim owned part of the keyspace)
-        # and was absorbed by failover, not by luck.
-        assert router.stats.failovers.value >= 1
+        # The outage was real (shards kept solving misses after the
+        # kill) and the live shards absorbed it: no frame was left to
+        # in-process solving.
+        assert router.stats.routed.value > routed_at_kill[0]
+        assert router.stats.local_fallbacks.value == 0
 
-        # Clean recovery: the supervisor revives the shard (with a cold
-        # cache); poll a few sweeps' worth of time.
+        # Clean recovery: the supervisor revives the shard; poll a few
+        # sweeps' worth of time.
         recovered = False
         for _ in range(100):
             router.revive_dead_shards()
@@ -88,6 +99,7 @@ def test_shard_kill_mid_run_loses_nothing(population, serial_bytes):
                 recovered = True
                 break
         assert recovered, router.healthz()
+        assert router.stats.restarts.value >= 1
 
         # Byte-identity through the fault: everything served during and
         # after the outage equals the serial design path.

@@ -200,6 +200,16 @@ class TestEndpoints:
             conn.close()
         assert response.status == 400
         assert "JSON" in payload["error"]
+        # Nesting too deep to parse was a RecursionError and a 500.
+        conn = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            conn.request("POST", "/solve_batch", body="[" * 100_000)
+            response = conn.getresponse()
+            payload = json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "JSON" in payload["error"]
 
     def test_missing_fields_is_400(self, endpoint, workload):
         frame = _frame_body(workload[:1])["columnar"]
@@ -241,13 +251,18 @@ class TestEndpoints:
         assert payload["shards"]
         for snapshot in payload["shards"].values():
             assert snapshot["pid"] > 0
-            assert 0.0 <= snapshot["cache_hit_rate"] <= 1.0
             assert snapshot["restarts"] == 0.0
+            # Shards keep no cache: the hit rate is the router's.
+            assert "cache_hit_rate" not in snapshot
         totals = payload["totals"]
-        assert totals["requests"] == sum(
+        assert 0.0 <= totals["cache_hit_rate"] <= 1.0
+        assert totals["cache_entries"] == len(
+            {subproblem_fingerprint(s) for s in workload}
+        )
+        # The shards solved the router cache's misses, nothing else.
+        assert totals["cache_misses"] == sum(
             s["requests"] for s in payload["shards"].values()
         )
-        assert 0.0 <= totals["cache_hit_rate"] <= 1.0
 
     def test_healthz_reports_restart_counts(self, endpoint):
         status, payload = _call(endpoint, "GET", "/healthz")
@@ -265,7 +280,7 @@ class TestEndpoints:
 
 
 class TestFingerprintCheck:
-    """The shards cache under the frame's fingerprints, so the front end
+    """The router caches under the frame's fingerprints, so the front end
     recomputes them before routing: a wrong one would poison the cache
     for every later request that carries it honestly."""
 
@@ -353,9 +368,9 @@ class TestUnreadableRequests:
 
 
 class TestRowCounting:
-    """One batch moves `cluster.requests` and the shards' `requests` by
-    its distinct design rows, whether it arrives as a frame over HTTP
-    or as subproblems from an in-process caller."""
+    """One batch moves `cluster.requests` and the router pool's
+    `requests` by its distinct design rows, whether it arrives as a
+    frame over HTTP or as subproblems from an in-process caller."""
 
     def test_http_frame_and_in_process_batch_count_the_same(self, workload):
         n_rows = len({subproblem_fingerprint(s) for s in workload})
@@ -384,8 +399,8 @@ class TestRowCounting:
 
 
 class TestMetricsEndpoint:
-    """ISSUE acceptance: /metrics during a 4-shard load is valid
-    Prometheus text whose per-shard counters sum to the router totals."""
+    """/metrics during a 4-shard load is valid Prometheus text whose
+    per-shard counters sum to the router cache's misses."""
 
     @pytest.fixture(scope="class")
     def loaded_endpoint(self, workload):
@@ -395,9 +410,10 @@ class TestMetricsEndpoint:
                 for _ in range(3):
                     status, _ = _call(thread.address, "POST", "/solve_batch", body)
                     assert status == 200
-                # The router and shards serve a frame's K rows; the
-                # client fans them out to the codes.
-                yield thread.address, len(body["columnar"]["fingerprints"]) * 3
+                # The router serves a frame's K rows (the client fans
+                # them out to the codes); the shards solve the first
+                # frame's K misses.
+                yield thread.address, len(body["columnar"]["fingerprints"])
 
     def test_metrics_is_valid_prometheus_text(self, loaded_endpoint):
         from repro.obs.aggregate import validate_prometheus_text
@@ -410,7 +426,7 @@ class TestMetricsEndpoint:
         assert validate_prometheus_text(text) == []
 
     def test_per_shard_counters_sum_to_router_totals(self, loaded_endpoint):
-        address, n_requests = loaded_endpoint
+        address, n_rows = loaded_endpoint
         _, _, text = _call_text(address, "GET", "/metrics")
         samples = _prometheus_samples(text)
 
@@ -420,12 +436,14 @@ class TestMetricsEndpoint:
             if name.startswith('repro_serving_requests{shard="shard-')
         }
         assert len(shard_requests) == 4
-        # No fallbacks in this run: every request landed on a shard and
-        # the labeled per-shard counters sum to both aggregates.
+        # No fallbacks in this run: every miss landed on a shard and the
+        # labeled per-shard counters sum to the router cache's misses.
         assert samples["repro_cluster_local_fallbacks"] == 0.0
-        assert sum(shard_requests.values()) == samples["repro_cluster_requests"]
-        assert samples["repro_cluster_requests"] == float(n_requests)
-        assert samples["repro_serving_requests"] == float(n_requests)
+        assert samples["repro_cluster_requests"] == 3.0 * n_rows
+        assert samples["repro_cluster_local_cache_hits"] == 2.0 * n_rows
+        assert samples["repro_cluster_local_cache_misses"] == float(n_rows)
+        assert sum(shard_requests.values()) == float(n_rows)
+        assert samples["repro_serving_requests"] == float(n_rows)
 
         shard_batches = [
             value

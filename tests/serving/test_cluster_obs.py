@@ -8,7 +8,7 @@ The tentpole guarantees of the cluster observability layer:
   ``serving.solve_batch`` span — all sharing one ``trace_id`` in the
   merged JSONL dump;
 * ``obs_scrape`` federates every shard's metrics into counters whose
-  per-shard values sum to the router totals.
+  per-shard values sum to the router cache's misses.
 """
 
 from __future__ import annotations
@@ -165,16 +165,19 @@ class TestClusterScrapeFederation:
                     "serving.requests"
                 ).items()
             }
-            # Shards and router count one row per distinct fingerprint.
+            # The router serves one row per distinct fingerprint a batch;
+            # the shards solve only its cache's misses, the first batch.
             n_rows = len(set(router.fingerprints(workload)))
-            assert sum(shard_requests.values()) == 3 * n_rows
-            assert scrape.value("serving.requests") == 3 * n_rows
-            # No fallbacks: routed batches all landed on shards.
+            assert scrape.value("cluster.requests") == 3 * n_rows
+            assert scrape.value("cluster.local.cache_hits") == 2 * n_rows
+            assert scrape.value("cluster.local.cache_misses") == n_rows
+            assert sum(shard_requests.values()) == n_rows
+            assert scrape.value("serving.requests") == n_rows
+            # No fallbacks: every miss frame landed on a shard.
             assert scrape.value("cluster.local_fallbacks") == 0.0
             assert scrape.value("serving.batches") == scrape.value(
                 "cluster.routed"
             )
-            assert scrape.value("cluster.requests") == 3 * n_rows
 
     def test_repeated_scrapes_drain_spans_but_keep_metrics(self, traced_tracer):
         workload = synthetic_subproblems(n_subjects=6, n_archetypes=3, seed=5)

@@ -38,6 +38,8 @@ def _population(worker_types, n_members):
     n = len(worker_types)
     ones = np.ones(n)
     zeros = np.zeros(n)
+    # Malicious rows need omega > 0; honest ones keep a zero.
+    honest = np.array([wt is WorkerType.HONEST for wt in worker_types])
     return ColumnarPopulation(
         r2=-0.5 * ones,
         r1=10.0 * ones,
@@ -46,7 +48,7 @@ def _population(worker_types, n_members):
         act_r1=10.0 * ones,
         act_r0=ones,
         beta=ones,
-        omega=zeros,
+        omega=np.where(honest, 0.0, 0.5),
         design_weight=1.5 * ones,
         eval_weight=1.5 * ones,
         max_effort=np.full(n, np.nan),

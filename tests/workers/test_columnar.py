@@ -465,6 +465,53 @@ def test_archetype_contract_rejects_drift():
         )
 
 
+def _store_columns(columnar, **overrides):
+    """Constructor arguments that rebuild ``columnar``, with overrides."""
+    names = (
+        "r2", "r1", "r0", "act_r2", "act_r1", "act_r0", "beta", "omega",
+        "design_weight", "eval_weight", "max_effort", "type_codes", "e_mal",
+        "feedback_noise", "rating_noise", "rating_bias", "n_members",
+        "community_ids", "communities",
+    )
+    columns = {name: getattr(columnar, name) for name in names}
+    columns.update(overrides)
+    return columns
+
+
+def test_omega_must_agree_with_the_worker_type():
+    """An honest row with omega 0.3 was booked through ``act_omega`` by
+    the kernel while the oracle acted with 0; a malicious row with
+    -0.0 failed only when its lazy agent was built.  The store refuses
+    both, in the constructor and in ``update_design_columns``."""
+    columnar = synthetic_columnar(n_subjects=200, n_archetypes=8, seed=4)
+    honest = columnar.type_codes == WORKER_TYPE_CODES[WorkerType.HONEST]
+    first_honest = int(np.flatnonzero(honest)[0])
+    first_malicious = int(np.flatnonzero(~honest)[0])
+    original = columnar.omega.copy()
+    for row, value in (
+        (first_honest, 0.3),
+        (first_honest, np.nan),
+        (first_malicious, -0.0),
+        (first_malicious, 0.0),
+        (first_malicious, np.nan),
+        (first_malicious, -0.2),
+    ):
+        omega = original.copy()
+        omega[row] = value
+        with pytest.raises(ModelError, match=f"omega .* on row {row}"):
+            columnar.update_design_columns(omega=omega)
+        with pytest.raises(ModelError, match=f"omega .* on row {row}"):
+            ColumnarPopulation(**_store_columns(columnar, omega=omega))
+    # A refused update changes nothing.
+    assert columnar.omega.tobytes() == original.tobytes()
+    # An honest -0.0 is a zero, and updates without omega skip the check.
+    omega = original.copy()
+    omega[first_honest] = -0.0
+    columnar.update_design_columns(omega=omega)
+    columnar.update_design_columns(design_weight=columnar.design_weight + 1.0)
+    ColumnarPopulation(**_store_columns(columnar))
+
+
 def test_index_of_unknown_subject():
     columnar = synthetic_columnar(n_subjects=5, n_archetypes=2, seed=0)
     assert columnar.index_of(columnar.subject_id(3)) == 3
