@@ -20,6 +20,7 @@ re-verified against fresh solves under ``REPRO_CHECK_INVARIANTS=1``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -41,6 +42,7 @@ from ..core.designer import ContractDesigner, DesignerConfig, DesignResult
 from ..errors import ServingError
 from ..numerics import close
 from ..obs.trace import get_tracer
+from ..workers.columnar import changed_design_rows
 from .cache import ContractCache, maybe_verify_cached
 from .fingerprint import subproblem_fingerprint
 from .stats import ServingStats
@@ -210,9 +212,15 @@ class ContractAssignment:
 class ColumnarDeltaState:
     """Delta-aware redesign over a columnar population.
 
-    Diffs the packed **design matrix** across epochs: a subject is clean
-    iff its design row is bit-equal to its previous-epoch row.
-    Solutions are stored per *row value* (``row.tobytes()``) for the
+    Diffs the **design columns** across epochs: a subject is clean iff
+    its design key equals its previous-epoch key by value (``-0.0 ==
+    +0.0``; a missing effort cap equals a missing one), exactly as
+    comparing the two packed design matrices row by row would say.  The
+    state keeps references to the frozen columns it saw last and skips
+    any column the population still holds (columns are swapped whole),
+    so a steady epoch compares only the columns that moved and never
+    packs the whole matrix.  Solutions are stored per *row value* (the
+    representative's packed key row, ``row.tobytes()``) for the
     previous epoch's archetypes only, so a subject that moves onto an
     archetype the previous epoch held reuses that design without a
     fresh solve, and the state stays the size of one epoch however long
@@ -231,7 +239,7 @@ class ColumnarDeltaState:
     """
 
     def __init__(self) -> None:
-        self._matrix: Optional[np.ndarray] = None
+        self._columns: Optional[Tuple[np.ndarray, ...]] = None
         self._solutions: Dict[bytes, SubproblemSolution] = {}
         self._fingerprints: Dict[bytes, str] = {}
         self._epoch = 0
@@ -261,22 +269,13 @@ class ColumnarDeltaState:
             whose design row required a fresh archetype solve this
             epoch (0 on a repeat epoch over a static population).
         """
-        matrix = population.design_matrix()
+        columns = population.design_columns()
         codes = population.archetype_codes
-        representatives = population.archetype_representatives
-        n_subjects = matrix.shape[0]
-
-        previous = self._matrix
-        if previous is not None and previous.shape == matrix.shape:
-            # NaN-free by construction (max_effort is sentinel-encoded),
-            # so row equality is plain bit equality.
-            dirty_rows = np.any(matrix != previous, axis=1)
-        else:
-            dirty_rows = np.ones(n_subjects, dtype=bool)
-
+        n_subjects = population.n_subjects
         reps = population.archetype_subproblems()
         keys = [
-            matrix[int(row)].tobytes() for row in representatives.tolist()
+            row.tobytes()
+            for row in population.design_rows(population.archetype_representatives)
         ]
         # This epoch's designs and fingerprints; they replace the
         # previous epoch's wholesale, which bounds the state.
@@ -334,13 +333,14 @@ class ColumnarDeltaState:
         if solved_slots:
             freshly_solved = np.zeros(len(reps), dtype=bool)
             freshly_solved[solved_slots] = True
+            dirty_rows = changed_design_rows(self._columns, columns)
             n_dirty = int(np.count_nonzero(dirty_rows & freshly_solved[codes]))
         else:
             n_dirty = 0
         stats = RedesignStats(n_subjects=n_subjects, n_dirty=n_dirty)
         self.last_stats = stats
         self.last_diagnostics = tuple(diagnostics)
-        self._matrix = matrix
+        self._columns = columns
         self._solutions = solutions
         self._fingerprints = fingerprints
         self._epoch += 1
@@ -369,8 +369,24 @@ def solve_in_order(
     ]
 
 
+class _InFlight:
+    """A fingerprint one batch is solving; batches that miss it meanwhile
+    wait for the result instead of solving it again."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.result: Optional[DesignResult] = None
+
+
 class SolverPool:
     """Batched, cached, in-process subproblem solver.
+
+    Concurrent batches share the cache and solve each fingerprint once:
+    a batch that misses a fingerprint another batch is already solving
+    waits for that solve and books the row as a cache hit.  If that
+    solve raises, the waiting batches claim the fingerprint anew, so
+    one of them solves it and the others wait again; every batch
+    solves its own claims before it waits, so none waits forever.
 
     Args:
         mu: the requester's compensation weight.
@@ -390,6 +406,11 @@ class SolverPool:
         self.config = config
         self.cache = cache
         self.stats = stats
+        # Fingerprints some batch is solving right now.  The lock covers
+        # cache lookups and claims, and a solve's cache insert with its
+        # release, so no two batches claim one fingerprint.
+        self._lock = threading.Lock()
+        self._inflight: Dict[str, _InFlight] = {}
 
     # -- solving ------------------------------------------------------
 
@@ -489,27 +510,37 @@ class SolverPool:
 
         results: Dict[str, DesignResult] = {}
         hit_keys: List[str] = []
-        misses: List[Tuple[str, Subproblem]] = []
-        for key, first_index in groups.items():
-            cached = self.cache.get_design(key) if self.cache is not None else None
-            if cached is not None:
-                results[key] = cached
-                hit_keys.append(key)
-            else:
-                misses.append((key, subproblems[first_index]))
-
-        fresh = (
-            self._solve_misses(
-                [subproblem for _, subproblem in misses],
-                [key for key, _ in misses],
-            )
-            if misses
-            else []
-        )
-        for (key, _), result in zip(misses, fresh):
-            results[key] = result
-            if self.cache is not None:
-                self.cache.put_design(key, result)
+        unresolved = list(groups)
+        while unresolved:
+            misses: List[Tuple[str, Subproblem]] = []
+            waits: List[Tuple[str, _InFlight]] = []
+            with self._lock:
+                for key in unresolved:
+                    cached = (
+                        self.cache.get_design(key)
+                        if self.cache is not None
+                        else None
+                    )
+                    if cached is not None:
+                        results[key] = cached
+                        hit_keys.append(key)
+                    elif key in self._inflight:
+                        waits.append((key, self._inflight[key]))
+                    else:
+                        self._inflight[key] = _InFlight()
+                        misses.append((key, subproblems[groups[key]]))
+            # Solve (and release) this batch's claims before waiting on
+            # anyone else's, so no two batches wait on each other.
+            results.update(self._solve_claimed(misses))
+            unresolved = []
+            for key, pending in waits:
+                pending.done.wait()
+                if pending.result is None:
+                    # The owning batch's solve raised: claim it anew.
+                    unresolved.append(key)
+                else:
+                    results[key] = pending.result
+                    hit_keys.append(key)
 
         for key in hit_keys:
             representative = subproblems[groups[key]]
@@ -534,6 +565,38 @@ class SolverPool:
                 duration=self.stats.now() - started,
             )
         return designs, cache_hits
+
+    def _solve_claimed(
+        self, misses: List[Tuple[str, Subproblem]]
+    ) -> Dict[str, DesignResult]:
+        """Solve the misses this batch claimed and release their claims.
+
+        Each result goes into the cache before its claim is released,
+        under the lock, so a batch that finds no claim finds the
+        result.  Claims are released on failure too, and every waiter
+        is woken either way.
+        """
+        if not misses:
+            return {}
+        fresh: List[DesignResult] = []
+        try:
+            fresh = self._solve_misses(
+                [subproblem for _, subproblem in misses],
+                [key for key, _ in misses],
+            )
+        finally:
+            solved = dict(zip((key for key, _ in misses), fresh))
+            with self._lock:
+                released = [
+                    (self._inflight.pop(key), solved.get(key)) for key, _ in misses
+                ]
+                if self.cache is not None:
+                    for key, result in solved.items():
+                        self.cache.put_design(key, result)
+            for pending, result in released:
+                pending.result = result
+                pending.done.set()
+        return solved
 
     def _solve_misses(
         self, subproblems: List[Subproblem], fingerprints: List[str]

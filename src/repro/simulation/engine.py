@@ -232,15 +232,21 @@ def fast_columnar_step(
     1. best responses via
        :meth:`~repro.workers.columnar.ColumnarPopulation.respond_unique`
        — one Eq. (30) solve per distinct (posted contract, behaviour
-       archetype) pair, found with ``np.unique`` over a packed integer
-       key; pairs solved in earlier rounds come from the population's
-       response cache, which it drops with its response codes;
+       archetype) pair.  The active rows are sorted once by that pair's
+       packed integer key (a radix sort while the key fits 16 bits);
+       each run of equal keys is one pair, whose result is fanned back
+       out to its rows.  Pairs solved in earlier rounds come from the
+       population's response cache, which it drops with its response
+       codes;
     2. population noise from one structured generator draw in the
        pinned per-subject order (feedback slot, then rating slot;
-       zero-noise rows consume nothing), realized through the workers'
+       zero-noise rows consume nothing), laid out as a ``(rows, 2)``
+       need mask filled in C order and realized through the workers'
        batch entry points;
-    3. payments grouped by posted contract, one
-       ``PiecewiseLinear.batch`` per distinct contract;
+    3. payments grouped by posted contract: the same sorted order holds
+       each contract's rows as one contiguous slice, so one
+       ``PiecewiseLinear.batch`` runs per distinct contract and no
+       per-contract mask is built;
     4. benefit/compensation reduced with a NumPy cumulative sum whose
        left-to-right accumulation reproduces the legacy ``+=`` bits.
 
@@ -289,53 +295,69 @@ def fast_columnar_step(
         ],
         dtype=np.int64,
     )
-    active_codes = canonical[codes[rows]]
-    best_efforts, expected = population.respond_unique(
-        contracts, active_codes, rows
+    # One grouping per round: active rows sorted by their packed
+    # (canonical contract, response archetype) key.  Each run of equal
+    # keys is one best-response pair, and each contract's pairs are one
+    # contiguous slice of the order.
+    n_response = population.n_response_archetypes
+    packed = canonical[codes[rows]] * n_response + population.response_codes[rows]
+    order, starts = _group_rows(packed, len(contracts) * n_response)
+    pair_keys = packed[order[starts]]
+    pair_contracts = pair_keys // n_response
+    pair_efforts, pair_expected = population.respond_unique(
+        contracts, pair_contracts, pair_keys % n_response
     )
+    pair_of = np.empty(rows.size, dtype=np.intp)
+    pair_of[order] = np.repeat(
+        np.arange(starts.size), np.diff(starts, append=rows.size)
+    )
+    best_efforts = pair_efforts[pair_of]
+    expected = pair_expected[pair_of]
 
     # Structured noise: the scalar path asks each agent whether it
     # consumes a draw (not is_zero(noise)); the columnar predicate is
     # the exact complement of that tolerance check.  Draw slots are laid
-    # out per active subject — feedback first, then rating — so one
-    # standard-normal block consumes the identical pinned stream.
-    feedback_noise = population.feedback_noise[rows]
-    rating_noise = population.rating_noise[rows]
-    needs_feedback = np.abs(feedback_noise) > ABS_TOL
-    needs_rating = np.abs(rating_noise) > ABS_TOL
-    counts = needs_feedback.astype(np.int64) + needs_rating.astype(np.int64)
-    offsets = np.cumsum(counts) - counts
-    total_draws = int(offsets[-1] + counts[-1])
-    feedback_draws = np.zeros(rows.size)
-    rating_draws = np.zeros(rows.size)
-    feedback_scales = np.where(needs_feedback, feedback_noise, 0.0)
-    rating_scales = np.where(needs_rating, rating_noise, 0.0)
+    # out per active subject — feedback first, then rating — so filling
+    # the (rows, 2) need mask in C order consumes the identical pinned
+    # stream from one standard-normal block.
+    scales = np.stack(
+        [population.feedback_noise[rows], population.rating_noise[rows]], axis=1
+    )
+    needs = np.abs(scales) > ABS_TOL
+    slots = np.zeros(scales.shape)
+    total_draws = int(np.count_nonzero(needs))
     if total_draws:
         draws = rng.standard_normal(total_draws)
-        feedback_draws[needs_feedback] = draws[offsets[needs_feedback]]
-        rating_positions = offsets + needs_feedback.astype(np.int64)
-        rating_draws[needs_rating] = draws[rating_positions[needs_rating]]
+        slots[needs] = draws
+    scales[~needs] = 0.0
     realized = WorkerAgent.realize_feedback_batch(
-        expected, feedback_scales, feedback_draws
+        expected, scales[:, 0], slots[:, 0]
     )
     rating_active = WorkerAgent.rating_deviation_batch(
-        population.rating_bias[rows], rating_scales, rating_draws
+        population.rating_bias[rows], scales[:, 1], slots[:, 1]
     )
 
-    # Payments: one batch evaluation per distinct posted contract.  The
-    # pay function is elementwise per subject, so the grouping cannot
-    # perturb bits relative to the per-subject loop.
+    # Payments: one batch evaluation per distinct posted contract, over
+    # its slice of the grouped order.  The pay function is elementwise
+    # per subject, so the grouping cannot perturb bits relative to the
+    # per-subject loop.
     if lagged_payment:
         basis = previous_feedback[rows]
     else:
         basis = realized
-    pay = np.zeros(rows.size)
-    for code in np.unique(active_codes).tolist():
-        selector = active_codes == code
+    first_pairs = np.flatnonzero(np.diff(pair_contracts, prepend=-1))
+    bounds = np.append(starts[first_pairs], rows.size).tolist()
+    grouped_basis = basis[order]
+    grouped_pay = np.empty(rows.size)
+    for code, start, stop in zip(
+        pair_contracts[first_pairs].tolist(), bounds[:-1], bounds[1:]
+    ):
         # One stored pay function per distinct posted contract, not per
         # subject: the loop runs over contracts.
         pay_function = contracts[code].as_feedback_function()  # noqa: REPRO010
-        pay[selector] = pay_function.batch(basis[selector])
+        grouped_pay[start:stop] = pay_function.batch(grouped_basis[start:stop])
+    pay = np.empty(rows.size)
+    pay[order] = grouped_pay
     if lagged_payment:
         previous_feedback[rows] = realized
 
@@ -364,6 +386,22 @@ def fast_columnar_step(
         benefit=benefit,
         total_compensation=total_compensation,
     )
+
+
+def _group_rows(keys: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable order of ``keys`` (each in ``[0, bound)``) and where each
+    run of equal keys starts in it.
+
+    Keys that fit 16 bits sort as ``uint16``, for which NumPy's stable
+    argsort is a radix sort; wider keys take its comparison sort.
+    """
+    sortable = keys.astype(np.uint16) if bound <= 1 << 16 else keys
+    order = np.argsort(sortable, kind="stable")
+    ordered = sortable[order]
+    boundary = np.empty(ordered.size, dtype=bool)
+    boundary[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    return order, np.flatnonzero(boundary)
 
 
 def require_steps_agree(fast: StepOutcomes, legacy: StepOutcomes) -> None:

@@ -431,6 +431,13 @@ class StreamingHistogram:
     answers stay within one (final) bin width.  Values below the low
     edge (impossible for compensations) clamp into the first bin.  The
     spill file is the exact fallback.
+
+    A value's bin is computed from the uniform edges, ``(v - low) /
+    width`` truncated, and corrected by one comparison with the bin's
+    lower and upper edge, which gives exactly
+    ``searchsorted(edges, v, "right") - 1`` clipped to the bins.  That
+    holds while a bin is far wider than the rounding error of the
+    edges; a range too narrow for its magnitude bins by search.
     """
 
     def __init__(self, n_bins: int = QUANTILE_BINS) -> None:
@@ -443,20 +450,63 @@ class StreamingHistogram:
         self.edges: Optional[np.ndarray] = None
         self.counts = np.zeros(n_bins, dtype=np.int64)
         self.total = 0
+        # Set with the edges: bins per unit of value (None: bin by
+        # search) and each bin's lower and upper edge, NaN where the
+        # bin is open (the first bin's lower, the last bin's upper).
+        self._scale: Optional[float] = None
+        self._lower = np.empty(0)
+        self._upper = np.empty(0)
+
+    def _set_edges(self, low: float, high: float) -> None:
+        edges = np.linspace(low, high, self.n_bins + 1)
+        self.edges = edges
+        low, high = float(edges[0]), float(edges[-1])
+        span = high - low
+        # The truncated estimate is within one bin of the true one while
+        # a bin spans far more than the edges' rounding error (about
+        # 2**-52 of their magnitude).
+        exact = np.isfinite(span) and span / self.n_bins > 2.0**-40 * max(
+            abs(low), abs(high)
+        )
+        self._scale = self.n_bins / span if exact else None
+        self._lower = edges[:-1].copy()
+        self._lower[0] = np.nan
+        self._upper = edges[1:].copy()
+        self._upper[-1] = np.nan
+
+    def _bins(self, values: np.ndarray) -> np.ndarray:
+        """Each value's bin: ``searchsorted(edges, v, "right") - 1``,
+        clipped to ``[0, n_bins - 1]``."""
+        assert self.edges is not None
+        last = self.n_bins - 1
+        if self._scale is None:
+            return np.clip(
+                np.searchsorted(self.edges, values, side="right") - 1, 0, last
+            )
+        with np.errstate(invalid="ignore", over="ignore"):
+            estimate = (values - self.edges[0]) * self._scale
+        # fmin/fmax map NaN to the last bin, where search sorts it.
+        np.fmin(estimate, last, out=estimate)
+        np.fmax(estimate, 0.0, out=estimate)
+        slots = estimate.astype(np.intp)
+        # An open edge is NaN, so its comparison never moves a slot.
+        slots -= values < self._lower[slots]
+        slots += values >= self._upper[slots]
+        return slots
 
     def observe(self, values: np.ndarray) -> None:
         """Fold one batch of values into the histogram."""
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if values.size == 0:
             return
+        batch_max = float(values.max())
         if self.edges is None:
             low = min(0.0, float(values.min()))
-            high = float(values.max())
+            high = batch_max
             if high <= low:
                 high = low + max(1.0, abs(low))
-            self.edges = np.linspace(low, high, self.n_bins + 1)
+            self._set_edges(low, high)
         assert self.edges is not None
-        batch_max = float(values.max())
         while batch_max > float(self.edges[-1]):
             low = float(self.edges[0])
             span = float(self.edges[-1]) - low
@@ -464,13 +514,8 @@ class StreamingHistogram:
             merged = self.counts[0::2] + self.counts[1::2]
             self.counts = np.zeros(self.n_bins, dtype=np.int64)
             self.counts[:half] = merged
-            self.edges = np.linspace(low, low + 2.0 * span, self.n_bins + 1)
-        slots = np.clip(
-            np.searchsorted(self.edges, values, side="right") - 1,
-            0,
-            self.n_bins - 1,
-        )
-        self.counts += np.bincount(slots, minlength=self.n_bins)
+            self._set_edges(low, low + 2.0 * span)
+        self.counts += np.bincount(self._bins(values), minlength=self.n_bins)
         self.total += int(values.size)
 
     def quantile(self, q: float) -> float:

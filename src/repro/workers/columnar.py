@@ -11,26 +11,31 @@ pure array passes (see ``fast_columnar_step`` in
 
 Two code systems make the hot path object-free:
 
-* **design archetypes** — the distinct rows of the packed design matrix
-  (fitted psi, params, weight, effort cap, membership size), numbered
-  in value-lexicographic order.  Contract design runs once per
-  archetype; ``archetype_codes`` fans contracts back out to subjects.
-  This is the column-slice analogue of the serving fingerprint (which
-  hashes exactly these fields, membership aside — see
-  :mod:`repro.serving.fingerprint`).  The population keeps the sorted
-  table of archetype keys, so
+* **design archetypes** — the distinct design keys (fitted psi,
+  params, weight, effort cap, membership size: the
+  :data:`DESIGN_KEY_COLUMNS`), numbered in value-lexicographic order.
+  Contract design runs once per archetype; ``archetype_codes`` fans
+  contracts back out to subjects.  This is the column-slice analogue of
+  the serving fingerprint (which hashes exactly these fields,
+  membership aside — see :mod:`repro.serving.fingerprint`).  The
+  population keeps the sorted table of archetype keys, so
   :meth:`ColumnarPopulation.update_design_columns` re-derives codes for
-  the rows whose values changed only: it dedupes those rows, merges
-  them into the key table, drops archetypes no row holds any more and
-  remaps every code with one gather.  The first derivation is the same
-  routine with every row changed and an empty table.  :func:`unique_rows`
-  over the whole matrix is the oracle: under ``REPRO_CHECK_INVARIANTS=1``
+  the rows whose key changed only: it packs those rows' keys from the
+  columns, dedupes them, merges them into the key table, drops
+  archetypes no row holds any more and remaps every code with one
+  gather.  The first derivation is the same routine with every row
+  changed and an empty table.  The delta redesign diffs the same
+  columns (:func:`changed_design_rows`), so the round path never packs
+  the whole ``(n, 9)`` matrix: :meth:`ColumnarPopulation.design_matrix`
+  is a lazily built view, and :func:`unique_rows` over it is the
+  oracle — under ``REPRO_CHECK_INVARIANTS=1``
   :func:`require_archetypes_agree` checks every derivation against it.
 * **response archetypes** — the distinct behavioural rows (true psi,
-  params).  Best responses are solved once per (contract, response
-  archetype) pair in :meth:`ColumnarPopulation.respond_unique`, and the
-  population keeps them across rounds in its response cache.  The
-  cache is dropped with the response codes: when
+  params).  The round kernel groups its rows once by (contract,
+  response archetype) pair, and
+  :meth:`ColumnarPopulation.respond_unique` solves each pair's best
+  response once; the population keeps them across rounds in its
+  response cache.  The cache is dropped with the response codes: when
   :meth:`~ColumnarPopulation.behaviour_at` flips a row, or a design
   update changes ``beta`` (or ``omega`` on a population without an
   ``act_omega`` column of its own).
@@ -84,11 +89,13 @@ from .population import ClassEffortFunctions, PopulationModel
 from .strategic import CamouflagedWorker, IntermittentWorker
 
 __all__ = [
+    "DESIGN_KEY_COLUMNS",
     "WORKER_TYPE_ORDER",
     "WORKER_TYPE_CODES",
     "ColumnarPopulation",
     "ColumnarResponseCache",
     "PhaseColumns",
+    "changed_design_rows",
     "require_archetypes_agree",
     "synthetic_columnar",
 ]
@@ -115,6 +122,12 @@ _NONCOLLUSIVE_CODE = WORKER_TYPE_CODES[WorkerType.NONCOLLUSIVE_MALICIOUS]
 #: ``np.unique`` groups capless rows together (NaN would never compare
 #: equal and explode the archetype count).
 _NO_MAX_EFFORT = -1.0
+
+#: The columns of the design key, in packed design-matrix order.
+DESIGN_KEY_COLUMNS: Tuple[str, ...] = (
+    "r2", "r1", "r0", "beta", "omega", "type_codes", "design_weight",
+    "max_effort", "n_members",
+)
 
 #: Agent classes whose behaviour is a pure function of frozen columns.
 _COLUMNAR_AGENT_TYPES = (HonestWorker, MaliciousWorker, CollusiveCommunity)
@@ -234,6 +247,59 @@ def require_archetypes_agree(
                 f"incremental design archetypes disagree with unique_rows on "
                 f"the {name}: {got!r} != {want!r}"
             )
+
+
+def _capped(max_effort: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(max_effort), _NO_MAX_EFFORT, max_effort)
+
+
+def _pack_design(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Design-key rows from :data:`DESIGN_KEY_COLUMNS`-ordered columns."""
+    r2, r1, r0, beta, omega, type_codes, weight, max_effort, n_members = columns
+    return np.column_stack(
+        [
+            r2,
+            r1,
+            r0,
+            beta,
+            omega,
+            type_codes.astype(np.float64),
+            weight,
+            _capped(max_effort),
+            n_members.astype(np.float64),
+        ]
+    )
+
+
+def _key_differs(name: str, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Rows where one design-key column differs, compared as the packed
+    design matrix compares them: by value (``-0.0 == +0.0``, NaN differs
+    from itself) and ``max_effort`` through its sentinel encoding."""
+    if name == "max_effort":
+        return _capped(new) != _capped(old)
+    return new != old
+
+
+def changed_design_rows(
+    previous: Optional[Sequence[np.ndarray]], current: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Per row: whether its design key differs between two column sets.
+
+    Both sides are :meth:`ColumnarPopulation.design_columns` tuples.
+    Columns are frozen and swapped whole, so a column that is the same
+    object on both sides is skipped; the others are compared by value.
+    The result equals ``np.any(matrix != previous_matrix, axis=1)``
+    over the two packed design matrices, and every row is changed when
+    there is no previous set or it has another length.
+    """
+    n = current[0].shape[0]
+    if previous is None or previous[0].shape[0] != n:
+        return np.ones(n, dtype=bool)
+    changed = np.zeros(n, dtype=bool)
+    for name, new, old in zip(DESIGN_KEY_COLUMNS, current, previous):
+        if new is not old:
+            changed |= _key_differs(name, new, old)
+    return changed
 
 
 def _parameters(type_code: int, beta: float, omega: float) -> WorkerParameters:
@@ -557,37 +623,39 @@ class ColumnarPopulation:
     # archetypes
     # ------------------------------------------------------------------
 
+    def design_columns(self) -> Tuple[np.ndarray, ...]:
+        """The frozen columns of the design key, in
+        :data:`DESIGN_KEY_COLUMNS` order (type codes and membership as
+        ``int64``, a missing effort cap as NaN).  Design updates swap
+        these objects whole, which is what lets
+        :func:`changed_design_rows` skip the columns that did not move."""
+        return tuple(getattr(self, name) for name in DESIGN_KEY_COLUMNS)
+
+    def design_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of :meth:`design_matrix` at ``rows``, packed from the
+        columns without building the whole matrix."""
+        return _pack_design([column[rows] for column in self.design_columns()])
+
     def design_matrix(self) -> np.ndarray:
         """The packed per-subject design key (everything contract design
         reads): fitted psi, params, type, designer weight, effort cap
         (``None`` encoded as a sentinel) and membership size.  Two
         subjects with equal rows receive identical contracts under every
         policy, which is what archetype dedup and the column-slice delta
-        redesign rely on."""
+        redesign rely on.
+
+        Built lazily, for the oracles (:func:`unique_rows`, the tests):
+        the round path derives archetypes and diffs designs from the
+        columns, so a design update never rebuilds it."""
         if self._design_matrix is None:
-            capped = np.where(
-                np.isnan(self.max_effort), _NO_MAX_EFFORT, self.max_effort
-            )
-            matrix = np.column_stack(
-                [
-                    self.r2,
-                    self.r1,
-                    self.r0,
-                    self.beta,
-                    self.omega,
-                    self.type_codes.astype(np.float64),
-                    self.design_weight,
-                    capped,
-                    self.n_members.astype(np.float64),
-                ]
-            )
+            matrix = _pack_design(self.design_columns())
             matrix.flags.writeable = False
             self._design_matrix = matrix
         return self._design_matrix
 
     def _design_archetypes(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._arch_codes is None:
-            self._arch_keys = np.empty((0, self.design_matrix().shape[1]))
+            self._arch_keys = np.empty((0, len(DESIGN_KEY_COLUMNS)))
             self._derive_archetypes(np.arange(self._n, dtype=np.int64))
         assert self._arch_codes is not None and self._arch_reps is not None
         return self._arch_codes, self._arch_reps
@@ -596,24 +664,27 @@ class ColumnarPopulation:
         """Re-derive the design-archetype codes of the rows in ``changed``.
 
         ``changed`` lists, in row order, the rows whose design key may
-        differ from the one their code was derived from.  They are
-        deduplicated with :func:`unique_rows` and merged into the sorted
-        key table; every other row keeps its archetype, renumbered by
-        one gather.  Archetypes no row holds any more are dropped, and
-        the first-occurrence representatives are recomputed in O(n).
-        The result equals ``unique_rows(self.design_matrix())`` exactly.
+        differ from the one their code was derived from.  Their key rows
+        are packed from the columns, deduplicated with
+        :func:`unique_rows` and merged into the sorted key table; every
+        other row keeps its archetype, renumbered by one gather.
+        Archetypes no row holds any more are dropped, and the
+        first-occurrence representatives are recomputed in O(n).  The
+        result equals ``unique_rows(self.design_matrix())`` exactly.
         """
-        matrix = self.design_matrix()
         n = self._n
         every_row = changed.size == n
-        fresh_reps, fresh_codes = unique_rows(
-            matrix if every_row else matrix[changed]
+        key_rows = (
+            _pack_design(self.design_columns())
+            if every_row
+            else self.design_rows(changed)
         )
+        fresh_reps, fresh_codes = unique_rows(key_rows)
         old_keys = self._arch_keys
         assert old_keys is not None
         # Both halves are canonical (-0.0 folded into +0.0, as in
         # unique_rows), so equal keys are equal bits.
-        table = np.concatenate([old_keys, matrix[changed[fresh_reps]] + 0.0])
+        table = np.concatenate([old_keys, key_rows[fresh_reps] + 0.0])
         order = np.lexsort(table.T[::-1])
         ranked = table[order]
         bits = ranked.view(np.uint64)
@@ -637,7 +708,9 @@ class ColumnarPopulation:
             keys = keys[held]
             representatives = representatives[held]
         if invariants_enabled():
-            require_archetypes_agree((representatives, codes), unique_rows(matrix))
+            require_archetypes_agree(
+                (representatives, codes), unique_rows(self.design_matrix())
+            )
         codes.flags.writeable = False
         self._arch_keys = keys
         self._arch_codes = codes
@@ -722,35 +795,32 @@ class ColumnarPopulation:
         self,
         contracts: Sequence[Contract],
         contract_codes: np.ndarray,
-        rows: np.ndarray,
+        response_codes: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Deduplicated best responses for the subjects at ``rows``.
+        """Best responses for (contract, behaviour archetype) pairs.
 
-        Solves Eq. (30) once per distinct (contract, behaviour
-        archetype) pair, found with ``np.unique`` over a packed integer
-        key, and fans the scalar results back out.  Pairs solved in an
-        earlier call are read from the population's response cache.
+        Solves Eq. (30) once per pair; pairs solved in an earlier call
+        are read from the population's response cache.  The round
+        kernel groups its rows once and passes each distinct pair once,
+        then fans the results out to the rows itself.
 
         Args:
             contracts: the archetype contract table.
-            contract_codes: per-row contract index into ``contracts``.
-            rows: subject row indices to respond for.
+            contract_codes: per-pair contract index into ``contracts``.
+            response_codes: per-pair index into :attr:`response_codes`'
+                numbering.
 
         Returns:
-            ``(efforts, expected_feedback)`` arrays aligned with
-            ``rows``; the expectation is evaluated through the true psi
+            ``(efforts, expected_feedback)`` arrays aligned with the
+            pairs; the expectation is evaluated through the true psi
             exactly as the scalar ``realize_feedback`` does.
         """
-        response_codes = self.response_codes[rows]
-        n_response = self.n_response_archetypes
-        packed = contract_codes.astype(np.int64) * n_response + response_codes
-        unique_keys, inverse = np.unique(packed, return_inverse=True)
         cache = self._response_cache
-        efforts = np.empty(unique_keys.shape[0], dtype=np.float64)
-        expected = np.empty(unique_keys.shape[0], dtype=np.float64)
-        for slot, key in enumerate(unique_keys.tolist()):
-            contract_code = key // n_response
-            response_code = key % n_response
+        efforts = np.empty(contract_codes.shape[0], dtype=np.float64)
+        expected = np.empty(contract_codes.shape[0], dtype=np.float64)
+        for slot, (contract_code, response_code) in enumerate(
+            zip(contract_codes.tolist(), response_codes.tolist())
+        ):
             contract = contracts[contract_code]
             cache_key = (contract_code, response_code)
             entry = cache.get(cache_key)
@@ -767,7 +837,7 @@ class ColumnarPopulation:
             efforts[slot] = effort
             expected[slot] = expectation
             cache[cache_key] = (contract, effort, expectation)
-        return efforts[inverse.reshape(-1)], expected[inverse.reshape(-1)]
+        return efforts, expected
 
     # ------------------------------------------------------------------
     # lazy object views (legacy API compatibility)
@@ -1097,11 +1167,13 @@ class ColumnarPopulation:
         """Swap whole design columns and re-derive what they feed.
 
         This is the supported mutation path: the delta-redesign state
-        diffs the packed design matrix against its previous value, so
-        columns must never be edited in place (they are frozen).  Each
-        new column is compared with the old one, and the design-archetype
-        codes are re-derived for the rows whose values changed only
-        (``max_effort`` compares NaN-aware: NaN means "no cap");
+        diffs the design columns against the ones it saw last, skipping
+        any it still holds, so columns must never be edited in place
+        (they are frozen).  Each new column is compared with the old one
+        as the packed design matrix compares them (by value,
+        ``max_effort`` through its no-cap sentinel), and the
+        design-archetype codes are re-derived for the rows whose key
+        changed only, from key rows packed for those rows;
         ``eval_weight`` is not part of the design key.  The behaviour
         caches (response codes and cache, lazy agents) are dropped only
         when ``beta`` changes, or ``omega`` changes on a population
@@ -1133,10 +1205,7 @@ class ColumnarPopulation:
         for name, new in columns.items():
             old = getattr(self, name)
             setattr(self, name, new)
-            differs = new != old
-            if name == "max_effort":
-                differs &= ~(np.isnan(new) & np.isnan(old))
-            changed |= differs
+            changed |= _key_differs(name, new, old)
             if name == "beta" or (name == "omega" and self._act_omega is None):
                 # Bitwise: response objects and lazy agents copy the values.
                 behaviour_changed |= not np.array_equal(

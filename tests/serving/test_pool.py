@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
@@ -98,6 +102,104 @@ class TestSolverPoolCache:
         pool.solve(workload)
         pool.solve(workload)
         assert cache.stats.verifications == 6
+
+
+class _CountingPool(SolverPool):
+    """A pool whose miss solver counts the fingerprints it solves, takes
+    ``delay`` seconds per call and raises on its first ``failures``
+    calls."""
+
+    def __init__(self, delay: float, failures: int = 0, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.delay = delay
+        self.failures = failures
+        self.solved = collections.Counter()
+        self.failed = collections.Counter()
+        self._calls = threading.Lock()
+
+    def _solve_misses(self, subproblems, fingerprints):
+        time.sleep(self.delay)
+        with self._calls:
+            failing = self.failures > 0
+            self.failures -= failing
+            (self.failed if failing else self.solved).update(fingerprints)
+        if failing:
+            raise RuntimeError("injected miss-solver failure")
+        return super()._solve_misses(subproblems, fingerprints)
+
+
+def _batch_concurrently(pool, workload, n_threads=8):
+    """Every thread batches the whole workload at once; returns each
+    thread's designs (or the exception it raised)."""
+    outcomes = [None] * n_threads
+    barrier = threading.Barrier(n_threads)
+
+    def requester(index):
+        barrier.wait(timeout=30.0)
+        try:
+            outcomes[index] = pool.solve_designs(workload)[0]
+        except Exception as error:  # noqa: BLE001 - asserted by the caller
+            outcomes[index] = error
+
+    threads = [
+        threading.Thread(target=requester, args=(index,))
+        for index in range(n_threads)
+    ]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
+
+
+class TestConcurrentMisses:
+    def test_concurrent_batches_solve_each_fingerprint_once(
+        self, workload, serial_solutions
+    ):
+        """Batches that miss a fingerprint another batch is solving wait
+        for it: each is solved once, and the waiters book hits."""
+        stats = ServingStats()
+        pool = _CountingPool(delay=0.05, cache=ContractCache(), stats=stats)
+        outcomes = _batch_concurrently(pool, workload)
+        fingerprints = set(pool.fingerprints(workload))
+        assert len(fingerprints) == 6
+        assert pool.solved == {key: 1 for key in fingerprints}
+        assert stats.cache_misses == 6
+        assert stats.cache_hits == 8 * 6 - 6
+        for designs in outcomes:
+            assert not isinstance(designs, Exception), designs
+            for subproblem, design in zip(workload, designs):
+                assert pickle.dumps(design.contract.compensations) == (
+                    _compensation_bytes(serial_solutions[subproblem.subject_id])
+                )
+
+    def test_a_failed_owner_hands_its_fingerprints_to_a_waiter(
+        self, workload, serial_solutions
+    ):
+        """When the owning solve raises, its batch gets the error and one
+        waiting batch solves the fingerprints instead; nobody hangs."""
+        pool = _CountingPool(delay=0.05, failures=1, cache=ContractCache())
+        outcomes = _batch_concurrently(pool, workload)
+        errors = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
+        assert [str(error) for error in errors] == ["injected miss-solver failure"]
+        fingerprints = set(pool.fingerprints(workload))
+        assert pool.solved == {key: 1 for key in fingerprints}
+        for designs in outcomes:
+            if isinstance(designs, Exception):
+                continue
+            for subproblem, design in zip(workload, designs):
+                assert pickle.dumps(design.contract.compensations) == (
+                    _compensation_bytes(serial_solutions[subproblem.subject_id])
+                )
+        # Nothing stays claimed: a later batch is answered from the cache.
+        _, hits = pool.solve_designs(workload)
+        assert all(hits)
 
 
 class TestSolverPoolValidation:

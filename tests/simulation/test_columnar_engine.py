@@ -30,9 +30,9 @@ from repro.simulation import (
     legacy_step,
     require_ledgers_agree,
 )
-from repro.simulation.engine import fast_columnar_step
+from repro.simulation.engine import _group_rows, fast_columnar_step
 from repro.workers import synthetic_population
-from repro.workers.columnar import ColumnarPopulation
+from repro.workers.columnar import ColumnarPopulation, synthetic_columnar
 
 SEED = 21
 
@@ -376,3 +376,36 @@ def test_beta_update_drops_cached_best_responses():
     for row in range(20):
         subject_id = moved.subject_id(row)
         assert got[subject_id].effort == want[subject_id].effort, subject_id
+
+
+def test_pair_keys_wider_than_16_bits_replay_bit_identically(monkeypatch):
+    """300 design and 300 response archetypes pack 90,000 (contract,
+    response archetype) keys, past the 16 bits of the radix sort, so the
+    kernel groups with the wide sort; every round, a design update
+    included, replays bit-identically through the oracle."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    population = synthetic_columnar(1_000, n_archetypes=300, feedback_noise=0.3)
+    assert population.n_archetypes * population.n_response_archetypes > 1 << 16
+    simulation = MarketplaceSimulation(
+        population, RequesterObjective(), DynamicContractPolicy(mu=1.0), seed=4
+    )
+    simulation.step()
+    weights = population.design_weight.copy()
+    weights[::50] = 3.0
+    population.update_design_columns(design_weight=weights)
+    record = simulation.step()
+    assert record.n_dirty == 20
+
+
+@pytest.mark.parametrize("bound", [1 << 8, 1 << 16, 1 << 17, 1 << 40])
+def test_row_grouping_is_a_stable_sort_into_unique_runs(bound):
+    """Keys within 16 bits sort as uint16 (radix), wider ones as they
+    are; either way the order is the stable argsort and the runs are
+    ``np.unique``'s values and counts."""
+    keys = np.random.default_rng(bound % 97).integers(0, bound, 5_000)
+    keys[::7] = bound - 1
+    order, starts = _group_rows(keys, bound)
+    values, counts = np.unique(keys, return_counts=True)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(keys[order][starts], values)
+    assert np.array_equal(np.diff(starts, append=keys.size), counts)

@@ -10,18 +10,29 @@ adaptive policy stops re-solving once its estimates freeze, and the
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import solve_subproblems
+from repro.core.designer import DesignerConfig
 from repro.core.utility import RequesterObjective
 from repro.obs.trace import Tracer, set_tracer
 from repro.serving import RedesignStats
+from repro.serving.pool import ColumnarDeltaState
 from repro.simulation import (
     AdaptiveDynamicPolicy,
     DynamicContractPolicy,
     MarketplaceSimulation,
 )
+from repro.types import WorkerType
 from repro.workers import synthetic_population
-from repro.workers.columnar import ColumnarPopulation
+from repro.workers.columnar import (
+    WORKER_TYPE_CODES,
+    ColumnarPopulation,
+    changed_design_rows,
+)
 
 N_SUBJECTS = 24
 
@@ -121,3 +132,113 @@ def test_reuse_is_cross_verified_under_invariants(population, monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     ledger = _run(population, DynamicContractPolicy(mu=1.0))
     assert ledger.records[-1].reuse_rate == 1.0
+
+
+_HONEST = WORKER_TYPE_CODES[WorkerType.HONEST]
+_MALICIOUS = WORKER_TYPE_CODES[WorkerType.NONCOLLUSIVE_MALICIOUS]
+
+
+def _diff_population(n):
+    """Honest and malicious rows, zero r0 and omega of both signs, and
+    capped and capless rows."""
+    rows = np.arange(n)
+    malicious = rows % 4 == 3
+    r2 = np.where(rows % 3 == 0, -0.8, -0.5)
+    r0 = np.where(rows % 2 == 0, 1.0, np.where(rows % 5 == 1, -0.0, 0.0))
+    omega = np.where(malicious, 0.3, np.where(rows % 3 == 1, -0.0, 0.0))
+    weight = np.where(rows % 2 == 0, 1.0, 1.5)
+    return ColumnarPopulation(
+        r2=r2, r1=np.full(n, 10.0), r0=r0,
+        act_r2=r2, act_r1=np.full(n, 10.0), act_r0=r0,
+        beta=np.full(n, 1.2), omega=omega,
+        design_weight=weight, eval_weight=weight,
+        max_effort=np.where(rows % 3 == 2, np.nan, 4.0),
+        type_codes=np.where(malicious, _MALICIOUS, _HONEST),
+        e_mal=malicious.astype(float), feedback_noise=np.zeros(n),
+        rating_noise=np.zeros(n), rating_bias=np.zeros(n),
+        n_members=np.ones(n, dtype=np.int64),
+        community_ids=np.full(n, -1, dtype=np.int64),
+    )
+
+
+_EPOCH = st.tuples(
+    st.sampled_from(
+        ["weight", "return", "zero_sign", "cap", "copy", "view", "resize"]
+    ),
+    st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    st.sampled_from([1.0, 1.5, 2.0, 0.75]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(epochs=st.lists(_EPOCH, min_size=1, max_size=6))
+def test_column_diff_equals_the_full_matrix_diff(epochs):
+    """The delta state's column-wise dirty set equals ``np.any(matrix !=
+    previous, axis=1)`` over the packed design matrices, and its
+    ``n_dirty`` equals what the full-matrix diff gives, across signed
+    zeros, NaN caps, value-equal replacement columns, design-weight
+    views, movers returning to their base weight and a population of
+    another size."""
+    population = _diff_population(10)
+    base_weight = population.design_weight.copy()
+    config = DesignerConfig(n_intervals=4)
+    state = ColumnarDeltaState()
+    previous_matrix = previous_columns = None
+    previous_keys = set()
+    for kind, rows, value in [("copy", [0], 1.0), *epochs]:
+        target = population
+        if kind == "weight":
+            weight = population.design_weight.copy()
+            weight[rows] = value
+            population.update_design_columns(design_weight=weight)
+        elif kind == "return":
+            population.update_design_columns(design_weight=base_weight.copy())
+        elif kind == "zero_sign":
+            omega = population.omega.copy()
+            r0 = population.r0.copy()
+            honest = population.type_codes[rows] == _HONEST
+            omega[np.asarray(rows)[honest]] *= -1.0
+            r0[rows] = np.where(r0[rows] == 0.0, -r0[rows], r0[rows])
+            population.update_design_columns(omega=omega, r0=r0)
+        elif kind == "cap":
+            cap = population.max_effort.copy()
+            cap[rows] = np.where(np.isnan(cap[rows]), 4.0, np.nan)
+            population.update_design_columns(max_effort=cap)
+        elif kind == "copy":
+            population.update_design_columns(
+                r1=population.r1.copy(), max_effort=population.max_effort.copy()
+            )
+        elif kind == "view":
+            weight = population.design_weight.copy()
+            weight[rows] = value
+            target = population.with_design_weight(weight)
+        else:
+            target = _diff_population(7)
+        matrix = target.design_matrix()
+        if previous_matrix is None or previous_matrix.shape != matrix.shape:
+            expected_dirty = np.ones(matrix.shape[0], dtype=bool)
+        else:
+            expected_dirty = np.any(matrix != previous_matrix, axis=1)
+        columns = target.design_columns()
+        assert np.array_equal(
+            changed_design_rows(previous_columns, columns), expected_dirty
+        )
+
+        _, stats = state.resolve(
+            target,
+            lambda subproblems: (
+                solve_subproblems(subproblems, mu=1.0, config=config),
+                {},
+            ),
+        )
+        keys = [
+            matrix[row].tobytes()
+            for row in target.archetype_representatives.tolist()
+        ]
+        solved = np.array([key not in previous_keys for key in keys])
+        expected_n_dirty = int(
+            np.count_nonzero(expected_dirty & solved[target.archetype_codes])
+        )
+        assert stats.n_dirty == expected_n_dirty
+        previous_matrix, previous_columns = matrix, columns
+        previous_keys = set(keys)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.utility import RequesterObjective
@@ -258,6 +258,99 @@ def test_histogram_quantile_error_bounded():
         histogram.quantile(1.5)
     with pytest.raises(SimulationError):
         StreamingHistogram(n_bins=3)
+
+
+class _SearchHistogram(StreamingHistogram):
+    """The oracle: bins every value by ``searchsorted`` over the edges."""
+
+    def _bins(self, values):
+        return np.clip(
+            np.searchsorted(self.edges, values, side="right") - 1,
+            0,
+            self.n_bins - 1,
+        )
+
+
+def _edge_probes(edges, picks):
+    """Edges at ``picks`` and their neighbouring doubles."""
+    chosen = edges[np.asarray(picks) % edges.size]
+    return np.concatenate(
+        [chosen, np.nextafter(chosen, -np.inf), np.nextafter(chosen, np.inf)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_bins=st.sampled_from([2, 4, 64]),
+    exponent=st.integers(-300, 300),
+    negative=st.booleans(),
+    spread=st.sampled_from([1.0, 1e-3, 0.0]),
+    first=st.lists(
+        st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=40
+    ),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["edges", "below", "double", "fresh"]),
+            st.lists(st.integers(0, 10_000), min_size=1, max_size=12),
+            st.floats(1.5, 9.0),
+        ),
+        max_size=5,
+    ),
+)
+# A range a few doubles wide at magnitude 1 and 1e100, where rounded
+# edges collapse, and a doubling followed by probes of the new edges.
+@example(64, 0, True, 0.0, [0.0, 0.3, 0.7, 1.0], [])
+@example(64, 100, True, 0.0, [0.0, 0.3, 0.7, 1.0], [("edges", [1, 7, 33], 2.0)])
+@example(4, 2, False, 1.0, [0.5, 1.0], [("double", [0, 3], 3.0), ("edges", [1, 2, 5], 2.0)])
+def test_histogram_bins_equal_the_searchsorted_oracle(
+    n_bins, exponent, negative, spread, first, steps
+):
+    """Arithmetic bins (one correction each way) equal ``searchsorted``
+    on exact edges and their neighbours, below the low edge, after a
+    range doubling, and on wide and narrow ranges: counts and every
+    quantile answer are identical."""
+    scale = 10.0**exponent
+    # spread 0.0 packs the batch within a few doubles of +-scale: a
+    # range narrow for its magnitude, which bins by search.
+    base = np.asarray(first) * (spread or 16.0 * np.spacing(1.0)) + 1.0
+    first_batch = (-base if negative else base) * scale
+    fast = StreamingHistogram(n_bins=n_bins)
+    oracle = _SearchHistogram(n_bins=n_bins)
+    batches = [first_batch]
+    for kind, picks, factor in steps:
+        fast.observe(batches[-1])
+        oracle.observe(batches[-1])
+        edges = fast.edges
+        if kind == "edges":
+            batch = _edge_probes(edges, picks)
+        elif kind == "below":
+            batch = edges[0] - np.abs(_edge_probes(edges, picks)) - scale
+        elif kind == "double":
+            # Past the top edge: the range doubles, then probe the new
+            # edges in the next step.
+            batch = np.concatenate([_edge_probes(edges, picks), [edges[-1] * factor + scale]])
+        else:
+            batch = np.abs(first_batch[np.asarray(picks) % first_batch.size]) * factor
+        batches.append(batch[np.isfinite(batch)])
+    fast.observe(batches[-1])
+    oracle.observe(batches[-1])
+    assert np.array_equal(fast.edges, oracle.edges)
+    assert np.array_equal(fast.counts, oracle.counts)
+    assert fast.total == oracle.total
+    for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+        assert fast.quantile(q) == oracle.quantile(q)
+
+
+def test_histogram_bins_arithmetically_on_compensation_ranges():
+    """Non-negative values, as compensations are, take the arithmetic
+    path (the search fallback is for ranges narrow for their
+    magnitude)."""
+    histogram = StreamingHistogram()
+    histogram.observe(np.random.default_rng(3).random(100) * 40.0)
+    assert histogram._scale is not None
+    narrow = StreamingHistogram()
+    narrow.observe(np.array([-1e16, -1e16 + 2.0]))
+    assert narrow._scale is None
 
 
 def test_empty_ledger_views():

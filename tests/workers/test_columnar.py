@@ -221,7 +221,9 @@ def test_behaviour_at_matches_on_round(
         assert lazy.respond(contract) == expected
         rows = np.array([row])
         efforts, feedback = columnar.respond_unique(
-            assignment.contracts, assignment.codes[rows], rows
+            assignment.contracts,
+            assignment.codes[rows],
+            columnar.response_codes[rows],
         )
         assert efforts[0] == expected.effort
         assert feedback[0] == float(reference.effort_function(expected.effort))
